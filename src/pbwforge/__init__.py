@@ -23,7 +23,6 @@ from .pbw import (
     DeformationMap,
     OracleResult,
     PbwVerdict,
-    ResourceGuardError,
     brute_force_oracle,
     conservation_residual,
     deformation_from_tails,
@@ -38,7 +37,7 @@ from .super_ym import (
     super_current_to_deformation,
     verify_super_identities,
 )
-from .tensors import TensorElement
+from .tensors import ResourceGuardError, TensorElement
 from .yang_mills import (
     Current,
     CurrentParameters,

@@ -1,5 +1,6 @@
 """Homogeneous N-algebras T(V)/(R): graded ideal components, graded
-dimensions, and the overlap space (R tensor V) intersect (V tensor R).
+dimensions, the overlap space W = (R tensor V) intersect (V tensor R), and
+the overlap core shared by the PBW checker and the classifier.
 
 Graded dimensions are always computed by brute quotient dimension (rank
 of an explicit spanning set of the ideal component); no Hilbert-series
@@ -15,7 +16,16 @@ from typing import Sequence
 
 from .linalg import Matrix, SparseEchelon, Subspace, solve_affine
 from .rationals import ONE, ZERO
-from .tensors import TensorElement, side_tensor, word_index, words
+from .tensors import (
+    GradedMap,
+    TensorElement,
+    flatten_graded_map,
+    guard_tensor_dim,
+    side_decompose,
+    side_tensor,
+    word_index,
+    words,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +79,11 @@ class AlgebraPresentation:
             raise ValueError("element is not in the relation space")
         return sol.particular
 
+    @cached_property
+    def overlap(self) -> "OverlapData":
+        """The overlap core of this presentation, built on first use."""
+        return OverlapData(self)
+
 
 def _ideal_spanning_words(a: AlgebraPresentation, n: int):
     """Yield sparse vectors u (x) r (x) v spanning the degree-n ideal part."""
@@ -86,6 +101,7 @@ def _ideal_spanning_words(a: AlgebraPresentation, n: int):
 
 def ideal_component(a: AlgebraPresentation, n: int) -> Subspace:
     """Degree-n component of the two-sided ideal (R), in canonical form."""
+    guard_tensor_dim(a.dim_v, n)
     size = a.dim_v**n
     if n < a.degree:
         return Subspace.zero(size)
@@ -100,6 +116,7 @@ def ideal_component(a: AlgebraPresentation, n: int) -> Subspace:
 
 def ideal_component_dim(a: AlgebraPresentation, n: int) -> int:
     """dim of the degree-n ideal component, via sparse echelon (fast path)."""
+    guard_tensor_dim(a.dim_v, n)
     if n < a.degree:
         return 0
     ech = SparseEchelon()
@@ -116,6 +133,7 @@ def graded_dim(a: AlgebraPresentation, n: int) -> int:
 
 def overlap_space(a: AlgebraPresentation) -> Subspace:
     """(R tensor V) intersect (V tensor R) inside V^(tensor N+1)."""
+    guard_tensor_dim(a.dim_v, a.degree + 1)
     r = a.relation_space
     if r.dim == 0:
         return Subspace.zero(a.dim_v ** (a.degree + 1))
@@ -124,7 +142,67 @@ def overlap_space(a: AlgebraPresentation) -> Subspace:
     return right.intersect(left)
 
 
-def _sign(perm: Sequence[int]) -> int:
+class OverlapData:
+    """The overlap space W of a presentation with its bracket matrices.
+
+    Everything the PBW conditions and the classifier need from W depends
+    on the presentation alone, so it is computed once here: the canonical
+    basis x_i of W (``vectors``) and the coefficient matrices of each x_i
+    in R (tensor) V (``right``) and in V (tensor) R (``left``), in the
+    layout of :func:`side_decompose`.  ``bracket_matrices(j)`` holds, for
+    each x_i, the matrix B_(i,j) that sends ``flatten_graded_map(phi_j)``
+    of any phi_j : R -> V^(tensor j) to (phi_j tensor I - I tensor
+    phi_j)(x_i) in V^(tensor j+1) coordinates; it is built on first use.
+    """
+
+    def __init__(self, a: AlgebraPresentation):
+        w = overlap_space(a)
+        self.dim_v = a.dim_v
+        self.source_dim = len(a.relation_basis)
+        self.vectors = tuple(
+            TensorElement.from_degree_vector(a.dim_v, a.degree + 1, row) for row in w.basis
+        )
+        self.right = tuple(side_decompose(x, a.relation_basis, "right") for x in self.vectors)
+        self.left = tuple(side_decompose(x, a.relation_basis, "left") for x in self.vectors)
+        self._brackets: dict = {}
+
+    def bracket_matrices(self, j: int) -> tuple:
+        """B_(i,j) for every overlap vector x_i, in basis order."""
+        if j not in self._brackets:
+            self._brackets[j] = tuple(
+                self._bracket_matrix(j, cr, cl) for cr, cl in zip(self.right, self.left)
+            )
+        return self._brackets[j]
+
+    def _bracket_matrix(self, j: int, cr: Matrix, cl: Matrix) -> Matrix:
+        dim = self.dim_v
+        block = dim**j
+        cols = self.source_dim * block
+        rows = [[ZERO] * cols for _ in range(block * dim)]
+        for k in range(self.source_dim):
+            for widx in range(block):
+                col = k * block + widx
+                for lam in range(dim):
+                    c = cr.data[k][lam]
+                    if c != 0:
+                        rows[widx * dim + lam][col] += c  # phi(r_k) (x) e_lam
+                    c = cl.data[k][lam]
+                    if c != 0:
+                        rows[lam * block + widx][col] -= c  # e_lam (x) phi(r_k)
+        return Matrix.from_rows(rows)
+
+    def brackets(self, phi: GradedMap) -> tuple:
+        """(phi tensor I - I tensor phi)(x_i) for every overlap vector x_i."""
+        u = flatten_graded_map(phi)
+        j = phi.target_degree
+        return tuple(
+            TensorElement.from_degree_vector(self.dim_v, j + 1, b.mat_vec(u))
+            for b in self.bracket_matrices(j)
+        )
+
+
+def permutation_sign(perm: Sequence[int]) -> int:
+    """+1 or -1 by the parity of the inversions of ``perm``."""
     inv = sum(
         1
         for i in range(len(perm))
@@ -144,6 +222,6 @@ def build_antisymmetrizer_relations(dim_v: int, degree: int) -> AlgebraPresentat
     for combo in combinations(range(dim_v), degree):
         terms = {}
         for perm in permutations(combo):
-            terms[perm] = ONE * _sign(perm)
+            terms[perm] = ONE * permutation_sign(perm)
         basis.append(TensorElement.from_terms(dim_v, terms))
     return AlgebraPresentation(dim_v, degree, tuple(basis))

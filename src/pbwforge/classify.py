@@ -5,11 +5,14 @@ degree-(N-1) coefficient block.  The lower conditions are bilinear in
 (top block, lower blocks), so the full classification proceeds by fixing
 a concrete stage-1 point and solving each lower level as an affine
 linear system, then comparing the resulting spaces against a supplied
-closed-form family by two-sided inclusion.
+closed-form family by two-sided inclusion.  Both stages read the overlap
+vectors and bracket matrices from the presentation's overlap core
+(``AlgebraPresentation.overlap``), the same object the PBW checker uses.
 
 Coefficient coordinates: the degree-j block of a deformation is
 flattened as ``u[k * dim_v**j + word_index(w)]`` where k indexes the
-distinguished relation basis and w runs over degree-j words.
+distinguished relation basis and w runs over degree-j words (see
+:func:`pbwforge.tensors.flatten_graded_map`).
 """
 
 from __future__ import annotations
@@ -17,29 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import AlgebraPresentation, overlap_space
+from .algebra import AlgebraPresentation
 from .linalg import Matrix, Subspace, Vector, kernel, solve_affine
 from .rationals import ONE, ZERO
-from .tensors import GradedMap, TensorElement, apply_graded_side, side_decompose
-
-
-def flatten_graded_map(m: GradedMap) -> Vector:
-    """Column-stacked coefficients of a graded map, per the block layout."""
-    block = m.dim_v**m.target_degree
-    out = []
-    for k in range(m.source_dim):
-        out.extend(m.matrix.data[row][k] for row in range(block))
-    return tuple(out)
-
-
-def unflatten_graded_map(
-    dim_v: int, source_dim: int, target_degree: int, coeffs: Sequence
-) -> GradedMap:
-    block = dim_v**target_degree
-    rows = tuple(
-        tuple(coeffs[k * block + row] for k in range(source_dim)) for row in range(block)
-    )
-    return GradedMap(dim_v, source_dim, target_degree, Matrix.from_rows(rows))
+from .tensors import GradedMap, flatten_graded_map, unflatten_graded_map  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -48,42 +32,6 @@ class StageSolution:
     parameters: Subspace  # solution directions in coefficient coordinates
     particular: Optional[Vector]
     feasible: bool
-
-
-def _overlap_data(a: AlgebraPresentation):
-    """Overlap basis with both side decompositions precomputed."""
-    w = overlap_space(a)
-    n1 = a.degree + 1
-    data = []
-    for row in w.basis:
-        x = TensorElement.from_degree_vector(a.dim_v, n1, row)
-        cr = side_decompose(x, a.relation_basis, "right")
-        cl = side_decompose(x, a.relation_basis, "left")
-        data.append((x, cr, cl))
-    return data
-
-
-def _bracket_matrix(a: AlgebraPresentation, target_degree: int, cr: Matrix, cl: Matrix) -> Matrix:
-    """Matrix of u -> (phi tensor I - I tensor phi)(x) in V^(N or j+1) coords,
-    where u flattens an unknown phi with the given target degree and the
-    decompositions cr, cl describe a fixed overlap vector x."""
-    dim = a.dim_v
-    k_count = len(a.relation_basis)
-    block = dim**target_degree
-    out_dim = dim ** (target_degree + 1)
-    cols = k_count * block
-    rows = [[ZERO] * cols for _ in range(out_dim)]
-    for k in range(k_count):
-        for widx in range(block):
-            col = k * block + widx
-            for lam in range(dim):
-                c = cr.data[k][lam]
-                if c != 0:
-                    rows[widx * dim + lam][col] += c  # phi(r_k) (x) e_lam
-                c = cl.data[k][lam]
-                if c != 0:
-                    rows[lam * block + widx][col] -= c  # e_lam (x) phi(r_k)
-    return Matrix.from_rows(rows)
 
 
 def _membership_projector(space: Subspace) -> Matrix:
@@ -109,11 +57,9 @@ def solve_stage1(a: AlgebraPresentation) -> StageSolution:
     cols = k_count * dim**top
     if k_count == 0:
         return StageSolution("stage1", Subspace.full(0), (), True)
-    data = _overlap_data(a)
     proj = _membership_projector(a.relation_space)
     eq_rows = []
-    for _, cr, cl in data:
-        bm = _bracket_matrix(a, top, cr, cl)
+    for bm in a.overlap.bracket_matrices(top):
         # condition: residual of the image modulo R vanishes
         for prow in proj.data:
             eq_rows.append(
@@ -143,14 +89,9 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     """
     dim = a.dim_v
     n = a.degree
-    data = _overlap_data(a)
+    core = a.overlap
     # inner images and their relation coordinates (requires stage-1 point)
-    inner_coords = []
-    for x, cr, cl in data:
-        img = apply_graded_side(phi_top, a.relation_basis, x, "right") - apply_graded_side(
-            phi_top, a.relation_basis, x, "left"
-        )
-        inner_coords.append(a.relation_coords(img))
+    inner_coords = [a.relation_coords(img) for img in core.brackets(phi_top)]
 
     k_count = len(a.relation_basis)
     sizes = [k_count * dim**j for j in range(n - 1)]
@@ -162,8 +103,7 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     sol = None
     for j in levels:
         off = offsets[j - 1]
-        for (x, cr, cl), coords in zip(data, inner_coords):
-            bm = _bracket_matrix(a, j - 1, cr, cl)
+        for bm, coords in zip(core.bracket_matrices(j - 1), inner_coords):
             if j == n - 1:
                 const_vec = phi_top.apply_coords(coords).to_degree_vector(j)
             for i in range(dim**j):

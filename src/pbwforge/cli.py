@@ -24,7 +24,6 @@ from .algebra import AlgebraPresentation, build_antisymmetrizer_relations, grade
 from .classify import family_equals_solutions, solve_stage1
 from .pbw import (
     DeformationMap,
-    ResourceGuardError,
     brute_force_oracle,
     conservation_residual,
     deformation_from_tails,
@@ -37,7 +36,7 @@ from .super_ym import (
     super_current_from_parameters,
     verify_super_identities,
 )
-from .tensors import TensorElement
+from .tensors import ResourceGuardError, TensorElement
 from .yang_mills import (
     CurrentParameters,
     Metric,

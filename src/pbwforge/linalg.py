@@ -30,7 +30,7 @@ def zero_vector(n: int) -> Vector:
 
 
 def dot(a: Sequence, b: Sequence) -> Q:
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    return sum((x * y for x, y in zip(a, b) if x), ZERO)
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,6 @@ class Subspace:
 
     def contains(self, v: Sequence) -> bool:
         return all(x == 0 for x in self.reduce(v))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains(row) for row in other.basis.data)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

@@ -3,9 +3,12 @@
 The theorem-based checker evaluates three conditions on the overlap
 space W = (R tensor V) intersect (V tensor R): the top-level bracket
 image must land in R, the intermediate composites must vanish, and the
-scalar composite must vanish.  Because the deformed relations are graphs
-{x - phi(x)}, the ideal meets F^(N-1) trivially by construction; that
-condition needs no computation.
+scalar composite must vanish.  Every bracket is a product with a bracket
+matrix of the presentation's overlap core (``AlgebraPresentation.overlap``,
+shared with the classifier), so W and its side decompositions are
+computed once per presentation, not once per deformation.  Because the
+deformed relations are graphs {x - phi(x)}, the ideal meets F^(N-1)
+trivially by construction; that condition needs no computation.
 
 The brute-force oracle is fully independent: it spans the filtered ideal
 by explicit products up to a degree cutoff and compares quotient
@@ -16,43 +19,20 @@ consistency in the positive direction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .algebra import AlgebraPresentation, graded_dim, overlap_space
+from .algebra import AlgebraPresentation, graded_dim
 from .linalg import SparseEchelon, Subspace
 from .tensors import (
     GradedMap,
+    ResourceGuardError,  # noqa: F401  (re-exported for callers of the oracle)
     TensorElement,
-    apply_graded_side,
     filtered_dim,
-    index_word,
+    guard_tensor_dim,
     word_index,
     words,
 )
-
-DEFAULT_DIM_LIMIT = 10_000
-DIM_LIMIT_ENV = "PBWFORGE_MAX_TENSOR_DIM"
-
-
-class ResourceGuardError(RuntimeError):
-    """A computation would exceed the configured tensor-dimension limit."""
-
-
-def tensor_dim_limit() -> int:
-    raw = os.environ.get(DIM_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_DIM_LIMIT
-
-
-def _guard(dim_v: int, degree: int) -> None:
-    limit = tensor_dim_limit()
-    if dim_v**degree > limit:
-        raise ResourceGuardError(
-            f"tensor space of dimension {dim_v**degree} (degree {degree}) "
-            f"exceeds the limit {limit}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,15 +87,6 @@ class DeformationMap:
             rels.append(r - self.tail(unit))
         return tuple(rels)
 
-    @cached_property
-    def _overlap_basis(self) -> tuple:
-        w = overlap_space(self.algebra)
-        n1 = self.algebra.degree + 1
-        return tuple(
-            TensorElement.from_degree_vector(self.algebra.dim_v, n1, row)
-            for row in w.basis
-        )
-
 
 def deformation_from_tails(
     algebra: AlgebraPresentation, tails: Sequence[TensorElement]
@@ -137,11 +108,15 @@ def deformation_from_tails(
     return DeformationMap(algebra, tuple(maps))
 
 
-def _top_bracket(d: DeformationMap, x: TensorElement) -> TensorElement:
-    """(phi_{N-1} tensor I - I tensor phi_{N-1}) applied to x in W."""
-    top = d.phi_map(d.algebra.degree - 1)
-    rb = d.algebra.relation_basis
-    return apply_graded_side(top, rb, x, "right") - apply_graded_side(top, rb, x, "left")
+def _top_brackets(d: DeformationMap) -> tuple:
+    """(phi_{N-1} tensor I - I tensor phi_{N-1})(x) for each x in W."""
+    return d.algebra.overlap.brackets(d.phi_map(d.algebra.degree - 1))
+
+
+def _inner_coords(d: DeformationMap) -> Iterator:
+    """Relation coordinates of each top bracket, in overlap basis order;
+    raises ValueError on reaching one that is not in R."""
+    return (d.algebra.relation_coords(inner) for inner in _top_brackets(d))
 
 
 def check_j1(d: DeformationMap) -> tuple[bool, Optional[TensorElement]]:
@@ -150,8 +125,7 @@ def check_j1(d: DeformationMap) -> tuple[bool, Optional[TensorElement]]:
     Returns (holds, witness); the witness is an offending image vector.
     """
     r = d.algebra.relation_space
-    for x in d._overlap_basis:
-        image = _top_bracket(d, x)
+    for image in _top_brackets(d):
         if not r.contains(image.to_degree_vector(d.algebra.degree)):
             return False, image
     return True, None
@@ -164,16 +138,10 @@ def check_j2(d: DeformationMap, j: int) -> bool:
     """
     if not 1 <= j <= d.algebra.degree - 1:
         raise ValueError(f"level must be in 1..{d.algebra.degree - 1}")
-    rb = d.algebra.relation_basis
     phi_j = d.phi_map(j)
-    phi_jm1 = d.phi_map(j - 1)
-    for x in d._overlap_basis:
-        inner = _top_bracket(d, x)
-        coords = d.algebra.relation_coords(inner)
-        term = phi_j.apply_coords(coords)
-        term = term + apply_graded_side(phi_jm1, rb, x, "right")
-        term = term - apply_graded_side(phi_jm1, rb, x, "left")
-        if not term.is_zero():
+    lower = d.algebra.overlap.brackets(d.phi_map(j - 1))
+    for coords, low in zip(_inner_coords(d), lower):
+        if not (phi_j.apply_coords(coords) + low).is_zero():
             return False
     return True
 
@@ -181,12 +149,7 @@ def check_j2(d: DeformationMap, j: int) -> bool:
 def check_j3(d: DeformationMap) -> bool:
     """Scalar condition: phi_0 of the bracket vanishes on the overlap space."""
     phi_0 = d.phi_map(0)
-    for x in d._overlap_basis:
-        inner = _top_bracket(d, x)
-        coords = d.algebra.relation_coords(inner)
-        if not phi_0.apply_coords(coords).is_zero():
-            return False
-    return True
+    return all(phi_0.apply_coords(coords).is_zero() for coords in _inner_coords(d))
 
 
 @dataclass(frozen=True)
@@ -228,7 +191,7 @@ class IdealSpan:
         degree = max(r.max_degree for r in relations)
         if cutoff < degree:
             raise ValueError("cutoff below the relation degree")
-        _guard(dim_v, cutoff)
+        guard_tensor_dim(dim_v, cutoff)
         self.dim_v = dim_v
         self.cutoff = cutoff
         self.echelon = SparseEchelon()
@@ -249,15 +212,6 @@ class IdealSpan:
         if n > self.cutoff:
             raise ValueError("n exceeds the cutoff")
         return sum(1 for (neg_deg, _) in self.echelon.rows if -neg_deg <= n)
-
-    def reduce(self, x: TensorElement) -> TensorElement:
-        res = self.echelon.reduce(
-            {_filtered_key(w, self.dim_v): c for w, c in x.terms.items()}
-        )
-        terms = {}
-        for (neg_deg, idx), c in res.items():
-            terms[index_word(-neg_deg, idx, self.dim_v)] = c
-        return TensorElement(self.dim_v, terms)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .linalg import Matrix, kernel
 from .rationals import ZERO, Q, rational
-from .yang_mills import CurrentParameters, Metric, _freeze, _nested
+from .yang_mills import CurrentParameters, Metric, freeze, nested_zeros
 
 
 def random_rational(rng: random.Random, bound: int = 20) -> Q:
@@ -48,24 +48,24 @@ def random_metric(rng: random.Random, n: int, bound: int = 5) -> Metric:
 
 
 def random_antisymmetric2(rng: random.Random, n: int, bound: int = 20) -> tuple:
-    t = _nested(n, 2)
+    t = nested_zeros(n, 2)
     for a in range(n):
         for b in range(a + 1, n):
             x = random_rational(rng, bound)
             t[a][b] = x
             t[b][a] = -x
-    return _freeze(t)
+    return freeze(t)
 
 
 def random_antisymmetric3(rng: random.Random, n: int, bound: int = 20) -> tuple:
-    t = _nested(n, 3)
+    t = nested_zeros(n, 3)
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
                 x = random_rational(rng, bound)
                 t[a][b][c] = t[b][c][a] = t[c][a][b] = x
                 t[b][a][c] = t[a][c][b] = t[c][b][a] = -x
-    return _freeze(t)
+    return freeze(t)
 
 
 def _sym_multisets(n: int, rank: int) -> list:
@@ -75,7 +75,7 @@ def _sym_multisets(n: int, rank: int) -> list:
 def _unflatten_symmetric(coords, n: int, rank: int):
     """Full symmetric tensor from one coordinate per sorted multiset."""
     lookup = {m: c for m, c in zip(_sym_multisets(n, rank), coords)}
-    t = _nested(n, rank)
+    t = nested_zeros(n, rank)
     if rank == 2:
         for a in range(n):
             for b in range(n):
@@ -85,7 +85,7 @@ def _unflatten_symmetric(coords, n: int, rank: int):
             for b in range(n):
                 for c in range(n):
                     t[a][b][c] = lookup[tuple(sorted((a, b, c)))]
-    return _freeze(t)
+    return freeze(t)
 
 
 def _orthogonal_symmetric_sample(

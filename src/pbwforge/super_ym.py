@@ -14,11 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import AlgebraPresentation, ideal_component, overlap_space
-from .pbw import DeformationMap, deformation_from_tails
+from .algebra import AlgebraPresentation, ideal_component
+from .linalg import Subspace
 from .rationals import HALF, ONE, ZERO, rational
-from .tensors import TensorElement, anticommutator, commutator, words
-from .yang_mills import Current, Metric, _freeze, _nested
+from .tensors import TensorElement, anticommutator, commutator, filtered_dim, words
+from .yang_mills import (
+    Current,
+    Metric,
+    b_family_block,
+    b_family_generators,
+    build_cubic,
+    current_to_deformation,
+    overlap_identities,
+)
 
 
 def sym_coefficients(metric: Metric) -> tuple:
@@ -39,22 +47,7 @@ def sym_coefficients(metric: Metric) -> tuple:
 
 def build_sym(s: int, metric: Metric) -> AlgebraPresentation:
     """The cubic super Yang-Mills presentation on s+1 generators."""
-    if s < 1:
-        raise ValueError("need at least two generators (s >= 1)")
-    if metric.dim != s + 1:
-        raise ValueError("metric dimension must be s + 1")
-    w = sym_coefficients(metric)
-    n = s + 1
-    basis = []
-    for rho in range(n):
-        terms = {}
-        for lam in range(n):
-            for mu in range(n):
-                for nu in range(n):
-                    if w[rho][lam][mu][nu] != 0:
-                        terms[(lam, mu, nu)] = w[rho][lam][mu][nu]
-        basis.append(TensorElement.from_terms(n, terms))
-    return AlgebraPresentation(n, 3, tuple(basis))
+    return build_cubic(s, metric, sym_coefficients(metric))
 
 
 def relations_from_mixed_brackets(metric: Metric) -> tuple:
@@ -104,34 +97,8 @@ def verify_super_identities(metric: Metric, coefficients=None) -> SuperIdentityR
     anti_cyclic = all(
         w[l][m][nu][r] == -w[r][l][m][nu] for r in idx for l in idx for m in idx for nu in idx
     )
-    basis = []
-    for rho in idx:
-        terms = {}
-        for lam in idx:
-            for mu in idx:
-                for nu in idx:
-                    if w[rho][lam][mu][nu] != 0:
-                        terms[(lam, mu, nu)] = w[rho][lam][mu][nu]
-        basis.append(TensorElement.from_terms(n, terms))
-    left = TensorElement.zero(n)
-    right = TensorElement.zero(n)
-    for rho, r in enumerate(basis):
-        e = TensorElement.generator(n, rho)
-        left = left + e.tensor(r)
-        right = right + r.tensor(e)
-    two_sided = left == -right
-
-    bracket_ok = tuple(basis) == relations_from_mixed_brackets(metric) if coefficients is None else True
-
-    overlap_ok = False
-    try:
-        a = AlgebraPresentation(n, 3, tuple(basis))
-        wspace = overlap_space(a)
-        overlap_ok = (
-            wspace.dim == 1 and not left.is_zero() and wspace.contains(left.to_degree_vector(4))
-        )
-    except ValueError:
-        overlap_ok = False
+    basis, two_sided, overlap_ok = overlap_identities(w, -1)
+    bracket_ok = basis == relations_from_mixed_brackets(metric) if coefficients is None else True
     return SuperIdentityReport(anti_cyclic, two_sided, bracket_ok, overlap_ok)
 
 
@@ -155,8 +122,6 @@ def centrality_check(a: AlgebraPresentation, metric: Metric, n_max: int = 3) -> 
     q = quadratic_casimir(metric)
     gens = [TensorElement.generator(n, i) for i in range(n)]
     span = [commutator(q, g).to_degree_vector(3) for g in gens]
-    from .linalg import Subspace
-
     if Subspace.from_spanning(span, n**3) != a.relation_space:
         return False
     for deg in range(4, n_max + 1):
@@ -179,45 +144,23 @@ def super_current_from_parameters(b: Sequence, omega2, metric: Metric) -> Curren
     b = tuple(rational(x) for x in b)
     if not _is_antisymmetric2(omega2, n):
         raise ValueError("omega2 must be antisymmetric")
-    G = metric.g_inv.data
-    j3 = _nested(n, 3)
-    for a in range(n):
-        for b_ in range(n):
-            for c in range(n):
-                acc = ZERO
-                for r in range(n):
-                    acc = acc + (G[a][c] * G[b_][r] - G[b_][c] * G[a][r]) * b[r]
-                j3[a][b_][c] = acc
+    j3 = b_family_block(b, metric, -1)
     j2 = tuple(tuple(rational(omega2[a][b_]) for b_ in range(n)) for a in range(n))
     # the scalar part contracts b against the *first* slot of omega2
     j1 = tuple(
         HALF * sum((rational(omega2[a][r]) * b[r] for r in range(n)), ZERO) for a in range(n)
     )
-    return Current(_freeze(j3), j2, j1)
+    return Current(j3, j2, j1)
 
 
 def isym_family_generators(metric: Metric) -> list:
     """Generators of the regular super family's top block (the b-family
     only), flattened into stage-1 classifier coordinates."""
-    from .yang_mills import flatten_top_block
-
-    n = metric.dim
-    G = metric.g_inv.data
-    gens = []
-    for rp in range(n):
-        j3 = _nested(n, 3)
-        for a in range(n):
-            for b_ in range(n):
-                for c in range(n):
-                    j3[a][b_][c] = G[a][c] * G[b_][rp] - G[b_][c] * G[a][rp]
-        gens.append(flatten_top_block(j3, n))
-    return gens
+    return b_family_generators(metric, -1)
 
 
-def super_current_to_deformation(c: Current, a: AlgebraPresentation) -> DeformationMap:
-    if c.dim != a.dim_v or len(a.relation_basis) != a.dim_v:
-        raise ValueError("current shape does not match the presentation")
-    return deformation_from_tails(a, c.tails())
+# A super current attaches its tails by the same relation-label convention.
+super_current_to_deformation = current_to_deformation
 
 
 @dataclass(frozen=True)
@@ -247,9 +190,6 @@ def shifted_generator_check(
     a = build_sym(n - 1, metric)
     current = super_current_from_parameters(b, omega2, metric)
     d = super_current_to_deformation(current, a)
-    from .linalg import Subspace
-    from .tensors import filtered_dim
-
     ambient = filtered_dim(n, 3)
     p_span = Subspace.from_spanning(
         [p.to_filtered_vector(3) for p in d.deformed_relations()], ambient

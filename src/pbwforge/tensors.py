@@ -9,14 +9,41 @@ first), lexicographic within each degree.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .linalg import Matrix, Subspace, Vector, solve_affine
 from .rationals import ONE, ZERO, Q, rational
 
 Word = tuple  # tuple of generator indices
+
+DEFAULT_DIM_LIMIT = 10_000
+DIM_LIMIT_ENV = "PBWFORGE_MAX_TENSOR_DIM"
+
+
+class ResourceGuardError(RuntimeError):
+    """A computation would exceed the configured tensor-dimension limit."""
+
+
+def tensor_dim_limit() -> int:
+    raw = os.environ.get(DIM_LIMIT_ENV)
+    return int(raw) if raw else DEFAULT_DIM_LIMIT
+
+
+def guard_tensor_dim(dim_v: int, degree: int) -> None:
+    """Raise ResourceGuardError when V^(tensor degree) exceeds the limit.
+
+    Called wherever a task sizes a tensor space: ideal components, the
+    overlap space and the filtered ideal span.
+    """
+    limit = tensor_dim_limit()
+    if dim_v**degree > limit:
+        raise ResourceGuardError(
+            f"tensor space of dimension {dim_v**degree} (degree {degree}) "
+            f"exceeds the limit {limit}"
+        )
 
 
 def words(dim_v: int, degree: int) -> Iterator[Word]:
@@ -210,7 +237,7 @@ def anticommutator(a: TensorElement, b: TensorElement) -> TensorElement:
     return a.tensor(b) + b.tensor(a)
 
 
-def side_tensor(sub: Subspace, dim_v: int, side: str, degree: Optional[int] = None) -> Subspace:
+def side_tensor(sub: Subspace, dim_v: int, side: str, degree: int) -> Subspace:
     """R (tensor) V or V (tensor) R: extend a pure-degree subspace one letter.
 
     ``sub`` must be a subspace of V^(tensor n) coordinates; the result
@@ -218,8 +245,6 @@ def side_tensor(sub: Subspace, dim_v: int, side: str, degree: Optional[int] = No
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if degree is None:
-        degree = _degree_of_ambient(sub.ambient_dim, dim_v)
     size = dim_v**degree
     if sub.ambient_dim != size:
         raise ValueError("subspace ambient is not a tensor power of the given dim_v")
@@ -235,19 +260,6 @@ def side_tensor(sub: Subspace, dim_v: int, side: str, degree: Optional[int] = No
                         vec[lam * size + idx] = c
             spanning.append(vec)
     return Subspace.from_spanning(spanning, size * dim_v)
-
-
-def _degree_of_ambient(ambient: int, dim_v: int) -> int:
-    if dim_v < 2:
-        raise ValueError("degree is ambiguous for dim_v < 2; pass it explicitly")
-    degree = 0
-    size = 1
-    while size < ambient:
-        size *= dim_v
-        degree += 1
-    if size != ambient:
-        raise ValueError(f"ambient {ambient} is not a power of {dim_v}")
-    return degree
 
 
 @dataclass(frozen=True)
@@ -290,6 +302,29 @@ class GradedMap:
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.matrix)
+
+
+def flatten_graded_map(m: GradedMap) -> Vector:
+    """Column-stacked coefficients of a graded map.
+
+    The degree-j block is flattened as ``u[k * dim_v**j + word_index(w)]``
+    where k indexes the relation basis and w runs over degree-j words.
+    """
+    block = m.dim_v**m.target_degree
+    out = []
+    for k in range(m.source_dim):
+        out.extend(m.matrix.data[row][k] for row in range(block))
+    return tuple(out)
+
+
+def unflatten_graded_map(
+    dim_v: int, source_dim: int, target_degree: int, coeffs: Sequence
+) -> GradedMap:
+    block = dim_v**target_degree
+    rows = tuple(
+        tuple(coeffs[k * block + row] for k in range(source_dim)) for row in range(block)
+    )
+    return GradedMap(dim_v, source_dim, target_degree, Matrix.from_rows(rows))
 
 
 def side_decompose(
@@ -338,7 +373,9 @@ def apply_graded_side(
 
     ``x`` must lie in R (tensor) V resp. V (tensor) R; it is first
     factorized against the relation basis (ValueError otherwise), then
-    phi acts on the relation factor.
+    phi acts on the relation factor.  This is the direct evaluation; the
+    checker and the classifier use the precomputed bracket matrices of
+    ``AlgebraPresentation.overlap`` instead, and the tests compare the two.
     """
     dim_v = x.dim_v
     coeffs = side_decompose(x, relation_basis, side)

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Sequence
 
-from .algebra import AlgebraPresentation, overlap_space
+from .algebra import AlgebraPresentation, overlap_space, permutation_sign
 from .linalg import Matrix, inverse
 from .pbw import DeformationMap, deformation_from_tails
 from .rationals import HALF, ONE, Q, ZERO, rational
@@ -94,25 +95,35 @@ def ym_coefficients(metric: Metric) -> tuple:
     )
 
 
-def build_ym(s: int, metric: Metric) -> AlgebraPresentation:
-    """The cubic Yang-Mills presentation on s+1 generators."""
-    if s < 1:
-        raise ValueError("need at least two generators (s >= 1)")
-    if metric.dim != s + 1:
-        raise ValueError("metric dimension must be s + 1")
-    w = ym_coefficients(metric)
-    n = s + 1
+def cubic_relations(w) -> tuple:
+    """The relations W^rho = W[rho][lam][mu][nu] e_lam (x) e_mu (x) e_nu of a
+    coefficient array, one per label rho."""
+    n = len(w)
     basis = []
     for rho in range(n):
         terms = {}
         for lam in range(n):
             for mu in range(n):
                 for nu in range(n):
-                    c = w[rho][lam][mu][nu]
-                    if c != 0:
-                        terms[(lam, mu, nu)] = terms.get((lam, mu, nu), ZERO) + c
+                    if w[rho][lam][mu][nu] != 0:
+                        terms[(lam, mu, nu)] = w[rho][lam][mu][nu]
         basis.append(TensorElement.from_terms(n, terms))
-    return AlgebraPresentation(n, 3, tuple(basis))
+    return tuple(basis)
+
+
+def build_cubic(s: int, metric: Metric, coefficients) -> AlgebraPresentation:
+    """The cubic presentation on s+1 generators with the relations of a
+    coefficient array built from ``metric`` (YM or SYM)."""
+    if s < 1:
+        raise ValueError("need at least two generators (s >= 1)")
+    if metric.dim != s + 1:
+        raise ValueError("metric dimension must be s + 1")
+    return AlgebraPresentation(s + 1, 3, cubic_relations(coefficients))
+
+
+def build_ym(s: int, metric: Metric) -> AlgebraPresentation:
+    """The cubic Yang-Mills presentation on s+1 generators."""
+    return build_cubic(s, metric, ym_coefficients(metric))
 
 
 def relations_from_nested_commutators(metric: Metric) -> tuple:
@@ -152,14 +163,32 @@ class IdentityReport:
         )
 
 
-def _two_sided_element(a: AlgebraPresentation) -> tuple[TensorElement, TensorElement]:
-    right = TensorElement.zero(a.dim_v)
-    left = TensorElement.zero(a.dim_v)
-    for rho, r in enumerate(a.relation_basis):
-        e = TensorElement.generator(a.dim_v, rho)
+def overlap_identities(w, sign: int) -> tuple:
+    """(relations, two_sided, overlap_is_line) for a coefficient array.
+
+    two_sided is the identity sum e_rho (x) W^rho = sign * sum W^rho (x)
+    e_rho.  overlap_is_line says that dim W_4 = 1 with W_4 spanned by the
+    two-sided element: sum W^rho (x) e_rho for sign +1 (Yang-Mills), sum
+    e_rho (x) W^rho for sign -1 (super Yang-Mills).
+    """
+    n = len(w)
+    basis = cubic_relations(w)
+    right = TensorElement.zero(n)
+    left = TensorElement.zero(n)
+    for rho, r in enumerate(basis):
+        e = TensorElement.generator(n, rho)
         right = right + r.tensor(e)
         left = left + e.tensor(r)
-    return right, left
+    two_sided = left == right.scale(sign)
+    element = right if sign == 1 else left
+    try:
+        wspace = overlap_space(AlgebraPresentation(n, 3, basis))
+        overlap_ok = (
+            wspace.dim == 1 and not element.is_zero() and wspace.contains(element.to_degree_vector(4))
+        )
+    except ValueError:
+        overlap_ok = False
+    return basis, two_sided, overlap_ok
 
 
 def verify_identities(metric: Metric, coefficients=None) -> IdentityReport:
@@ -181,50 +210,22 @@ def verify_identities(metric: Metric, coefficients=None) -> IdentityReport:
         for m in idx
         for nu in idx
     )
-    basis = []
-    for rho in idx:
-        terms = {}
-        for lam in idx:
-            for mu in idx:
-                for nu in idx:
-                    if w[rho][lam][mu][nu] != 0:
-                        terms[(lam, mu, nu)] = w[rho][lam][mu][nu]
-        basis.append(TensorElement.from_terms(n, terms))
-    right = TensorElement.zero(n)
-    left = TensorElement.zero(n)
-    for rho, r in enumerate(basis):
-        e = TensorElement.generator(n, rho)
-        right = right + r.tensor(e)
-        left = left + e.tensor(r)
-    two_sided = right == left
-
-    commutator_ok = tuple(basis) == relations_from_nested_commutators(metric) if coefficients is None else True
-
-    overlap_ok = False
-    try:
-        a = AlgebraPresentation(n, 3, tuple(basis))
-        wspace = overlap_space(a)
-        overlap_ok = (
-            wspace.dim == 1
-            and not right.is_zero()
-            and wspace.contains(right.to_degree_vector(4))
-        )
-    except ValueError:
-        overlap_ok = False
+    basis, two_sided, overlap_ok = overlap_identities(w, 1)
+    commutator_ok = basis == relations_from_nested_commutators(metric) if coefficients is None else True
     return IdentityReport(cyclic, two_sided, cyclic_sum, commutator_ok, overlap_ok)
 
 
-def _nested(dim: int, rank: int, fill=ZERO):
+def nested_zeros(dim: int, rank: int):
+    """A rank-``rank`` array of zeros as nested lists, ``dim`` per axis."""
     if rank == 0:
-        return fill
-    return [
-        _nested(dim, rank - 1, fill) for _ in range(dim)
-    ]
+        return ZERO
+    return [nested_zeros(dim, rank - 1) for _ in range(dim)]
 
 
-def _freeze(x):
+def freeze(x):
+    """Nested lists as nested tuples."""
     if isinstance(x, list):
-        return tuple(_freeze(e) for e in x)
+        return tuple(freeze(e) for e in x)
     return x
 
 
@@ -238,7 +239,7 @@ class Current:
 
     @classmethod
     def zero(cls, dim: int) -> "Current":
-        return cls(_freeze(_nested(dim, 3)), _freeze(_nested(dim, 2)), _freeze(_nested(dim, 1)))
+        return cls(freeze(nested_zeros(dim, 3)), freeze(nested_zeros(dim, 2)), freeze(nested_zeros(dim, 1)))
 
     @property
     def dim(self) -> int:
@@ -325,29 +326,40 @@ class CurrentParameters:
         return all(self.side_conditions().values())
 
 
+def b_family_block(b: Sequence, metric: Metric, sign: int = 1) -> tuple:
+    """The b-family top block j3[a][b][c] = sign * (g^{ar} g^{bc} - g^{ac}
+    g^{br}) b_r; the super family's is the negative (sign -1)."""
+    n = metric.dim
+    G = metric.g_inv.data
+    j3 = nested_zeros(n, 3)
+    for a in range(n):
+        for b_ in range(n):
+            for c in range(n):
+                acc = ZERO
+                for r in range(n):
+                    acc = acc + (G[a][r] * G[b_][c] - G[a][c] * G[b_][r]) * b[r]
+                j3[a][b_][c] = sign * acc
+    return freeze(j3)
+
+
 def current_from_parameters(p: CurrentParameters, metric: Metric) -> Current:
     """Assemble the closed-form current from its parameters."""
     n = p.dim
     if metric.dim != n:
         raise ValueError("metric dimension mismatch")
-    G = metric.g_inv.data
-    j3 = _nested(n, 3)
-    for a in range(n):
-        for b_ in range(n):
-            for c in range(n):
-                acc = p.omega3[a][b_][c] + p.s3[a][b_][c]
-                for r in range(n):
-                    acc = acc + (G[a][r] * G[b_][c] - G[a][c] * G[b_][r]) * p.b[r]
-                j3[a][b_][c] = acc
-    j2 = _nested(n, 2)
+    bj3 = b_family_block(p.b, metric)
+    j3 = tuple(
+        tuple(tuple(p.omega3[a][b_][c] + p.s3[a][b_][c] + bj3[a][b_][c] for c in range(n)) for b_ in range(n))
+        for a in range(n)
+    )
+    j2 = nested_zeros(n, 2)
     for a in range(n):
         for b_ in range(n):
             acc = p.s2[a][b_]
             for r in range(n):
                 acc = acc - HALF * p.omega3[a][b_][r] * p.b[r]
             j2[a][b_] = acc
-    j1 = list(p.s1)
-    return Current(_freeze(j3), _freeze(j2), tuple(j1))
+    return Current(j3, freeze(j2), tuple(p.s1))
 
 
 def current_to_deformation(c: Current, a: AlgebraPresentation) -> DeformationMap:
@@ -368,35 +380,27 @@ def flatten_top_block(j3, dim: int) -> tuple:
     return tuple(out)
 
 
+def b_family_generators(metric: Metric, sign: int = 1) -> list:
+    """The b-family blocks at the unit covectors b = e_0 .. e_s, flattened
+    into stage-1 coordinates (``sign`` as in :func:`b_family_block`)."""
+    n = metric.dim
+    units = [tuple(ONE if r == rp else ZERO for r in range(n)) for rp in range(n)]
+    return [flatten_top_block(b_family_block(b, metric, sign), n) for b in units]
+
+
 def iym_family_generators(metric: Metric) -> list:
     """Generators of the regular family's top block: the b-family, the
     antisymmetric 3-tensors, and the symmetric 3-tensors, flattened into
     stage-1 coordinates."""
     n = metric.dim
-    G = metric.g_inv.data
-    gens = []
-    for rp in range(n):
-        j3 = _nested(n, 3)
-        for a in range(n):
-            for b_ in range(n):
-                for c in range(n):
-                    j3[a][b_][c] = G[a][rp] * G[b_][c] - G[a][c] * G[b_][rp]
-        gens.append(flatten_top_block(j3, n))
-    from itertools import combinations, combinations_with_replacement, permutations
-
-    def _perm_sign(perm) -> int:
-        inv = sum(
-            1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-        )
-        return -1 if inv % 2 else 1
-
+    gens = b_family_generators(metric)
     for combo in combinations(range(n), 3):
-        j3 = _nested(n, 3)
+        j3 = nested_zeros(n, 3)
         for perm in permutations(combo):
-            j3[perm[0]][perm[1]][perm[2]] = ONE * _perm_sign(perm)
+            j3[perm[0]][perm[1]][perm[2]] = ONE * permutation_sign(perm)
         gens.append(flatten_top_block(j3, n))
     for combo in combinations_with_replacement(range(n), 3):
-        j3 = _nested(n, 3)
+        j3 = nested_zeros(n, 3)
         for perm in set(permutations(combo)):
             j3[perm[0]][perm[1]][perm[2]] = ONE
         gens.append(flatten_top_block(j3, n))
@@ -419,7 +423,7 @@ def physics_current(
     if not _is_antisymmetric3(omega3, n):
         raise ValueError("omega3 must be totally antisymmetric")
     G = metric.g_inv.data
-    j3 = _nested(n, 3)
+    j3 = nested_zeros(n, 3)
     for mu in range(n):
         # b_lam F^{lam mu} = b_lam g^{lam a} g^{mu b} (e_a e_b - e_b e_a)
         for lam in range(n):
@@ -438,7 +442,7 @@ def physics_current(
                 if coeff != 0:
                     j3[lam][rho][mu] = j3[lam][rho][mu] + coeff
                     j3[rho][lam][mu] = j3[rho][lam][mu] - coeff
-    current = Current(_freeze(j3), _freeze(_nested(n, 2)), s1)
+    current = Current(freeze(j3), freeze(nested_zeros(n, 2)), s1)
     constraints = {
         "b_omega_orthogonal": all(
             sum((b[lam] * omega3[lam][mu][nu] for lam in range(n)), ZERO) == 0

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from pbwforge.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def write(tmp_path, name, doc):
@@ -140,3 +145,27 @@ def test_summary_lines(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["run", "--input", path, "--out", str(out), "--summary"]) == 0
     assert "check: pass" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "task",
+    [{"task": "hilbert", "n_max": 6}, {"task": "classify"}, {"task": "check"}, {"task": "identities"}],
+    ids=lambda t: t["task"],
+)
+def test_resource_guard_every_task(tmp_path, monkeypatch, task):
+    # YM s=2 touches V^(x)4 (81 dims) in every task, above the limit of 50
+    monkeypatch.setenv("PBWFORGE_MAX_TENSOR_DIM", "50")
+    path = write(tmp_path, "p.json", ym_problem(tasks=[task]))
+    assert main(["run", "--input", path]) == 3
+GOLDEN = (
+    (["run", "--input", "ym_minkowski_check_j1_violation.problem.json"], 1, "ym_minkowski_check_j1_violation"),
+    (["run", "--input", "sym_s3_classify.problem.json"], 0, "sym_s3_classify"),
+    (["run", "--input", "ym_s2_hilbert.problem.json"], 0, "ym_s2_hilbert"),
+    (["demo-lie", "--case", "broken"], 1, "demo_lie_broken"),
+)
+@pytest.mark.parametrize("argv, code, name", GOLDEN, ids=[g[2] for g in GOLDEN])
+def test_golden_reports(tmp_path, argv, code, name):
+    # the reports are stored byte for byte; a change to any verdict,
+    # witness, residual or layout shows up here
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == code
+    assert out.read_bytes() == (DATA / f"{name}.report.json").read_bytes()
