@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraPresentation
 from .linalg import Matrix, Subspace, Vector, kernel, solve_affine
-from .rationals import ONE, ZERO
+from .rationals import ZERO
 from .tensors import GradedMap, flatten_graded_map, unflatten_graded_map  # noqa: F401  (re-exported)
 
 
@@ -32,17 +32,6 @@ class StageSolution:
     parameters: Subspace  # solution directions in coefficient coordinates
     particular: Optional[Vector]
     feasible: bool
-
-
-def _membership_projector(space: Subspace) -> Matrix:
-    """Linear map whose kernel is the subspace: v -> canonical residual."""
-    n = space.ambient_dim
-    # residual_i = v_i - sum over pivots p of v_p * basis_row(p)_i
-    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for brow, p in zip(space.basis.data, space.pivot_columns()):
-        for i in range(n):
-            rows[i][p] = rows[i][p] - brow[i]
-    return Matrix.from_rows(rows)
 
 
 def solve_stage1(a: AlgebraPresentation) -> StageSolution:
@@ -57,17 +46,14 @@ def solve_stage1(a: AlgebraPresentation) -> StageSolution:
     cols = k_count * dim**top
     if k_count == 0:
         return StageSolution("stage1", Subspace.full(0), (), True)
-    proj = _membership_projector(a.relation_space)
+    r = a.relation_space
     eq_rows = []
     for bm in a.overlap.bracket_matrices(top):
-        # condition: residual of the image modulo R vanishes
-        for prow in proj.data:
-            eq_rows.append(
-                tuple(
-                    sum((prow[i] * bm.data[i][c] for i in range(len(prow))), ZERO)
-                    for c in range(cols)
-                )
-            )
+        # condition: the residual of the image modulo R vanishes.  The
+        # residual is linear, so its matrix has the residuals of the
+        # columns of B as columns; zero rows constrain nothing.
+        residuals = [r.reduce(col) for col in bm.transpose()]
+        eq_rows.extend(row for row in zip(*residuals) if any(row))
     if not eq_rows:
         return StageSolution("stage1", Subspace.full(cols), (ZERO,) * cols, True)
     sol = kernel(Matrix.from_rows(eq_rows))

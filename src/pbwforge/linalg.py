@@ -3,7 +3,9 @@
 Dense matrices over the rationals with deterministic Gaussian elimination
 (first nonzero pivot in column order), canonical reduced-row-echelon
 subspaces, the usual lattice operations, and a sparse incremental echelon
-accumulator for large spanning sets.
+accumulator for large spanning sets.  The sparse echelon keeps its rows
+as primitive integer vectors and eliminates fraction-free, so it never
+divides; only the dense elimination runs on rationals.
 
 Everything is exact: a rank, a membership bit, or a solution vector is a
 theorem, not an approximation.  All values are immutable after
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rationals import ONE, ZERO, Q, rational
@@ -264,22 +267,34 @@ class SparseEchelon:
     """Incremental row-echelon accumulator over sparse rational vectors.
 
     Rows are dicts keyed by coordinate index under an arbitrary total
-    order on keys; each stored row is normalized to a unit leading
-    coefficient.  Built for large, very sparse spanning sets (ideal spans)
-    where dense elimination would be wasteful.  Mutable, unlike the rest
-    of this module; intended as a local accumulator.
+    order on keys.  Each stored row is a primitive integer row: its
+    entries are Python ints with no common factor, and the entry at its
+    pivot (its least key) is positive.  Elimination is fraction-free
+    (cross-multiplying, after Bareiss, *Math. Comp.* 22 (1968)): an input
+    has its denominators cleared once, and only integer products and
+    ``math.gcd`` run in the inner loop, on either rational backend.
+    Built for large, very sparse spanning sets (ideal spans) where dense
+    elimination would be wasteful.  Mutable, unlike the rest of this
+    module; intended as a local accumulator.
     """
 
     def __init__(self) -> None:
-        self.rows: dict = {}  # pivot key -> {key: coeff}, row[pivot] == 1
+        self.rows: dict = {}  # pivot key -> primitive {key: int}, row[pivot] > 0
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        """Eliminate every pivot key from ``vec``; returns the residual."""
+        """Eliminate every pivot key from ``vec``; returns the residual.
+
+        The residual is an integer dict equal to the rational residual
+        (``vec`` minus its combination of stored rows) up to a nonzero
+        scalar factor; it is empty iff ``vec`` lies in the span.
+        """
         v = {k: c for k, c in vec.items() if c != 0}
+        den = lcm(*(int(c.denominator) for c in v.values()))
+        v = {k: int(c.numerator) * (den // int(c.denominator)) for k, c in v.items()}
         heap = sorted(v)
         while heap:
             k = heapq.heappop(heap)
@@ -289,8 +304,16 @@ class SparseEchelon:
             row = self.rows.get(k)
             if row is None:
                 continue
+            # v <- (a/g) v - (c/g) row cancels the key k, with a = row[k] > 0
+            a = row[k]
+            g = gcd(a, c)
+            if g != a:
+                scale = a // g
+                for vk in v:
+                    v[vk] *= scale
+            f = c // g
             for rk, rc in row.items():
-                nv = v.get(rk, ZERO) - c * rc
+                nv = v.get(rk, 0) - f * rc
                 if nv:
                     if rk not in v and rk > k:
                         heapq.heappush(heap, rk)
@@ -305,8 +328,10 @@ class SparseEchelon:
         if not res:
             return False
         p = min(res)
-        inv = ONE / res[p]
-        self.rows[p] = {k: c * inv for k, c in res.items()}
+        content = gcd(*res.values())
+        if res[p] < 0:
+            content = -content
+        self.rows[p] = {k: c // content for k, c in res.items()}
         return True
 
     def extend(self, vectors: Iterable[dict]) -> None:

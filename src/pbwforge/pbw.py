@@ -119,37 +119,50 @@ def _inner_coords(d: DeformationMap) -> Iterator:
     return (d.algebra.relation_coords(inner) for inner in _top_brackets(d))
 
 
-def check_j1(d: DeformationMap) -> tuple[bool, Optional[TensorElement]]:
+def check_j1(
+    d: DeformationMap, top_brackets: Optional[Sequence[TensorElement]] = None
+) -> tuple[bool, Optional[TensorElement]]:
     """Top condition: the bracket image of the overlap space lies in R.
 
     Returns (holds, witness); the witness is an offending image vector.
+    ``top_brackets``, when given, are the top brackets of ``d`` as
+    computed once by :func:`pbw_verdict`.
     """
     r = d.algebra.relation_space
-    for image in _top_brackets(d):
+    if top_brackets is None:
+        top_brackets = _top_brackets(d)
+    for image in top_brackets:
         if not r.contains(image.to_degree_vector(d.algebra.degree)):
             return False, image
     return True, None
 
 
-def check_j2(d: DeformationMap, j: int) -> bool:
+def check_j2(d: DeformationMap, j: int, inner_coords: Optional[Sequence] = None) -> bool:
     """Level-j condition: phi_j of the bracket plus the level-(j-1) bracket
     annihilates the overlap space.  Requires the top condition (the inner
     image must lie in R); violating that precondition raises ValueError.
+    ``inner_coords``, when given, are the relation coordinates of the top
+    brackets of ``d`` as computed once by :func:`pbw_verdict`.
     """
     if not 1 <= j <= d.algebra.degree - 1:
         raise ValueError(f"level must be in 1..{d.algebra.degree - 1}")
+    if inner_coords is None:
+        inner_coords = _inner_coords(d)
     phi_j = d.phi_map(j)
     lower = d.algebra.overlap.brackets(d.phi_map(j - 1))
-    for coords, low in zip(_inner_coords(d), lower):
+    for coords, low in zip(inner_coords, lower):
         if not (phi_j.apply_coords(coords) + low).is_zero():
             return False
     return True
 
 
-def check_j3(d: DeformationMap) -> bool:
-    """Scalar condition: phi_0 of the bracket vanishes on the overlap space."""
+def check_j3(d: DeformationMap, inner_coords: Optional[Sequence] = None) -> bool:
+    """Scalar condition: phi_0 of the bracket vanishes on the overlap space.
+    ``inner_coords`` is as for :func:`check_j2`."""
+    if inner_coords is None:
+        inner_coords = _inner_coords(d)
     phi_0 = d.phi_map(0)
-    return all(phi_0.apply_coords(coords).is_zero() for coords in _inner_coords(d))
+    return all(phi_0.apply_coords(coords).is_zero() for coords in inner_coords)
 
 
 @dataclass(frozen=True)
@@ -165,11 +178,15 @@ def pbw_verdict(d: DeformationMap) -> PbwVerdict:
     """Conjunction of all conditions; equals the PBW property whenever the
     homogeneous part is Koszul (an assumption the caller asserts)."""
     n = d.algebra.degree
-    j1, witness = check_j1(d)
+    # one pass over the top brackets and their relation coordinates
+    # serves every level
+    tops = _top_brackets(d)
+    j1, witness = check_j1(d, tops)
     if not j1:
         return PbwVerdict(False, (None,) * (n - 1), None, witness, False)
-    j2 = tuple(check_j2(d, j) for j in range(1, n))
-    j3 = check_j3(d)
+    coords = tuple(d.algebra.relation_coords(inner) for inner in tops)
+    j2 = tuple(check_j2(d, j, coords) for j in range(1, n))
+    j3 = check_j3(d, coords)
     return PbwVerdict(True, j2, j3, None, all(j2) and j3)
 
 

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from pbwforge.linalg import (
     Matrix,
+    SparseEchelon,
     Subspace,
     inverse,
     kernel,
@@ -187,3 +190,111 @@ def test_subspace_reduce_is_canonical():
     res = a.reduce(vector([3, 1, 6]))
     assert res == (ZERO, ONE, ZERO)
     assert a.reduce(vector([1, 0, 2])) == (ZERO, ZERO, ZERO)
+
+
+def _random_sparse_rows(rng, n_cols, n_rows):
+    """Sparse rational rows with denominators, negative leads, zero rows
+    and duplicates (plain and rescaled)."""
+    rows = []
+    for _ in range(n_rows):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append({})
+        elif roll < 0.15:
+            rows.append({rng.randrange(n_cols): ZERO})
+        elif roll < 0.3 and rows:
+            scale = rational(Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+            rows.append({k: c * scale for k, c in rng.choice(rows).items()})
+        else:
+            keys = rng.sample(range(n_cols), rng.randint(1, min(4, n_cols)))
+            rows.append(
+                {k: rational(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))) for k in keys}
+            )
+    return rows
+
+
+def _dense(row, n_cols, key_col=lambda k: k):
+    out = [ZERO] * n_cols
+    for k, c in row.items():
+        out[key_col(k)] = rational(c)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("tuple_keys", [False, True])
+def test_sparse_echelon_matches_dense_rref(seed, tuple_keys):
+    rng = random.Random(seed)
+    n_cols = rng.randint(3, 9)
+    rows = _random_sparse_rows(rng, n_cols, rng.randint(1, 14))
+    # tuple keys like the ideal span's (-degree, index within the degree),
+    # ordered as the columns of the dense matrix below
+    key_of = {i: (i // 3 - n_cols, i % 3) if tuple_keys else i for i in range(n_cols)}
+    col_of = {k: i for i, k in key_of.items()}
+    assert sorted(key_of.values()) == [key_of[i] for i in range(n_cols)]
+    ech = SparseEchelon()
+    grew = [ech.insert({key_of[k]: c for k, c in r.items()}) for r in rows]
+    dense = Subspace.from_spanning([_dense(r, n_cols) for r in rows], n_cols)
+    assert ech.rank == dense.dim == sum(grew)
+    assert sorted(col_of[p] for p in ech.rows) == list(dense.pivot_columns())
+    stored = [_dense(r, n_cols, col_of.__getitem__) for r in ech.rows.values()]
+    assert Subspace.from_spanning(stored, n_cols) == dense
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sparse_echelon_rows_are_primitive_integer(seed):
+    rng = random.Random(100 + seed)
+    n_cols = rng.randint(3, 9)
+    ech = SparseEchelon()
+    ech.extend(_random_sparse_rows(rng, n_cols, rng.randint(1, 14)))
+    for pivot, row in ech.rows.items():
+        assert all(type(c) is int and c != 0 for c in row.values())
+        assert pivot == min(row)
+        assert row[pivot] > 0
+        assert gcd(*row.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_echelon_reduce_up_to_scalar(seed):
+    rng = random.Random(200 + seed)
+    n_cols = rng.randint(3, 9)
+    rows = _random_sparse_rows(rng, n_cols, rng.randint(1, 8))
+    ech = SparseEchelon()
+    ech.extend(rows)
+    dense = Subspace.from_spanning([_dense(r, n_cols) for r in rows], n_cols)
+    for probe in _random_sparse_rows(rng, n_cols, 10):
+        res = ech.reduce(probe)
+        want = dense.reduce(_dense(probe, n_cols))
+        assert (not res) == dense.contains(_dense(probe, n_cols))
+        if res:
+            # the residual vanishes on every pivot, so it is a nonzero
+            # multiple of the canonical residual modulo the span
+            got = _dense(res, n_cols)
+            lead = min(res)
+            scale = got[lead] / want[lead]
+            assert scale != 0
+            assert got == [scale * x for x in want]
+
+
+@pytest.mark.parametrize(
+    "label, dims",
+    [
+        ("ok", (1, 4, 13, 37, 101, 269)),
+        ("s3", (1, 4, 12, 30, 68, 236)),
+        ("s2", (1, 3, 6, 12, 76, 244)),
+        ("s1", (0, 0, 0, 24, 88, 256)),
+    ],
+)
+def test_oracle_quotient_dims_pinned(label, dims):
+    from pbwforge.pbw import brute_force_oracle
+    from pbwforge.sampling import sample_current_parameters
+    from pbwforge.yang_mills import Metric, build_ym, current_from_parameters, current_to_deformation
+
+    metric = Metric.euclidean(3)
+    params = sample_current_parameters(
+        random.Random(2026), metric, violate=None if label == "ok" else label
+    )
+    d = current_to_deformation(current_from_parameters(params, metric), build_ym(2, metric))
+    oracle = brute_force_oracle(d, 5, 6)
+    assert oracle.quotient_dims == dims
+    assert oracle.expected_dims == (1, 4, 13, 37, 101, 269)
+    assert oracle.verdict == ("CONSISTENT" if label == "ok" else "FAIL")
