@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from typing import Sequence
 
-from .linalg import Matrix, SparseEchelon, Subspace, solve_affine
+from .linalg import BasisCoordinates, Matrix, SparseEchelon, Subspace
 from .rationals import ONE, ZERO
 from .tensors import (
     GradedMap,
@@ -50,8 +50,7 @@ class AlgebraPresentation:
                 raise ValueError("relation with mismatched generator count")
             if not r.is_homogeneous(self.degree) or r.is_zero():
                 raise ValueError("relations must be nonzero and homogeneous of degree N")
-        if self.relation_space.dim != len(self.relation_basis):
-            raise ValueError("relation basis is linearly dependent")
+        self.relation_space  # raises ValueError when the basis is linearly dependent
 
     @classmethod
     def from_relations(cls, dim_v: int, degree: int, relations: Sequence[TensorElement]) -> "AlgebraPresentation":
@@ -59,25 +58,26 @@ class AlgebraPresentation:
 
     @cached_property
     def relation_space(self) -> Subspace:
-        return Subspace.from_spanning(
+        return self._relation_coordinates.span
+
+    @cached_property
+    def _relation_coordinates(self) -> BasisCoordinates:
+        return BasisCoordinates(
             [r.to_degree_vector(self.degree) for r in self.relation_basis],
             self.dim_v**self.degree,
         )
 
-    @cached_property
-    def _relation_matrix(self) -> Matrix:
-        cols = [r.to_degree_vector(self.degree) for r in self.relation_basis]
-        return Matrix(tuple(zip(*cols)))
-
     def relation_coords(self, x: TensorElement):
         """Coordinates of x in the distinguished relation basis.
 
-        Raises ValueError when x is not in R.
+        The relation basis is eliminated once per presentation; a call is
+        a membership test and a substitution.  Raises ValueError when x
+        is not in R.
         """
-        sol = solve_affine(self._relation_matrix, x.to_degree_vector(self.degree))
-        if sol is None:
+        coords = self._relation_coordinates.coordinates(x.to_degree_vector(self.degree))
+        if coords is None:
             raise ValueError("element is not in the relation space")
-        return sol.particular
+        return coords
 
     @cached_property
     def overlap(self) -> "OverlapData":

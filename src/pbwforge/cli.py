@@ -268,6 +268,10 @@ def run_task(task: dict, problem: dict, a, metric, deformation):
     if kind == "oracle":
         n_max = task.get("n_max", 4)
         cutoff = task.get("cutoff", n_max + 1)
+        if cutoff < max(n_max, a.degree):
+            raise ProblemError(
+                f"oracle cutoff {cutoff} is below n_max {n_max} or the relation degree {a.degree}"
+            )
         res = brute_force_oracle(deformation, n_max, cutoff)
         passed = res.verdict != "FAIL"
         result = {

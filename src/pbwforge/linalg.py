@@ -2,10 +2,14 @@
 
 Dense matrices over the rationals with deterministic Gaussian elimination
 (first nonzero pivot in column order), canonical reduced-row-echelon
-subspaces, the usual lattice operations, and a sparse incremental echelon
-accumulator for large spanning sets.  The sparse echelon keeps its rows
-as primitive integer vectors and eliminates fraction-free, so it never
-divides; only the dense elimination runs on rationals.
+subspaces, the usual lattice operations, coordinates in a fixed basis,
+and a sparse incremental echelon accumulator for large spanning sets.
+The sparse echelon keeps its rows as primitive integer vectors and
+eliminates fraction-free, so it never divides; only the dense
+elimination runs on rationals.  Dense row operations and subspace
+residuals touch only the nonzero entries of the row they subtract, and
+an intersection eliminates a kernel with one column per basis vector of
+the first subspace, never a block over twice the ambient dimension.
 
 Everything is exact: a rank, a membership bit, or a solution vector is a
 theorem, not an approximation.  All values are immutable after
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -101,11 +106,16 @@ def _eliminate(rows: list[list], col_limit: Optional[int] = None) -> list[int]:
             continue
         rows[r], rows[src] = rows[src], rows[r]
         inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        # only the nonzero entries of the pivot row take part in row operations
+        support = [(j, x * inv) for j, x in enumerate(rows[r]) if x]
+        for j, x in support:
+            rows[r][j] = x
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f != 0:
+                row = rows[i]
+                for j, y in support:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -176,11 +186,20 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
         res = list(v)
-        for row, p in zip(self.basis.data, self.pivot_columns()):
+        for p, support in self._sparse_rows:
             f = res[p]
             if f != 0:
-                res = [x - f * y for x, y in zip(res, row)]
+                for j, y in support:
+                    res[j] -= f * y
         return tuple(res)
+
+    @cached_property
+    def _sparse_rows(self) -> tuple:
+        """(pivot, nonzero (index, entry) pairs) of each basis row."""
+        return tuple(
+            (p, tuple((j, y) for j, y in enumerate(row) if y))
+            for row, p in zip(self.basis.data, self.pivot_columns())
+        )
 
     def contains(self, v: Sequence) -> bool:
         return all(x == 0 for x in self.reduce(v))
@@ -192,17 +211,27 @@ class Subspace:
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the Zassenhaus block construction."""
+        """Intersection as the combinations of this basis that ``other`` absorbs.
+
+        With a_i this basis, A cap B = {sum c_i a_i : sum c_i
+        other.reduce(a_i) = 0}, because the residual is linear and zero
+        exactly on B.  So the only elimination is a kernel with dim A
+        columns, over the coordinates where some residual is nonzero.
+        """
         self._check_ambient(other)
-        n = self.ambient_dim
-        block = [list(row) + list(row) for row in self.basis.data]
-        block += [list(row) + [ZERO] * n for row in other.basis.data]
-        pivots = _eliminate(block, col_limit=2 * n)
-        result = []
-        for row, p in zip(block, pivots):
-            if p >= n:
-                result.append(row[n:])
-        return Subspace.from_spanning(result, n)
+        residuals = [other.reduce(a) for a in self.basis.data]
+        rows = tuple(row for row in zip(*residuals) if any(row))
+        if not rows:
+            return self
+        combos = []
+        for coeffs in kernel(Matrix(rows)).basis.data:
+            v = [ZERO] * self.ambient_dim
+            for c, (_, support) in zip(coeffs, self._sparse_rows):
+                if c:
+                    for j, y in support:
+                        v[j] += c * y
+            combos.append(v)
+        return Subspace.from_spanning(combos, self.ambient_dim)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -217,7 +246,11 @@ def kernel(m: Matrix) -> Subspace:
     if m.rows == 0 or n == 0:
         return Subspace.full(n) if n else Subspace.zero(0)
     rows = [list(row) for row in m.data]
-    pivots = _eliminate(rows)
+    return _null_space(rows, _eliminate(rows), n)
+
+
+def _null_space(rows: list, pivots: list, n: int) -> Subspace:
+    """Kernel of the first ``n`` columns of rows already in RREF there."""
     pivot_set = set(pivots)
     free_cols = [c for c in range(n) if c not in pivot_set]
     basis = []
@@ -260,7 +293,33 @@ def solve_affine(m: Matrix, rhs: Sequence) -> Optional[AffineSolution]:
     x = [ZERO] * n
     for row, p in zip(aug, pivots):
         x[p] = row[n]
-    return AffineSolution(tuple(x), kernel(m))
+    # the first n columns of the eliminated rows are RREF(m)
+    return AffineSolution(tuple(x), _null_space(aug, pivots, n))
+
+
+class BasisCoordinates:
+    """Coordinates in a fixed ordered basis of independent vectors.
+
+    The basis is eliminated once, on construction: ``span`` is the
+    canonical subspace it spans.  With P the pivot columns of ``span``,
+    v = sum c_i b_i restricts to v_P = S c, where S[j][i] is entry P_j of
+    b_i, and S is invertible; so each ``coordinates`` call is a
+    membership test and one k x k product, with no elimination.
+    """
+
+    def __init__(self, vectors: Sequence[Sequence], ambient_dim: int):
+        self.span = Subspace.from_spanning(vectors, ambient_dim)
+        if self.span.dim != len(vectors):
+            raise ValueError("basis vectors are linearly dependent")
+        self._pivots = self.span.pivot_columns()
+        restricted = Matrix.from_rows([[v[p] for v in vectors] for p in self._pivots])
+        self._inverse = inverse(restricted)
+
+    def coordinates(self, v: Sequence) -> Optional[Vector]:
+        """The unique c with sum c_i b_i = v, or ``None`` when v is outside the span."""
+        if not self.span.contains(v):
+            return None
+        return self._inverse.mat_vec(tuple(v[p] for p in self._pivots))
 
 
 class SparseEchelon:

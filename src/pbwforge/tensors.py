@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from .linalg import Matrix, Subspace, Vector, solve_affine
+from .linalg import BasisCoordinates, Matrix, Subspace, Vector
 from .rationals import ONE, ZERO, Q, rational
 
 Word = tuple  # tuple of generator indices
@@ -241,25 +241,30 @@ def side_tensor(sub: Subspace, dim_v: int, side: str, degree: int) -> Subspace:
     """R (tensor) V or V (tensor) R: extend a pure-degree subspace one letter.
 
     ``sub`` must be a subspace of V^(tensor n) coordinates; the result
-    lives in V^(tensor n+1).
+    lives in V^(tensor n+1).  No elimination runs: with b_i the RREF
+    basis of ``sub`` and p_i its pivots, b_i (tensor) e_lam has its unit
+    pivot at p_i * dim_v + lam (right) or lam * dim^n + p_i (left), and no
+    other extension is nonzero there, so the extensions sorted by pivot
+    are already the canonical basis.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     size = dim_v**degree
     if sub.ambient_dim != size:
         raise ValueError("subspace ambient is not a tensor power of the given dim_v")
-    spanning = []
-    for row in sub.basis:
-        for lam in range(dim_v):
-            vec = [ZERO] * (size * dim_v)
-            for idx, c in enumerate(row):
-                if c != 0:
-                    if side == "right":
-                        vec[idx * dim_v + lam] = c
-                    else:
-                        vec[lam * size + idx] = c
-            spanning.append(vec)
-    return Subspace.from_spanning(spanning, size * dim_v)
+    basis = sub.basis.data
+    if side == "right":
+        pairs = [(b, lam) for b in basis for lam in range(dim_v)]
+    else:
+        pairs = [(b, lam) for lam in range(dim_v) for b in basis]
+    rows = []
+    for b, lam in pairs:
+        vec = [ZERO] * (size * dim_v)
+        for idx, c in enumerate(b):
+            if c != 0:
+                vec[idx * dim_v + lam if side == "right" else lam * size + idx] = c
+        rows.append(tuple(vec))
+    return Subspace(size * dim_v, Matrix(tuple(rows)))
 
 
 @dataclass(frozen=True)
@@ -336,7 +341,11 @@ def side_decompose(
     x = sum c[k][lam] r_k (tensor) e_lam (right) or e_lam (tensor) r_k
     (left).  Raises ValueError when x is not in the stated subspace; this
     is the explicit change of basis the evaluation of phi (tensor) I
-    requires.
+    requires.  The system splits by the letter lam: column lam of c is
+    the relation coordinates of the slice of x on the words that end
+    (right) or start (left) with lam, so the relation basis (which must
+    be linearly independent) is eliminated once and each letter is a
+    substitution.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -346,21 +355,18 @@ def side_decompose(
         raise ValueError("nonzero element against an empty relation basis")
     dim_v = x.dim_v
     degree = relation_basis[0].max_degree
-    target = degree + 1
+    size = dim_v**degree
+    relations = BasisCoordinates([r.to_degree_vector(degree) for r in relation_basis], size)
+    vec = x.to_degree_vector(degree + 1)
     columns = []
-    for r in relation_basis:
-        e_r = r
-        for lam in range(dim_v):
-            e = TensorElement.generator(dim_v, lam)
-            prod = e_r.tensor(e) if side == "right" else e.tensor(e_r)
-            columns.append(prod.to_degree_vector(target))
-    m = Matrix(tuple(zip(*columns)))
-    sol = solve_affine(m, x.to_degree_vector(target))
-    if sol is None:
-        raise ValueError(f"element is not in the {side}-side relation product space")
-    coeffs = sol.particular
-    k = len(relation_basis)
-    return Matrix(tuple(tuple(coeffs[i * dim_v + lam] for lam in range(dim_v)) for i in range(k)))
+    for lam in range(dim_v):
+        # the words ending (right) or starting (left) with the letter lam
+        part = vec[lam::dim_v] if side == "right" else vec[lam * size : (lam + 1) * size]
+        coords = relations.coordinates(part)
+        if coords is None:
+            raise ValueError(f"element is not in the {side}-side relation product space")
+        columns.append(coords)
+    return Matrix(tuple(zip(*columns)))
 
 
 def apply_graded_side(

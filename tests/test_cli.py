@@ -81,6 +81,22 @@ def test_resource_guard_exit_code(tmp_path, monkeypatch):
     doc = ym_problem(tasks=[{"task": "oracle", "n_max": 4}])
     path = write(tmp_path, "p.json", doc)
     assert main(["run", "--input", path]) == 3
+@pytest.mark.parametrize(
+    "task",
+    [{"task": "oracle", "n_max": 5, "cutoff": 3}, {"task": "oracle", "n_max": 1, "cutoff": 2}],
+    ids=["below-n_max", "below-degree"],
+)
+def test_oracle_cutoff_too_low_is_invalid_input(tmp_path, capsys, task):
+    # a cutoff below n_max or below N (3 for YM) is a bad problem file,
+    # not a failed check: exit 2 with an error line and no report
+    path = write(tmp_path, "p.json", ym_problem(tasks=[{"task": "check"}, task]))
+    assert main(["run", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "cutoff" in captured.err
+    assert captured.out == ""
+
+
 def test_super_family_problem(tmp_path, capsys):
     doc = {
         "schema_version": 1,

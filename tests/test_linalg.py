@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbwforge.linalg import (
+    BasisCoordinates,
     Matrix,
     SparseEchelon,
     Subspace,
@@ -139,6 +140,70 @@ def test_grassmann_identity(seed):
     a = _random_subspace(rng, ambient, rng.randint(0, ambient))
     b = _random_subspace(rng, ambient, rng.randint(0, ambient))
     assert a.dim + b.dim == a.intersect(b).dim + (a + b).dim
+
+
+def _zassenhaus(a, b):
+    """Reference intersection: RREF of [a | a ; b | 0], right halves of
+    the rows whose left half vanished."""
+    n = a.ambient_dim
+    block = [list(r) + list(r) for r in a.basis] + [list(r) + [ZERO] * n for r in b.basis]
+    if not block:
+        return Subspace.zero(n)
+    reduced = rref(Matrix.from_rows(block))
+    return Subspace.from_spanning([r[n:] for r in reduced if not any(r[:n])], n)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_intersect_matches_zassenhaus(seed):
+    rng = random.Random(300 + seed)
+    n = rng.randint(2, 7)
+    k = rng.randint(1, n - 1)
+    a = _random_subspace(rng, n, k)
+    bigger = a + _random_subspace(rng, n, rng.randint(1, n - k))
+    # n - k random vectors meet a k-dimensional subspace in zero
+    disjoint = _random_subspace(rng, n, n - k)
+    generic = _random_subspace(rng, n, rng.randint(0, n))
+    zero, full = Subspace.zero(n), Subspace.full(n)
+    assert a.intersect(bigger) == a == bigger.intersect(a)
+    assert a.intersect(disjoint) == zero == disjoint.intersect(a)
+    for x, y in [(a, zero), (a, full), (a, a), (full, full), (a, bigger), (a, disjoint), (a, generic)]:
+        for p, q in ((x, y), (y, x)):
+            meet = p.intersect(q)
+            assert meet == _zassenhaus(p, q)
+            assert all(p.contains(v) and q.contains(v) for v in meet.basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrix(), st.data())
+def test_solve_affine_homogeneous_is_kernel(m, data):
+    x = vector(data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols)))
+    sol = solve_affine(m, m.mat_vec(x))
+    assert sol.homogeneous == kernel(m)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_basis_coordinates_round_trip(seed):
+    rng = random.Random(400 + seed)
+    n = rng.randint(2, 7)
+    k = rng.randint(1, n)
+    while True:
+        basis = [[rational(rng.randint(-9, 9)) / rational(rng.randint(1, 5)) for _ in range(n)] for _ in range(k)]
+        if Subspace.from_spanning(basis, n).dim == k:
+            break
+    coords = BasisCoordinates(basis, n)
+    c = [rational(rng.randint(-9, 9)) / rational(rng.randint(1, 5)) for _ in range(k)]
+    v = [sum((ci * b[j] for ci, b in zip(c, basis)), ZERO) for j in range(n)]
+    assert coords.coordinates(v) == tuple(c)
+    if k < n:
+        outside = next(
+            e for e in Matrix.identity(n) if not coords.span.contains(e)
+        )
+        assert coords.coordinates(outside) is None
+
+
+def test_basis_coordinates_rejects_dependent_basis():
+    with pytest.raises(ValueError):
+        BasisCoordinates([[1, 2, 0], [2, 4, 0]], 3)
 
 
 def test_solve_affine_identity():

@@ -1,5 +1,7 @@
-"""The per-presentation overlap core against the direct side evaluation."""
+"""The per-presentation overlap core against the direct side evaluation,
+and pins of its exact output and of the verdicts built on it."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,11 +12,23 @@ import pbwforge.pbw as pbw
 import pbwforge.tensors as tensors
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations, overlap_space
 from pbwforge.linalg import Matrix
-from pbwforge.rationals import rational
-from pbwforge.sampling import random_rational, sample_current_parameters
-from pbwforge.super_ym import build_sym
+from pbwforge.rationals import format_rational, rational
+from pbwforge.sampling import (
+    random_metric,
+    random_rational,
+    sample_current_parameters,
+    sample_super_parameters,
+)
+from pbwforge.super_ym import build_sym, super_current_from_parameters
 from pbwforge.tensors import GradedMap, TensorElement, apply_graded_side
-from pbwforge.yang_mills import Metric, build_ym, current_from_parameters, current_to_deformation
+from pbwforge.yang_mills import (
+    Current,
+    Metric,
+    build_ym,
+    current_from_parameters,
+    current_to_deformation,
+    freeze,
+)
 
 # dim_v = 2, N = 3, with a five-dimensional overlap space
 CUSTOM_CUBIC = (
@@ -96,3 +110,100 @@ def test_top_bracket_outside_r_raises_in_check_j2():
     assert not pbw.check_j1(d)[0]
     with pytest.raises(ValueError):
         pbw.check_j2(d, 1)
+
+
+def pinned_metrics(s):
+    n = s + 1
+    return {
+        "euclidean": Metric.euclidean(n),
+        "minkowski": Metric.minkowski(n),
+        "random": random_metric(random.Random(1000 + s), n),
+    }
+
+
+# (dim W, sha256 of core_digest) recorded before the overlap core was
+# built without the dense Zassenhaus intersection; any change to the
+# canonical basis of W or to its side decompositions shows up here
+CORE_PINS = {
+    "custom-cubic": (5, "c4558a1a11cfff9f9c3e40b7454bcf80295b9d22b454efc1922fcd1101c4fd9c"),
+    "so3": (1, "8e27e5e8d5d69134343612a13ebe7a2d905e36326118535ed67189ac9fb46a44"),
+    "sym-s2-euclidean": (1, "90d29d657fb2cbf836f5b9b4470807f94d575a08c05e231f4740cd1188f47574"),
+    "sym-s2-minkowski": (1, "68ae1f0f9a7873977634a78f843d749a92c42310dc014993bdd18d1c68ba6015"),
+    "sym-s2-random": (1, "8733cf2405a374cb9e55e2849543f72221117191a7391ab9d5225773e7e39bd3"),
+    "sym-s3-euclidean": (1, "4cbc5b1fe269b6b5df979239565acae72c0db130a92b18c3000de22ef865ae71"),
+    "sym-s3-minkowski": (1, "5cc1727677c19a25fdd52fab89fa8207f9c2c3f333fadc777ab3db71c1af898f"),
+    "sym-s3-random": (1, "1603ff882064c085704633fa1d982db23216468f446eda80382c493814363110"),
+    "ym-s2-euclidean": (1, "fc6bfcf0ecd762178d9992b3a02db798c5e2b4b0ef6376c152895c874a928517"),
+    "ym-s2-minkowski": (1, "8b5999e922333cb0f2c4d26bcc0853d5fdd476b63710d4c83bb467f3a649cae0"),
+    "ym-s2-random": (1, "283e336b5148a5d84b32b42a0dd84ffd305de809a5493fb867fb3e1d99e411b6"),
+    "ym-s3-euclidean": (1, "aadad6be4c225eec6f9d4ad905644c1c18bbc298d222727045941fc5a4764cab"),
+    "ym-s3-minkowski": (1, "1214b3669bc5d520286ae24faaa268f7785d5bd1d7856e61fad47122995a11cf"),
+    "ym-s3-random": (1, "7a8f855d87bee7501604dbe21d32cf2848af680923268755bd41b846ce3e06ab"),
+}
+
+
+def pinned_presentation(name):
+    if name == "so3":
+        return build_antisymmetrizer_relations(3, 2)
+    if name == "custom-cubic":
+        return custom_cubic()
+    family, s, metric = name.split("-")
+    builder = build_ym if family == "ym" else build_sym
+    s = int(s[1:])
+    return builder(s, pinned_metrics(s)[metric])
+
+
+def core_digest(core):
+    h = hashlib.sha256()
+    for x in core.vectors:
+        h.update(repr(sorted((w, format_rational(c)) for w, c in x.terms.items())).encode())
+    for m in core.right + core.left:
+        h.update(repr([[format_rational(c) for c in row] for row in m.data]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CORE_PINS))
+def test_core_matches_pinned_digest(name):
+    core = pinned_presentation(name).overlap
+    assert (len(core.vectors), core_digest(core)) == CORE_PINS[name]
+
+
+def _perturbed(c, rng, block):
+    n = c.dim
+    j3 = [[list(r) for r in m] for m in c.j3]
+    j2 = [list(r) for r in c.j2]
+    if block == "top":
+        j3[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += random_rational(rng, 9)
+    else:
+        j2[rng.randrange(n)][rng.randrange(n)] += random_rational(rng, 9)
+    return Current(freeze(j3), freeze(j2), c.j1)
+
+
+def test_verdicts_match_pinned_hash():
+    # 54 seeded currents: YM with each side condition met or broken, YM
+    # and SYM with a perturbed top or j2 block, at s=2,3 over three metrics
+    h = hashlib.sha256()
+    tally: dict = {}
+    for s in (2, 3):
+        for name, metric in pinned_metrics(s).items():
+            rng = random.Random(f"{s}-{name}")
+            ym, sym = build_ym(s, metric), build_sym(s, metric)
+            cases = [
+                (ym, current_from_parameters(sample_current_parameters(rng, metric, violate=v), metric))
+                for v in (None, "s3", "s2", "s1")
+            ]
+            base = cases[0][1]
+            cases += [(ym, _perturbed(base, rng, "top")), (ym, _perturbed(base, rng, "j2"))]
+            b, omega2 = sample_super_parameters(rng, s + 1)
+            sc = super_current_from_parameters(b, omega2, metric)
+            cases += [(sym, sc), (sym, _perturbed(sc, rng, "top")), (sym, _perturbed(sc, rng, "j2"))]
+            for a, current in cases:
+                v = pbw.pbw_verdict(current_to_deformation(current, a))
+                witness = None if v.witness is None else sorted(
+                    (w, format_rational(c)) for w, c in v.witness.terms.items()
+                )
+                h.update(repr((v.j1_holds, v.j2_holds, v.j3_holds, witness, v.overall)).encode())
+                key = (v.j1_holds, v.overall)
+                tally[key] = tally.get(key, 0) + 1
+    assert tally == {(False, False): 9, (True, False): 28, (True, True): 17}
+    assert h.hexdigest() == "547f91dfb927d95b030578ea0217aa06a3f73ad3b5977b48eda8ba2887b3fdfd"

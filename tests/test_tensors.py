@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pbwforge.linalg import Subspace
@@ -94,6 +96,39 @@ def test_side_tensor_dim_multiplies():
     assert right.contains(r.tensor(e0).to_degree_vector(3))
 
 
+def _extensions(sub, dim_v, side):
+    """Spanning set of sub (x) V or V (x) sub, one letter at a time."""
+    size = sub.ambient_dim
+    out = []
+    for row in sub.basis:
+        for lam in range(dim_v):
+            vec = [rational(0)] * (size * dim_v)
+            for idx, c in enumerate(row):
+                vec[idx * dim_v + lam if side == "right" else lam * size + idx] = c
+            out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_side_tensor_is_canonical_span_of_extensions(seed, side):
+    rng = random.Random(500 + seed)
+    dim_v, degree = rng.randint(2, 3), 2
+    size = dim_v**degree
+    rows = [
+        [rational(rng.choice([0, 0, rng.randint(-7, 7)])) / rational(rng.randint(1, 6)) for _ in range(size)]
+        for _ in range(rng.randint(0, size))
+    ]
+    sub = Subspace.from_spanning(rows, size)
+    ext = side_tensor(sub, dim_v, side, degree=degree)
+    assert ext == Subspace.from_spanning(_extensions(sub, dim_v, side), size * dim_v)
+    assert ext.dim == sub.dim * dim_v
+    # nested: extend again, on either side
+    for outer in ("right", "left"):
+        again = side_tensor(ext, dim_v, outer, degree=degree + 1)
+        assert again == Subspace.from_spanning(_extensions(ext, dim_v, outer), size * dim_v**2)
+
+
 def test_graded_map_zero():
     phi = GradedMap.zero(2, 1, 2)
     assert phi.is_zero()
@@ -126,6 +161,33 @@ def test_side_decompose_rejects_outsiders():
     bad = TensorElement.from_terms(2, {(0, 0, 0): 1})
     with pytest.raises(ValueError):
         side_decompose(bad, (r,), "right")
+
+
+def test_side_decompose_left_round_trip():
+    r1 = TensorElement.from_terms(2, {(0, 1): 1, (1, 0): -1})
+    r2 = TensorElement.from_terms(2, {(0, 0): "1/2", (1, 1): 3})
+    e0 = TensorElement.generator(2, 0)
+    e1 = TensorElement.generator(2, 1)
+    want = ((rational(3), rational("-1/4")), (rational(0), rational(2)))
+    x = TensorElement.zero(2)
+    for k, r in enumerate((r1, r2)):
+        for lam, gen in enumerate((e0, e1)):
+            x = x + gen.tensor(r).scale(want[k][lam])
+    coords = side_decompose(x, (r1, r2), "left")
+    assert coords.data == want
+    # the same element is not in R (x) V
+    with pytest.raises(ValueError):
+        side_decompose(x, (r1, r2), "right")
+
+
+def test_side_decompose_left_rejects_outsiders():
+    r = TensorElement.from_terms(2, {(0, 1): 1, (1, 0): -1})
+    e0 = TensorElement.generator(2, 0)
+    inside_right = r.tensor(e0)  # (01 - 10) 0, not of the form e (x) r
+    with pytest.raises(ValueError):
+        side_decompose(inside_right, (r,), "left")
+    with pytest.raises(ValueError):
+        side_decompose(TensorElement.from_terms(2, {(0, 0, 0): 1}), (r,), "left")
 
 
 def test_apply_graded_side_rank_one():
