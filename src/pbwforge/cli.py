@@ -1,9 +1,12 @@
 """Batch front-end.
 
 Problem files are JSON documents validated against the shipped strict
-schema; every rational is an integer or a "p/q" string, so parsing is
-exact.  Reports are emitted with sorted keys and a fixed layout, which
-makes a rerun of the same problem byte-identical.
+schema (``problem.schema.json``) by :func:`schema_violation`, a small
+checker for exactly the keywords that schema uses; an "integer" is a JSON
+integer literal, so ``2.0`` is rejected.  Every rational is an integer or
+a "p/q" string, so parsing is exact.  Reports are emitted with sorted keys
+and a fixed layout, which makes a rerun of the same problem
+byte-identical.
 
 Exit codes: 0 all requested checks passed, 1 at least one check returned
 a negative mathematical verdict, 2 invalid input, 3 resource guard.
@@ -14,10 +17,9 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import re
 import sys
 from typing import Optional
-
-import jsonschema
 
 from . import __version__
 from .algebra import AlgebraPresentation, build_antisymmetrizer_relations, graded_dim
@@ -64,6 +66,79 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
+
+
+def _is_type(node, name: str) -> bool:
+    # bool is a subclass of int, but true is no integer; nor is 2.0
+    return isinstance(node, _JSON_TYPES[name]) and not isinstance(node, bool)
+
+
+def _same(node, value) -> bool:
+    # const/enum compare by JSON type: 1.0 and true are not the constant 1
+    return type(node) is type(value) and node == value
+
+
+def _violations(node, schema: dict, root: dict, path: tuple):
+    """Yield (path, message) for each way ``node`` breaks ``schema``.
+
+    Implements only the keywords ``problem.schema.json`` uses (see
+    ``tests/test_schema.py``), with JSON Schema 2020-12 meaning, except
+    that an integer must be an integer literal and ``const``/``enum``
+    compare by JSON type.  ``$ref`` must point into
+    the root's ``$defs``.  Annotations (``$schema``, ``title``, ...) and
+    keywords that do not apply to the node's type are skipped.
+    """
+    for key, want in schema.items():
+        if key == "$ref":
+            sub = root["$defs"][want.removeprefix("#/$defs/")]
+            yield from _violations(node, sub, root, path)
+        elif key == "type":
+            if not _is_type(node, want):
+                yield path, f"{node!r} is not of type {want!r}"
+        elif key == "const":
+            if not _same(node, want):
+                yield path, f"{want!r} was expected"
+        elif key == "enum":
+            if not any(_same(node, v) for v in want):
+                yield path, f"{node!r} is not one of {want!r}"
+        elif key == "oneOf":
+            matches = sum(not any(_violations(node, s, root, path)) for s in want)
+            if matches != 1:
+                yield path, f"{node!r} matches {matches} of the {len(want)} alternatives, not one"
+        elif key == "minimum" and isinstance(node, (int, float)) and not isinstance(node, bool):
+            if node < want:
+                yield path, f"{node!r} is less than the minimum of {want!r}"
+        elif key == "pattern" and isinstance(node, str):
+            if not re.search(want, node):
+                yield path, f"{node!r} does not match {want!r}"
+        elif key == "minItems" and isinstance(node, list):
+            if len(node) < want:
+                yield path, f"{node!r} has fewer than {want} items"
+        elif key == "items" and isinstance(node, list):
+            for i, item in enumerate(node):
+                yield from _violations(item, want, root, path + (i,))
+        elif key == "required" and isinstance(node, dict):
+            for name in want:
+                if name not in node:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and want is False and isinstance(node, dict):
+            extra = sorted(k for k in node if k not in schema.get("properties", {}))
+            if extra:
+                yield path, f"additional properties are not allowed ({extra} unexpected)"
+        elif key == "properties" and isinstance(node, dict):
+            for name, sub in want.items():
+                if name in node:
+                    yield from _violations(node[name], sub, root, path + (name,))
+
+
+def schema_violation(doc, schema: dict) -> Optional[tuple]:
+    """The first (path, message) by which ``doc`` breaks ``schema``, in path
+    order, or None when ``doc`` is valid.  A path is a tuple of object keys
+    and array indices, () for the root."""
+    return min(_violations(doc, schema, schema, ()), key=lambda v: v[0], default=None)
+
+
 def load_problem(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -72,12 +147,10 @@ def load_problem(path: str) -> dict:
         raise ProblemError(f"cannot read problem file: {e}") from e
     except json.JSONDecodeError as e:
         raise ProblemError(f"malformed JSON: {e}") from e
-    validator = jsonschema.Draft202012Validator(load_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.absolute_path) or "(root)"
-        raise ProblemError(f"schema violation at {where}: {first.message}")
+    violation = schema_violation(doc, load_schema())
+    if violation is not None:
+        where = "/".join(str(p) for p in violation[0]) or "(root)"
+        raise ProblemError(f"schema violation at {where}: {violation[1]}")
     return doc
 
 
@@ -258,7 +331,7 @@ def run_task(task: dict, problem: dict, a, metric, deformation):
                 if family == "yang-mills"
                 else isym_family_generators(metric)
             )
-            cmp = family_equals_solutions(a, gens)
+            cmp = family_equals_solutions(a, gens, stage1)
             result["family_dim"] = cmp.family_dim
             result["family_equals_solutions"] = cmp.equal
             result["pass"] = cmp.equal

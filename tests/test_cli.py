@@ -66,6 +66,28 @@ def test_float_rational_rejected(tmp_path):
     doc = ym_problem(current={"parameters": {"b": [0.5, 0, 0]}})
     path = write(tmp_path, "p.json", doc)
     assert main(["run", "--input", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"algebra": {"family": "yang-mills", "s": 2.0, "metric": "euclidean"}},
+        {"tasks": [{"task": "hilbert", "n_max": 3.0}]},
+        {"current": {"tails": [[{"word": [1.0], "coeff": 1}], [], []]}},
+        {"schema_version": 1.0},
+    ],
+    ids=["s", "n_max", "word-letter", "schema_version"],
+)
+def test_integral_float_rejected(tmp_path, capsys, overrides):
+    # 2.0 is not an integer literal: a schema violation (exit 2), not a
+    # TypeError traceback (exit 1) or a report that echoes 1.0
+    path = write(tmp_path, "p.json", ym_problem(**overrides))
+    assert main(["run", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: schema violation at ")
+    assert captured.out == ""
+
+
 def test_malformed_json_rejected(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
