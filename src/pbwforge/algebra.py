@@ -157,6 +157,7 @@ class OverlapData:
 
     def __init__(self, a: AlgebraPresentation):
         w = overlap_space(a)
+        self.space = w
         self.dim_v = a.dim_v
         self.source_dim = len(a.relation_basis)
         self.vectors = tuple(

@@ -15,6 +15,7 @@ a negative mathematical verdict, 2 invalid input, 3 resource guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import re
@@ -79,15 +80,28 @@ def _same(node, value) -> bool:
     return type(node) is type(value) and node == value
 
 
+@functools.cache
+def _ecma_regex(pattern: str) -> re.Pattern:
+    """``pattern`` compiled with ECMA-262's ``$``: the end of the input.
+
+    Python's ``$`` also matches before a final newline, so each ``$``
+    outside an escape or a character class becomes ``\\Z``.
+    """
+    return re.compile(
+        re.sub(r"\\.|\[(?:\\.|[^\]])*\]|\$", lambda m: r"\Z" if m[0] == "$" else m[0], pattern)
+    )
+
+
 def _violations(node, schema: dict, root: dict, path: tuple):
     """Yield (path, message) for each way ``node`` breaks ``schema``.
 
     Implements only the keywords ``problem.schema.json`` uses (see
     ``tests/test_schema.py``), with JSON Schema 2020-12 meaning, except
     that an integer must be an integer literal and ``const``/``enum``
-    compare by JSON type.  ``$ref`` must point into
-    the root's ``$defs``.  Annotations (``$schema``, ``title``, ...) and
-    keywords that do not apply to the node's type are skipped.
+    compare by JSON type, and ``pattern`` matches as ECMA-262 does.
+    ``$ref`` must point into the root's ``$defs``.  Annotations
+    (``$schema``, ``title``, ...) and keywords that do not apply to the
+    node's type are skipped.
     """
     for key, want in schema.items():
         if key == "$ref":
@@ -110,7 +124,7 @@ def _violations(node, schema: dict, root: dict, path: tuple):
             if node < want:
                 yield path, f"{node!r} is less than the minimum of {want!r}"
         elif key == "pattern" and isinstance(node, str):
-            if not re.search(want, node):
+            if not _ecma_regex(want).search(node):
                 yield path, f"{node!r} does not match {want!r}"
         elif key == "minItems" and isinstance(node, list):
             if len(node) < want:
@@ -147,6 +161,8 @@ def load_problem(path: str) -> dict:
         raise ProblemError(f"cannot read problem file: {e}") from e
     except json.JSONDecodeError as e:
         raise ProblemError(f"malformed JSON: {e}") from e
+    except RecursionError as e:
+        raise ProblemError("malformed JSON: nested too deeply") from e
     violation = schema_violation(doc, load_schema())
     if violation is not None:
         where = "/".join(str(p) for p in violation[0]) or "(root)"
@@ -286,7 +302,7 @@ def run_task(task: dict, problem: dict, a, metric, deformation):
     family = problem["algebra"]["family"]
     if kind == "identities":
         if family == "yang-mills":
-            rep = verify_identities(metric)
+            rep = verify_identities(metric, presentation=a)
             result = {
                 "cyclic_invariance": rep.cyclic_invariance,
                 "two_sided_overlap": rep.two_sided_overlap,
@@ -296,7 +312,7 @@ def run_task(task: dict, problem: dict, a, metric, deformation):
             }
             return {"task": kind, **result, "pass": rep.all_pass}, rep.all_pass, None
         if family == "super-yang-mills":
-            rep = verify_super_identities(metric)
+            rep = verify_super_identities(metric, presentation=a)
             result = {
                 "anti_cyclic": rep.anti_cyclic,
                 "two_sided_overlap": rep.two_sided_overlap,

@@ -6,7 +6,9 @@ subspaces, the usual lattice operations, coordinates in a fixed basis,
 and a sparse incremental echelon accumulator for large spanning sets.
 The sparse echelon keeps its rows as primitive integer vectors and
 eliminates fraction-free, so it never divides; only the dense
-elimination runs on rationals.  Dense row operations and subspace
+elimination runs on rationals.  Its stored rows are head-reduced: a new
+row is eliminated down to its first free key, the pivot, and its tail
+only by rows whose pivot entry is 1.  Dense row operations and subspace
 residuals touch only the nonzero entries of the row they subtract, and
 an intersection eliminates a kernel with one column per basis vector of
 the first subspace, never a block over twice the ambient dimension.
@@ -332,9 +334,17 @@ class SparseEchelon:
     (cross-multiplying, after Bareiss, *Math. Comp.* 22 (1968)): an input
     has its denominators cleared once, and only integer products and
     ``math.gcd`` run in the inner loop, on either rational backend.
-    Built for large, very sparse spanning sets (ideal spans) where dense
-    elimination would be wasteful.  Mutable, unlike the rest of this
-    module; intended as a local accumulator.
+
+    Stored rows are head-reduced, not fully reduced: ``insert`` eliminates
+    only until the least key of the row has no stored row, and that key
+    is the new pivot.  Under a fixed key order the pivot set of any
+    echelon basis depends only on the span, so the pivots and the rank
+    are those of the reduced echelon form.  The rest of a new row is then
+    reduced only by stored rows whose pivot entry is 1, a plain
+    subtraction that never rescales the row.  ``reduce`` still eliminates
+    every pivot key.  Built for large, very sparse spanning sets (ideal
+    spans) where dense elimination would be wasteful.  Mutable, unlike
+    the rest of this module; intended as a local accumulator.
     """
 
     def __init__(self) -> None:
@@ -351,48 +361,74 @@ class SparseEchelon:
         (``vec`` minus its combination of stored rows) up to a nonzero
         scalar factor; it is empty iff ``vec`` lies in the span.
         """
-        v = {k: c for k, c in vec.items() if c != 0}
-        den = lcm(*(int(c.denominator) for c in v.values()))
-        v = {k: int(c.numerator) * (den // int(c.denominator)) for k, c in v.items()}
+        v = _integer_row(vec)
+        self._eliminate_pivots(v, full=True)
+        return v
+
+    def insert(self, vec: dict) -> bool:
+        """Head-reduce and, if independent, add ``vec``; True iff rank grew."""
+        v = _integer_row(vec)
+        p = self._eliminate_pivots(v, full=False)
+        if p is None:
+            return False
+        content = gcd(*v.values())
+        if v[p] < 0:
+            content = -content
+        self.rows[p] = {k: c // content for k, c in v.items()} if content != 1 else v
+        return True
+
+    def extend(self, vectors: Iterable[dict]) -> None:
+        for v in vectors:
+            self.insert(v)
+
+    def _eliminate_pivots(self, v: dict, full: bool):
+        """Eliminate stored pivots from the integer row ``v`` in place, in
+        increasing key order; returns the least key of ``v`` with no
+        stored row (None when there is none).
+
+        With ``full`` every pivot key is eliminated.  Without it, keys
+        after that least free key are eliminated only by unit-pivot rows.
+        """
+        rows = self.rows
         heap = sorted(v)
+        lead = None
         while heap:
             k = heapq.heappop(heap)
             c = v.get(k)
             if not c:
                 continue
-            row = self.rows.get(k)
+            row = rows.get(k)
             if row is None:
+                if lead is None:
+                    lead = k
                 continue
             # v <- (a/g) v - (c/g) row cancels the key k, with a = row[k] > 0
             a = row[k]
-            g = gcd(a, c)
-            if g != a:
-                scale = a // g
-                for vk in v:
-                    v[vk] *= scale
-            f = c // g
+            if a != 1:
+                if lead is not None and not full:
+                    continue
+                g = gcd(a, c)
+                if g != a:
+                    scale = a // g
+                    for vk in v:
+                        v[vk] *= scale
+                c //= g
             for rk, rc in row.items():
-                nv = v.get(rk, 0) - f * rc
+                nv = v.get(rk, 0) - c * rc
                 if nv:
                     if rk not in v and rk > k:
                         heapq.heappush(heap, rk)
                     v[rk] = nv
                 else:
                     v.pop(rk, None)
+        return lead
+
+
+def _integer_row(vec: dict) -> dict:
+    """``vec`` without zeros, as integers: rational entries are scaled by
+    the lcm of their denominators; int entries are kept as they are."""
+    v = {k: c for k, c in vec.items() if c}
+    if all(type(c) is int for c in v.values()):
         return v
-
-    def insert(self, vec: dict) -> bool:
-        """Reduce and, if independent, add ``vec``; True iff rank grew."""
-        res = self.reduce(vec)
-        if not res:
-            return False
-        p = min(res)
-        content = gcd(*res.values())
-        if res[p] < 0:
-            content = -content
-        self.rows[p] = {k: c // content for k, c in res.items()}
-        return True
-
-    def extend(self, vectors: Iterable[dict]) -> None:
-        for v in vectors:
-            self.insert(v)
+    den = lcm(*(int(c.denominator) for c in v.values()))
+    return {k: int(c.numerator) * (den // int(c.denominator)) for k, c in v.items()}

@@ -20,6 +20,7 @@ consistency in the positive direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .algebra import AlgebraPresentation, graded_dim
@@ -31,7 +32,6 @@ from .tensors import (
     filtered_dim,
     guard_tensor_dim,
     word_index,
-    words,
 )
 
 
@@ -190,16 +190,26 @@ def pbw_verdict(d: DeformationMap) -> PbwVerdict:
     return PbwVerdict(True, j2, j3, None, all(j2) and j3)
 
 
-def _filtered_key(word, dim_v: int):
-    # Decreasing degree first: echelon pivots then expose the F^n blocks.
-    return (-len(word), word_index(word, dim_v))
+def _primitive_terms(p: TensorElement) -> list:
+    """(degree, word index, coefficient) of each term of ``p``, with the
+    denominators cleared and the content removed: a primitive integer row."""
+    den = lcm(*(int(c.denominator) for c in p.terms.values()))
+    ints = {w: int(c.numerator) * (den // int(c.denominator)) for w, c in p.terms.items()}
+    content = gcd(*ints.values())
+    return [(len(w), word_index(w, p.dim_v), c // content) for w, c in ints.items()]
 
 
 class IdealSpan:
     """Echelon basis of span{a p b : |a| + N + |b| <= cutoff} in F^cutoff.
 
-    Coordinates are ordered by decreasing degree, so basis rows whose
-    pivot sits in degree <= n span exactly the intersection with F^n.
+    A word w of degree d has the integer key start[d] + word_index(w),
+    with start[cutoff] = 0 and each lower degree's block placed after the
+    block of the degree above, so keys order words by decreasing degree,
+    then lexicographically.  Basis rows whose pivot key is at least
+    start[n], the rows with pivot in degree <= n, then span exactly the
+    intersection with F^n.  Each relation enters as one primitive integer
+    row, and the key of a product a p b is computed from the indices of
+    a, of each term of p and of b.
     """
 
     def __init__(self, relations: Sequence[TensorElement], dim_v: int, cutoff: int):
@@ -211,24 +221,35 @@ class IdealSpan:
         guard_tensor_dim(dim_v, cutoff)
         self.dim_v = dim_v
         self.cutoff = cutoff
+        self.start = [0] * (cutoff + 1)
+        for d in range(cutoff - 1, -1, -1):
+            self.start[d] = self.start[d + 1] + dim_v ** (d + 1)
+        rows = [_primitive_terms(p) for p in relations]
         self.echelon = SparseEchelon()
         for total in range(cutoff - degree + 1):
             for i in range(total + 1):
                 k = total - i
-                for left in words(dim_v, i):
-                    for right in words(dim_v, k):
-                        for p in relations:
-                            vec = {
-                                _filtered_key(left + w + right, dim_v): c
-                                for w, c in p.terms.items()
-                            }
-                            self.echelon.insert(vec)
+                right_size = dim_v**k
+                # key of a w b = start[|a w b|] + index(a) dim^(|w|+k) + index(w) dim^k + index(b)
+                placed = [
+                    [
+                        (self.start[i + m + k] + wi * right_size, dim_v ** (m + k), c)
+                        for m, wi, c in terms
+                    ]
+                    for terms in rows
+                ]
+                for left in range(dim_v**i):
+                    for right in range(right_size):
+                        for terms in placed:
+                            self.echelon.insert(
+                                {base + left * step + right: c for base, step, c in terms}
+                            )
 
     def intersection_dim(self, n: int) -> int:
         """dim of span intersect F^n."""
         if n > self.cutoff:
             raise ValueError("n exceeds the cutoff")
-        return sum(1 for (neg_deg, _) in self.echelon.rows if -neg_deg <= n)
+        return sum(1 for p in self.echelon.rows if p >= self.start[n])
 
 
 @dataclass(frozen=True)

@@ -90,14 +90,18 @@ class SuperIdentityReport:
         return self.anti_cyclic and self.two_sided_overlap and self.bracket_form and self.overlap_is_line
 
 
-def verify_super_identities(metric: Metric, coefficients=None) -> SuperIdentityReport:
+def verify_super_identities(
+    metric: Metric, coefficients=None, presentation=None
+) -> SuperIdentityReport:
+    """The super analogue of :func:`verify_identities`, with the same
+    ``coefficients`` and ``presentation`` arguments."""
     n = metric.dim
     w = coefficients if coefficients is not None else sym_coefficients(metric)
     idx = range(n)
     anti_cyclic = all(
         w[l][m][nu][r] == -w[r][l][m][nu] for r in idx for l in idx for m in idx for nu in idx
     )
-    basis, two_sided, overlap_ok = overlap_identities(w, -1)
+    basis, two_sided, overlap_ok = overlap_identities(w, -1, presentation)
     bracket_ok = basis == relations_from_mixed_brackets(metric) if coefficients is None else True
     return SuperIdentityReport(anti_cyclic, two_sided, bracket_ok, overlap_ok)
 

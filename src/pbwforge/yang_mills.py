@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Sequence
 
-from .algebra import AlgebraPresentation, overlap_space, permutation_sign
+from .algebra import AlgebraPresentation, permutation_sign
 from .linalg import Matrix, inverse
 from .pbw import DeformationMap, deformation_from_tails
 from .rationals import HALF, ONE, Q, ZERO, rational
@@ -163,16 +163,20 @@ class IdentityReport:
         )
 
 
-def overlap_identities(w, sign: int) -> tuple:
+def overlap_identities(w, sign: int, presentation=None) -> tuple:
     """(relations, two_sided, overlap_is_line) for a coefficient array.
 
     two_sided is the identity sum e_rho (x) W^rho = sign * sum W^rho (x)
     e_rho.  overlap_is_line says that dim W_4 = 1 with W_4 spanned by the
     two-sided element: sum W^rho (x) e_rho for sign +1 (Yang-Mills), sum
-    e_rho (x) W^rho for sign -1 (super Yang-Mills).
+    e_rho (x) W^rho for sign -1 (super Yang-Mills).  ``presentation``,
+    when given, must have exactly these relations; W is then read from its
+    overlap core, which the PBW checks and the classifier share.
     """
     n = len(w)
     basis = cubic_relations(w)
+    if presentation is not None and presentation.relation_basis != basis:
+        raise ValueError("the presentation has other relations than the coefficient array")
     right = TensorElement.zero(n)
     left = TensorElement.zero(n)
     for rho, r in enumerate(basis):
@@ -182,7 +186,8 @@ def overlap_identities(w, sign: int) -> tuple:
     two_sided = left == right.scale(sign)
     element = right if sign == 1 else left
     try:
-        wspace = overlap_space(AlgebraPresentation(n, 3, basis))
+        a = presentation if presentation is not None else AlgebraPresentation(n, 3, basis)
+        wspace = a.overlap.space
         overlap_ok = (
             wspace.dim == 1 and not element.is_zero() and wspace.contains(element.to_degree_vector(4))
         )
@@ -191,11 +196,13 @@ def overlap_identities(w, sign: int) -> tuple:
     return basis, two_sided, overlap_ok
 
 
-def verify_identities(metric: Metric, coefficients=None) -> IdentityReport:
+def verify_identities(metric: Metric, coefficients=None, presentation=None) -> IdentityReport:
     """Check the structural identities of the Yang-Mills relation tensor.
 
     ``coefficients`` overrides the relation array (used as a negative
-    control with a deliberately corrupted tensor).
+    control with a deliberately corrupted tensor).  ``presentation`` is
+    the Yang-Mills presentation of ``metric`` when the caller has built
+    it; its overlap core is reused (see :func:`overlap_identities`).
     """
     n = metric.dim
     w = coefficients if coefficients is not None else ym_coefficients(metric)
@@ -210,7 +217,7 @@ def verify_identities(metric: Metric, coefficients=None) -> IdentityReport:
         for m in idx
         for nu in idx
     )
-    basis, two_sided, overlap_ok = overlap_identities(w, 1)
+    basis, two_sided, overlap_ok = overlap_identities(w, 1, presentation)
     commutator_ok = basis == relations_from_nested_commutators(metric) if coefficients is None else True
     return IdentityReport(cyclic, two_sided, cyclic_sum, commutator_ok, overlap_ok)
 

@@ -92,6 +92,28 @@ def test_malformed_json_rejected(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert main(["run", "--input", str(p)]) == 2
+
+
+def test_deeply_nested_file_is_invalid_input(tmp_path, capsys):
+    # the JSON decoder gives up with a RecursionError: a bad file (exit 2
+    # with one error line), not a traceback with exit 1
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["run", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed JSON")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_rational_with_trailing_newline_rejected(tmp_path, capsys):
+    # the schema's pattern ends in $, which in ECMA-262 matches only at the
+    # end of the string, not before a final newline as Python's $ does
+    path = write(tmp_path, "p.json", ym_problem(current={"parameters": {"b": ["1\n", 0, 0]}}))
+    assert main(["run", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: schema violation at current/parameters/b/0: ")
+    assert captured.out == ""
 def test_degenerate_metric_rejected(tmp_path):
     doc = ym_problem()
     doc["algebra"]["metric"] = [[1, 1], [1, 1]]
@@ -193,6 +215,33 @@ def test_resource_guard_every_task(tmp_path, monkeypatch, task):
     monkeypatch.setenv("PBWFORGE_MAX_TENSOR_DIM", "50")
     path = write(tmp_path, "p.json", ym_problem(tasks=[task]))
     assert main(["run", "--input", path]) == 3
+def test_identities_reuse_the_problem_overlap_space(tmp_path, monkeypatch, capsys):
+    # identities reads W from the problem's overlap core, which check
+    # builds anyway: one overlap_space per run, not one per task
+    import pbwforge.algebra
+    import pbwforge.yang_mills
+
+    calls = []
+    original = pbwforge.algebra.overlap_space
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(pbwforge.algebra, "overlap_space", counting)
+    # a by-name import of overlap_space in yang_mills would escape the algebra patch
+    monkeypatch.setattr(pbwforge.yang_mills, "overlap_space", counting, raising=False)
+    doc = ym_problem(
+        current={"parameters": {"b": [1, 0, "1/2"]}},
+        tasks=[{"task": "identities"}, {"task": "check"}],
+    )
+    assert main(["run", "--input", write(tmp_path, "p.json", doc)]) == 0
+    assert len(calls) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["tasks"][0]["overlap_is_line"] is True
+    assert report["tasks"][0]["pass"] is True
+
+
 GOLDEN = (
     (["run", "--input", "ym_minkowski_check_j1_violation.problem.json"], 1, "ym_minkowski_check_j1_violation"),
     (["run", "--input", "sym_s3_classify.problem.json"], 0, "sym_s3_classify"),

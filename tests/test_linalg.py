@@ -278,6 +278,16 @@ def _random_sparse_rows(rng, n_cols, n_rows):
     return rows
 
 
+def _unit_sparse_rows(rng, n_cols, n_rows):
+    """Sparse int rows with entries in {-2, -1, 1, 2}: most stored rows
+    then have pivot entry 1, so later rows meet unit pivots in their tails
+    as well as pivots 2 that the tail step must leave alone."""
+    return [
+        {k: rng.choice((-2, -1, 1, 2)) for k in rng.sample(range(n_cols), rng.randint(1, min(5, n_cols)))}
+        for _ in range(n_rows)
+    ]
+
+
 def _dense(row, n_cols, key_col=lambda k: k):
     out = [ZERO] * n_cols
     for k, c in row.items():
@@ -285,14 +295,9 @@ def _dense(row, n_cols, key_col=lambda k: k):
     return out
 
 
-@pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("tuple_keys", [False, True])
-def test_sparse_echelon_matches_dense_rref(seed, tuple_keys):
-    rng = random.Random(seed)
-    n_cols = rng.randint(3, 9)
-    rows = _random_sparse_rows(rng, n_cols, rng.randint(1, 14))
-    # tuple keys like the ideal span's (-degree, index within the degree),
-    # ordered as the columns of the dense matrix below
+def _check_matches_dense(rows, n_cols, tuple_keys):
+    # tuple keys like (-degree, index within the degree), ordered as the
+    # columns of the dense matrix below
     key_of = {i: (i // 3 - n_cols, i % 3) if tuple_keys else i for i in range(n_cols)}
     col_of = {k: i for i, k in key_of.items()}
     assert sorted(key_of.values()) == [key_of[i] for i in range(n_cols)]
@@ -306,11 +311,19 @@ def test_sparse_echelon_matches_dense_rref(seed, tuple_keys):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_sparse_echelon_rows_are_primitive_integer(seed):
-    rng = random.Random(100 + seed)
+@pytest.mark.parametrize("tuple_keys", [False, True])
+def test_sparse_echelon_matches_dense_rref(seed, tuple_keys):
+    rng = random.Random(seed)
     n_cols = rng.randint(3, 9)
+    _check_matches_dense(_random_sparse_rows(rng, n_cols, rng.randint(1, 14)), n_cols, tuple_keys)
+    rng = random.Random(1000 + seed)
+    n_cols = rng.randint(3, 9)
+    _check_matches_dense(_unit_sparse_rows(rng, n_cols, rng.randint(1, 14)), n_cols, tuple_keys)
+
+
+def _check_primitive_integer(rows):
     ech = SparseEchelon()
-    ech.extend(_random_sparse_rows(rng, n_cols, rng.randint(1, 14)))
+    ech.extend(rows)
     for pivot, row in ech.rows.items():
         assert all(type(c) is int and c != 0 for c in row.values())
         assert pivot == min(row)
@@ -318,15 +331,21 @@ def test_sparse_echelon_rows_are_primitive_integer(seed):
         assert gcd(*row.values()) == 1
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_sparse_echelon_reduce_up_to_scalar(seed):
-    rng = random.Random(200 + seed)
+@pytest.mark.parametrize("seed", range(12))
+def test_sparse_echelon_rows_are_primitive_integer(seed):
+    rng = random.Random(100 + seed)
     n_cols = rng.randint(3, 9)
-    rows = _random_sparse_rows(rng, n_cols, rng.randint(1, 8))
+    _check_primitive_integer(_random_sparse_rows(rng, n_cols, rng.randint(1, 14)))
+    rng = random.Random(1100 + seed)
+    n_cols = rng.randint(3, 9)
+    _check_primitive_integer(_unit_sparse_rows(rng, n_cols, rng.randint(1, 14)))
+
+
+def _check_reduce_up_to_scalar(rows, probes, n_cols):
     ech = SparseEchelon()
     ech.extend(rows)
     dense = Subspace.from_spanning([_dense(r, n_cols) for r in rows], n_cols)
-    for probe in _random_sparse_rows(rng, n_cols, 10):
+    for probe in probes:
         res = ech.reduce(probe)
         want = dense.reduce(_dense(probe, n_cols))
         assert (not res) == dense.contains(_dense(probe, n_cols))
@@ -338,6 +357,38 @@ def test_sparse_echelon_reduce_up_to_scalar(seed):
             scale = got[lead] / want[lead]
             assert scale != 0
             assert got == [scale * x for x in want]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_echelon_reduce_up_to_scalar(seed):
+    rng = random.Random(200 + seed)
+    n_cols = rng.randint(3, 9)
+    rows = _random_sparse_rows(rng, n_cols, rng.randint(1, 8))
+    _check_reduce_up_to_scalar(rows, _random_sparse_rows(rng, n_cols, 10), n_cols)
+    rng = random.Random(1200 + seed)
+    n_cols = rng.randint(3, 9)
+    rows = _unit_sparse_rows(rng, n_cols, rng.randint(1, 8))
+    probes = _unit_sparse_rows(rng, n_cols, 5) + _random_sparse_rows(rng, n_cols, 5)
+    _check_reduce_up_to_scalar(rows, probes, n_cols)
+
+
+def test_sparse_echelon_insert_rule():
+    # head steps rescale the row; tail steps use unit pivots only
+    ech = SparseEchelon()
+    assert ech.insert({1: 2, 3: 1})  # pivot 1, pivot entry 2
+    assert ech.insert({2: 1, 3: 1})  # pivot 2, pivot entry 1
+    # key 0 is free: the tail keeps key 1 (pivot entry 2) and loses key 2
+    assert ech.insert({0: 1, 1: 1, 2: 3})
+    assert ech.rows[0] == {0: 1, 1: 1, 3: -3}
+    # 2 (3 e1 + e2) - 3 (2 e1 + e3) - 2 (e2 + e3) = -5 e3: the head is
+    # eliminated until the first free key, rescaling by the pivot entry 2
+    assert ech.insert({1: 3, 2: 1})
+    assert ech.rows[3] == {3: 1}
+    assert ech.rows[1] == {1: 2, 3: 1} and ech.rows[2] == {2: 1, 3: 1}
+    assert not ech.insert({0: 2, 1: 2, 2: 6})
+    # reduce eliminates every pivot, the non-unit ones included
+    assert ech.reduce({1: Fraction(1, 2)}) == {}
+    assert ech.rank == 4
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations
-from pbwforge.linalg import Matrix, inverse
+from pbwforge.linalg import Matrix, Subspace, inverse
 from pbwforge.pbw import (
+    IdealSpan,
     ResourceGuardError,
     brute_force_oracle,
     check_j1,
@@ -16,7 +17,7 @@ from pbwforge.pbw import (
 )
 from pbwforge.rationals import Q, rational
 from pbwforge.sampling import sample_current_parameters
-from pbwforge.tensors import TensorElement
+from pbwforge.tensors import TensorElement, filtered_dim, filtered_offset, words
 from pbwforge.yang_mills import (
     Current,
     CurrentParameters,
@@ -214,6 +215,72 @@ def test_oracle_cutoff_below_nmax_rejected():
     d = so3_deformation()
     with pytest.raises(ValueError):
         brute_force_oracle(d, 4, 3)
+
+
+def _dense_intersection_dims(relations, dim_v, cutoff):
+    """dim (span of a p b) cap F^n for n = 0..cutoff, by dense elimination
+    in the filtered coordinates of F^cutoff (degree blocks in increasing
+    order, so F^n is the first filtered_dim(dim_v, n) coordinates)."""
+    degree = max(p.max_degree for p in relations)
+    products = []
+    for i in range(cutoff - degree + 1):
+        for k in range(cutoff - degree - i + 1):
+            for left in words(dim_v, i):
+                for right in words(dim_v, k):
+                    a = TensorElement.from_terms(dim_v, {left: 1})
+                    b = TensorElement.from_terms(dim_v, {right: 1})
+                    products += [a.tensor(p).tensor(b).to_filtered_vector(cutoff) for p in relations]
+    size = filtered_dim(dim_v, cutoff)
+    span = Subspace.from_spanning(products, size)
+    dims = []
+    for n in range(cutoff + 1):
+        units = [[1 if j == c else 0 for j in range(size)] for c in range(filtered_offset(dim_v, n + 1))]
+        dims.append(span.intersect(Subspace.from_spanning(units, size)).dim)
+    return dims
+
+
+def _custom_quadratic_deformation(seed):
+    rng = random.Random(seed)
+
+    def q():
+        return Q(rng.randint(-5, 5), rng.randint(1, 4))
+
+    dim_v = 3
+    while True:
+        basis = [
+            TensorElement.from_terms(dim_v, {w: q() for w in rng.sample(list(words(dim_v, 2)), 3)})
+            for _ in range(3)
+        ]
+        try:
+            a = AlgebraPresentation(dim_v, 2, tuple(basis))
+        except ValueError:
+            continue
+        break
+    tails = [
+        TensorElement.from_terms(dim_v, {(): q(), (rng.randrange(dim_v),): q()}) for _ in basis
+    ]
+    return deformation_from_tails(a, tails)
+
+
+@pytest.mark.parametrize(
+    "case, cutoff",
+    [("so3", 4), ("so3-broken", 4), ("ym-s1", 5), ("ym-s1-s2", 5), ("custom-quadratic", 4)],
+)
+def test_ideal_span_matches_dense_reference(case, cutoff):
+    if case.startswith("so3"):
+        d = so3_deformation(broken=case.endswith("broken"))
+    elif case.startswith("ym"):
+        metric = Metric.minkowski(2)
+        violate = "s2" if case.endswith("s2") else None
+        params = sample_current_parameters(random.Random(7), metric, violate=violate)
+        d = current_to_deformation(current_from_parameters(params, metric), build_ym(1, metric))
+    else:
+        d = _custom_quadratic_deformation(11)
+    relations = d.deformed_relations()
+    assert any(c.denominator != 1 for p in relations for c in p.terms.values()) or case.startswith("so3")
+    span = IdealSpan(relations, d.algebra.dim_v, cutoff)
+    got = [span.intersection_dim(n) for n in range(cutoff + 1)]
+    assert got == _dense_intersection_dims(relations, d.algebra.dim_v, cutoff)
 
 
 def test_deformation_tail_shape_checked():

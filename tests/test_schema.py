@@ -5,6 +5,14 @@
 checker with ``jsonschema.Draft202012Validator`` on seeded mutations of
 problem documents, and check that the command line never imports
 ``jsonschema``.
+
+The checker differs from ``jsonschema`` in two places, and the
+differential test states both.  An integral float such as ``2.0`` is no
+integer.  And ``pattern`` matches as ECMA-262 specifies, where ``$`` is
+the end of the string; ``jsonschema`` matches with Python's ``re``,
+whose ``$`` also matches before a final newline, so it accepts ``"1\n"``
+as a rational and the checker does not.  Every other document gets the
+same verdict and the same first error path from both.
 """
 
 import copy
@@ -156,6 +164,14 @@ def _has_integral_float(node):
     return isinstance(node, list) and any(_has_integral_float(v) for v in node)
 
 
+def _has_trailing_newline(node):
+    if isinstance(node, str):
+        return node.endswith("\n")
+    if isinstance(node, dict):
+        node = list(node.values())
+    return isinstance(node, list) and any(_has_trailing_newline(v) for v in node)
+
+
 def test_checker_matches_draft_2020_12():
     jsonschema = pytest.importorskip("jsonschema")
     schema = load_schema()
@@ -166,7 +182,7 @@ def test_checker_matches_draft_2020_12():
         assert schema_violation(doc, schema) is None
         assert reference.is_valid(doc)
     verdicts = {True: 0, False: 0}
-    floats = 0
+    floats = newlines = 0
     for _ in range(2400):
         doc = copy.deepcopy(rng.choice(bases))
         for _ in range(rng.choice((1, 1, 2, 3))):
@@ -177,6 +193,13 @@ def test_checker_matches_draft_2020_12():
             floats += 1
             assert mine is not None, doc
             continue
+        if _has_trailing_newline(doc):
+            # "1\n" is no rational under ECMA-262's $; every string with a
+            # final newline sits where the schema wants a rational or a
+            # constant, so the checker rejects the document
+            newlines += 1
+            assert mine is not None, doc
+            continue
         errors = sorted(reference.iter_errors(doc), key=lambda e: list(e.absolute_path))
         assert (mine is None) == (not errors), (doc, mine, errors[:1])
         if errors:
@@ -184,6 +207,18 @@ def test_checker_matches_draft_2020_12():
         verdicts[mine is None] += 1
     assert min(verdicts.values()) >= 100, verdicts
     assert floats >= 50
+    assert newlines >= 50
+
+
+def test_trailing_newline_is_the_pattern_difference():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = load_schema()
+    doc = json.loads((DATA / "ym_s2_hilbert.problem.json").read_text())
+    doc["current"] = {"parameters": {"b": ["1\n", 0, 0]}}
+    assert jsonschema.Draft202012Validator(schema).is_valid(doc)
+    assert schema_violation(doc, schema)[0] == ("current", "parameters", "b", 0)
+    doc["current"]["parameters"]["b"][0] = "1"
+    assert schema_violation(doc, schema) is None
 
 
 @pytest.mark.parametrize("doc, where", [

@@ -18,7 +18,7 @@ from pbwforge.super_ym import (
     verify_super_identities,
 )
 from pbwforge.tensors import TensorElement
-from pbwforge.yang_mills import Current, Metric
+from pbwforge.yang_mills import Current, Metric, build_ym
 
 
 def test_sym_coefficients_s1_identity_metric():
@@ -46,6 +46,15 @@ def test_super_identities(s):
     for metric in (Metric.euclidean(s + 1), Metric.minkowski(s + 1), random_metric(rng, s + 1)):
         report = verify_super_identities(metric)
         assert report.all_pass
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_super_identities_with_the_presentation_agree(s):
+    for metric in (Metric.euclidean(s + 1), Metric.minkowski(s + 1)):
+        a = build_sym(s, metric)
+        assert verify_super_identities(metric, presentation=a) == verify_super_identities(metric)
+    with pytest.raises(ValueError):
+        verify_super_identities(Metric.euclidean(s + 1), presentation=build_ym(s, Metric.euclidean(s + 1)))
 
 
 def test_super_identities_negative_control():

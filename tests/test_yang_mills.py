@@ -81,6 +81,16 @@ def test_identities_all_metrics(s):
         assert report.all_pass
 
 
+@pytest.mark.parametrize("s", [1, 2])
+def test_identities_with_the_presentation_agree(s):
+    # W read from the presentation's overlap core gives the same report
+    for metric in (Metric.euclidean(s + 1), Metric.minkowski(s + 1)):
+        a = build_ym(s, metric)
+        assert verify_identities(metric, presentation=a) == verify_identities(metric)
+    with pytest.raises(ValueError):
+        verify_identities(Metric.euclidean(s + 1), presentation=build_ym(s, Metric.minkowski(s + 1)))
+
+
 def test_identities_negative_control():
     metric = Metric.euclidean(2)
     w = [list(map(list, plane)) for plane in ym_coefficients(metric)]
