@@ -105,13 +105,7 @@ def ideal_component(a: AlgebraPresentation, n: int) -> Subspace:
     size = a.dim_v**n
     if n < a.degree:
         return Subspace.zero(size)
-    spanning = []
-    for sparse in _ideal_spanning_words(a, n):
-        vec = [ZERO] * size
-        for idx, c in sparse.items():
-            vec[idx] = c
-        spanning.append(vec)
-    return Subspace.from_spanning(spanning, size)
+    return Subspace.from_sparse(_ideal_spanning_words(a, n), size)
 
 
 def ideal_component_dim(a: AlgebraPresentation, n: int) -> int:

@@ -39,7 +39,7 @@ from .super_ym import (
     super_current_from_parameters,
     verify_super_identities,
 )
-from .tensors import ResourceGuardError, TensorElement
+from .tensors import ResourceGuardError, TensorElement, guard_tensor_dim
 from .yang_mills import (
     CurrentParameters,
     Metric,
@@ -198,16 +198,20 @@ def build_algebra(spec: dict):
     if family in ("yang-mills", "super-yang-mills"):
         if s is None:
             raise ProblemError(f"family {family!r} requires 's'")
+        # build_ym and build_sym fill an (s+1)^4 coefficient array
+        guard_tensor_dim(s + 1, 4)
         metric = _parse_metric(spec.get("metric"), s + 1)
         builder = build_ym if family == "yang-mills" else build_sym
         return builder(s, metric), metric
     if family == "antisymmetrizer":
         if s is None or "N" not in spec:
             raise ProblemError("family 'antisymmetrizer' requires 's' and 'N'")
+        guard_tensor_dim(s + 1, spec["N"])
         return build_antisymmetrizer_relations(s + 1, spec["N"]), None
     if s is None or "N" not in spec or "custom_relations" not in spec:
         raise ProblemError("family 'custom' requires 's', 'N' and 'custom_relations'")
     dim_v = s + 1
+    guard_tensor_dim(dim_v, spec["N"])
     basis = tuple(_parse_tensor(t, dim_v) for t in spec["custom_relations"])
     try:
         return AlgebraPresentation(dim_v, spec["N"], basis), None

@@ -1,17 +1,17 @@
 """Exact rational linear algebra.
 
-Dense matrices over the rationals with deterministic Gaussian elimination
-(first nonzero pivot in column order), canonical reduced-row-echelon
+Dense matrices over the rationals, canonical reduced-row-echelon
 subspaces, the usual lattice operations, coordinates in a fixed basis,
 and a sparse incremental echelon accumulator for large spanning sets.
-The sparse echelon keeps its rows as primitive integer vectors and
-eliminates fraction-free, so it never divides; only the dense
-elimination runs on rationals.  Its stored rows are head-reduced: a new
-row is eliminated down to its first free key, the pivot, and its tail
-only by rows whose pivot entry is 1.  Dense row operations and subspace
-residuals touch only the nonzero entries of the row they subtract, and
-an intersection eliminates a kernel with one column per basis vector of
-the first subspace, never a block over twice the ambient dimension.
+Every operation runs one fraction-free elimination loop on primitive
+integer rows, which never divides.  It reduces a row down to its first
+free key, the pivot, and the tail only by rows whose pivot entry is 1.
+The canonical RREF behind ``Subspace``, ``kernel``, ``solve_affine`` and
+``inverse`` comes from back-substitution of those head-reduced rows in
+decreasing pivot order, then one division of each row by its pivot
+entry.  An intersection eliminates a kernel with one column per basis
+vector of the first subspace, never a block over twice the ambient
+dimension.
 
 Everything is exact: a rank, a membership bit, or a solution vector is a
 theorem, not an approximation.  All values are immutable after
@@ -89,52 +89,25 @@ class Matrix:
         return iter(self.data)
 
 
-def _eliminate(rows: list[list], col_limit: Optional[int] = None) -> list[int]:
-    """In-place full reduction to RREF; returns pivot column indices.
+def _sparse(v: Sequence) -> dict:
+    """The nonzero entries of a dense vector, keyed by column index."""
+    return {j: x for j, x in enumerate(v) if x}
 
-    Pivoting is deterministic: first row with a nonzero entry, columns in
-    order.  ``col_limit`` restricts pivot search (used for augmented
-    systems); row operations always span the full width.
-    """
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    limit = n_cols if col_limit is None else col_limit
-    pivots: list[int] = []
-    r = 0
-    for c in range(limit):
-        src = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if src is None:
-            continue
-        rows[r], rows[src] = rows[src], rows[r]
-        inv = ONE / rows[r][c]
-        # only the nonzero entries of the pivot row take part in row operations
-        support = [(j, x * inv) for j, x in enumerate(rows[r]) if x]
-        for j, x in support:
-            rows[r][j] = x
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f != 0:
-                row = rows[i]
-                for j, y in support:
-                    row[j] -= f * y
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+
+def _dense(row: dict, n: int) -> Vector:
+    out = [ZERO] * n
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
 
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form of ``m``, zero rows dropped."""
-    rows = [list(row) for row in m.data]
-    pivots = _eliminate(rows)
-    return Matrix(tuple(tuple(row) for row in rows[: len(pivots)]))
+    return Matrix(tuple(_dense(row, m.cols) for _, row in _rref(map(_sparse, m.data))))
 
 
 def rank(m: Matrix) -> int:
-    rows = [list(row) for row in m.data]
-    return len(_eliminate(rows))
+    return len(_rref(map(_sparse, m.data)))
 
 
 @dataclass(frozen=True)
@@ -156,12 +129,16 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Iterable], ambient_dim: int) -> "Subspace":
-        rows = [list(vector(v)) for v in vectors]
+        rows = [vector(v) for v in vectors]
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError("spanning vector length does not match ambient dimension")
-        pivots = _eliminate(rows)
-        return cls(ambient_dim, Matrix(tuple(tuple(r) for r in rows[: len(pivots)])))
+        return cls.from_sparse(map(_sparse, rows), ambient_dim)
+
+    @classmethod
+    def from_sparse(cls, rows: Iterable[dict], ambient_dim: int) -> "Subspace":
+        """Span of sparse rows {column index < ambient_dim: rational}."""
+        return cls(ambient_dim, Matrix(tuple(_dense(row, ambient_dim) for _, row in _rref(rows))))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -247,20 +224,21 @@ def kernel(m: Matrix) -> Subspace:
     n = m.cols
     if m.rows == 0 or n == 0:
         return Subspace.full(n) if n else Subspace.zero(0)
-    rows = [list(row) for row in m.data]
-    return _null_space(rows, _eliminate(rows), n)
+    return _null_space(_rref(map(_sparse, m.data)), n)
 
 
-def _null_space(rows: list, pivots: list, n: int) -> Subspace:
-    """Kernel of the first ``n`` columns of rows already in RREF there."""
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
+def _null_space(reduced: list, n: int) -> Subspace:
+    """Kernel of the first ``n`` columns of the (pivot, row) pairs of an RREF
+    whose pivots all lie below ``n``."""
+    pivots = {p for p, _ in reduced}
     basis = []
-    for fc in free_cols:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [ZERO] * n
         v[fc] = ONE
-        for row, p in zip(rows, pivots):
-            v[p] = -row[fc]
+        for p, row in reduced:
+            v[p] = -row.get(fc, ZERO)
         basis.append(v)
     return Subspace.from_spanning(basis, n)
 
@@ -270,11 +248,11 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     n = m.rows
     if n != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m.data)]
-    pivots = _eliminate(aug, col_limit=n)
-    if len(pivots) < n:
+    # RREF of [M | I]: M is singular iff fewer than n pivots lie below column n
+    reduced = _rref({**_sparse(row), n + i: ONE} for i, row in enumerate(m.data))
+    if sum(p < n for p, _ in reduced) < n:
         return None
-    return Matrix(tuple(tuple(row[n:]) for row in aug))
+    return Matrix(tuple(tuple(row.get(n + j, ZERO) for j in range(n)) for _, row in reduced))
 
 
 class AffineSolution(NamedTuple):
@@ -287,16 +265,14 @@ def solve_affine(m: Matrix, rhs: Sequence) -> Optional[AffineSolution]:
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     n = m.cols
-    aug = [list(row) + [rational(b)] for row, b in zip(m.data, rhs)]
-    pivots = _eliminate(aug, col_limit=n)
-    for row in aug[len(pivots):]:
-        if row[n] != 0:
-            return None
+    reduced = _rref(_sparse((*row, rational(b))) for row, b in zip(m.data, rhs))
+    # RREF of [M | rhs]: infeasible iff the rhs column n is a pivot
+    if reduced and reduced[-1][0] == n:
+        return None
     x = [ZERO] * n
-    for row, p in zip(aug, pivots):
-        x[p] = row[n]
-    # the first n columns of the eliminated rows are RREF(m)
-    return AffineSolution(tuple(x), _null_space(aug, pivots, n))
+    for p, row in reduced:
+        x[p] = row.get(n, ZERO)
+    return AffineSolution(tuple(x), _null_space(reduced, n))
 
 
 class BasisCoordinates:
@@ -330,10 +306,9 @@ class SparseEchelon:
     Rows are dicts keyed by coordinate index under an arbitrary total
     order on keys.  Each stored row is a primitive integer row: its
     entries are Python ints with no common factor, and the entry at its
-    pivot (its least key) is positive.  Elimination is fraction-free
-    (cross-multiplying, after Bareiss, *Math. Comp.* 22 (1968)): an input
-    has its denominators cleared once, and only integer products and
-    ``math.gcd`` run in the inner loop, on either rational backend.
+    pivot (its least key) is positive.  ``insert`` and ``reduce`` run the
+    module's one fraction-free elimination loop on these rows, the loop
+    the dense operations also run.
 
     Stored rows are head-reduced, not fully reduced: ``insert`` eliminates
     only until the least key of the row has no stored row, and that key
@@ -343,7 +318,7 @@ class SparseEchelon:
     reduced only by stored rows whose pivot entry is 1, a plain
     subtraction that never rescales the row.  ``reduce`` still eliminates
     every pivot key.  Built for large, very sparse spanning sets (ideal
-    spans) where dense elimination would be wasteful.  Mutable, unlike
+    spans), where a dense matrix would be mostly zeros.  Mutable, unlike
     the rest of this module; intended as a local accumulator.
     """
 
@@ -362,66 +337,102 @@ class SparseEchelon:
         scalar factor; it is empty iff ``vec`` lies in the span.
         """
         v = _integer_row(vec)
-        self._eliminate_pivots(v, full=True)
+        _eliminate_pivots(self.rows, v, full=True)
         return v
 
     def insert(self, vec: dict) -> bool:
         """Head-reduce and, if independent, add ``vec``; True iff rank grew."""
         v = _integer_row(vec)
-        p = self._eliminate_pivots(v, full=False)
+        p = _eliminate_pivots(self.rows, v, full=False)
         if p is None:
             return False
-        content = gcd(*v.values())
-        if v[p] < 0:
-            content = -content
-        self.rows[p] = {k: c // content for k, c in v.items()} if content != 1 else v
+        _store(self.rows, v, p)
         return True
 
     def extend(self, vectors: Iterable[dict]) -> None:
         for v in vectors:
             self.insert(v)
 
-    def _eliminate_pivots(self, v: dict, full: bool):
-        """Eliminate stored pivots from the integer row ``v`` in place, in
-        increasing key order; returns the least key of ``v`` with no
-        stored row (None when there is none).
 
-        With ``full`` every pivot key is eliminated.  Without it, keys
-        after that least free key are eliminated only by unit-pivot rows.
-        """
-        rows = self.rows
-        heap = sorted(v)
-        lead = None
-        while heap:
-            k = heapq.heappop(heap)
-            c = v.get(k)
-            if not c:
+def _eliminate_pivots(rows: dict, v: dict, full: bool):
+    """Eliminate the pivots of ``rows`` (pivot key -> primitive integer
+    row) from the integer row ``v`` in place, in increasing key order;
+    returns the least key of ``v`` with no row (None when there is none).
+
+    Elimination is fraction-free (cross-multiplying, after Bareiss,
+    *Math. Comp.* 22 (1968)): only integer products and ``math.gcd`` run
+    here, on either rational backend.  With ``full`` every pivot key is
+    eliminated.  Without it, keys after that least free key are
+    eliminated only by unit-pivot rows.
+    """
+    heap = sorted(v)
+    lead = None
+    while heap:
+        k = heapq.heappop(heap)
+        c = v.get(k)
+        if not c:
+            continue
+        row = rows.get(k)
+        if row is None:
+            if lead is None:
+                lead = k
+            continue
+        # v <- (a/g) v - (c/g) row cancels the key k, with a = row[k] > 0
+        a = row[k]
+        if a != 1:
+            if lead is not None and not full:
                 continue
-            row = rows.get(k)
-            if row is None:
-                if lead is None:
-                    lead = k
-                continue
-            # v <- (a/g) v - (c/g) row cancels the key k, with a = row[k] > 0
-            a = row[k]
-            if a != 1:
-                if lead is not None and not full:
-                    continue
-                g = gcd(a, c)
-                if g != a:
-                    scale = a // g
-                    for vk in v:
-                        v[vk] *= scale
-                c //= g
-            for rk, rc in row.items():
-                nv = v.get(rk, 0) - c * rc
-                if nv:
-                    if rk not in v and rk > k:
-                        heapq.heappush(heap, rk)
-                    v[rk] = nv
-                else:
-                    v.pop(rk, None)
-        return lead
+            g = gcd(a, c)
+            if g != a:
+                scale = a // g
+                for vk in v:
+                    v[vk] *= scale
+            c //= g
+        for rk, rc in row.items():
+            nv = v.get(rk, 0) - c * rc
+            if nv:
+                if rk not in v and rk > k:
+                    heapq.heappush(heap, rk)
+                v[rk] = nv
+            else:
+                v.pop(rk, None)
+    return lead
+
+
+def _store(rows: dict, v: dict, p) -> None:
+    """Store the nonzero integer row ``v`` under its pivot ``p``, divided
+    by its content and signed so that the pivot entry is positive."""
+    content = gcd(*v.values())
+    if v[p] < 0:
+        content = -content
+    rows[p] = {k: c // content for k, c in v.items()} if content != 1 else v
+
+
+def _rref(vectors: Iterable[dict]) -> list:
+    """Reduced row-echelon form of the span of sparse rows with int keys,
+    as (pivot, row) pairs in increasing pivot order: each row is a dict of
+    rationals with entry 1 at its pivot and no entry at any other pivot.
+
+    The rows are head-reduced into a local pivot dict, then
+    back-substituted in decreasing pivot order, so each row is reduced
+    only by rows that are already fully reduced, and last divided by its
+    pivot entry.
+    """
+    rows: dict = {}
+    for vec in vectors:
+        v = _integer_row(vec)
+        p = _eliminate_pivots(rows, v, full=False)
+        if p is not None:
+            _store(rows, v, p)
+    reduced = []
+    for p in sorted(rows, reverse=True):
+        v = rows.pop(p)
+        _eliminate_pivots(rows, v, full=True)
+        _store(rows, v, p)
+        a = rows[p][p]
+        reduced.append((p, {k: Q(c, a) for k, c in rows[p].items()}))
+    reduced.reverse()
+    return reduced
 
 
 def _integer_row(vec: dict) -> dict:

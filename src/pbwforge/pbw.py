@@ -20,8 +20,9 @@ consistency in the positive direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import AlgebraPresentation, graded_dim
 from .linalg import SparseEchelon, Subspace
@@ -63,6 +64,18 @@ class DeformationMap:
     @classmethod
     def homogeneous(cls, algebra: AlgebraPresentation) -> "DeformationMap":
         return cls(algebra, (None,) * algebra.degree)
+
+    @cached_property
+    def top_brackets(self) -> tuple:
+        """(phi_{N-1} tensor I - I tensor phi_{N-1})(x) for each x in W,
+        in overlap basis order; computed once per deformation."""
+        return self.algebra.overlap.brackets(self.phi_map(self.algebra.degree - 1))
+
+    @cached_property
+    def inner_coords(self) -> tuple:
+        """Relation coordinates of each top bracket, in overlap basis order;
+        raises ValueError when some top bracket is not in R."""
+        return tuple(self.algebra.relation_coords(inner) for inner in self.top_brackets)
 
     def phi_map(self, j: int) -> GradedMap:
         m = self.phi[j]
@@ -108,61 +121,38 @@ def deformation_from_tails(
     return DeformationMap(algebra, tuple(maps))
 
 
-def _top_brackets(d: DeformationMap) -> tuple:
-    """(phi_{N-1} tensor I - I tensor phi_{N-1})(x) for each x in W."""
-    return d.algebra.overlap.brackets(d.phi_map(d.algebra.degree - 1))
-
-
-def _inner_coords(d: DeformationMap) -> Iterator:
-    """Relation coordinates of each top bracket, in overlap basis order;
-    raises ValueError on reaching one that is not in R."""
-    return (d.algebra.relation_coords(inner) for inner in _top_brackets(d))
-
-
-def check_j1(
-    d: DeformationMap, top_brackets: Optional[Sequence[TensorElement]] = None
-) -> tuple[bool, Optional[TensorElement]]:
+def check_j1(d: DeformationMap) -> tuple[bool, Optional[TensorElement]]:
     """Top condition: the bracket image of the overlap space lies in R.
 
     Returns (holds, witness); the witness is an offending image vector.
-    ``top_brackets``, when given, are the top brackets of ``d`` as
-    computed once by :func:`pbw_verdict`.
     """
     r = d.algebra.relation_space
-    if top_brackets is None:
-        top_brackets = _top_brackets(d)
-    for image in top_brackets:
+    for image in d.top_brackets:
         if not r.contains(image.to_degree_vector(d.algebra.degree)):
             return False, image
     return True, None
 
 
-def check_j2(d: DeformationMap, j: int, inner_coords: Optional[Sequence] = None) -> bool:
+def check_j2(d: DeformationMap, j: int) -> bool:
     """Level-j condition: phi_j of the bracket plus the level-(j-1) bracket
     annihilates the overlap space.  Requires the top condition (the inner
     image must lie in R); violating that precondition raises ValueError.
-    ``inner_coords``, when given, are the relation coordinates of the top
-    brackets of ``d`` as computed once by :func:`pbw_verdict`.
     """
     if not 1 <= j <= d.algebra.degree - 1:
         raise ValueError(f"level must be in 1..{d.algebra.degree - 1}")
-    if inner_coords is None:
-        inner_coords = _inner_coords(d)
     phi_j = d.phi_map(j)
     lower = d.algebra.overlap.brackets(d.phi_map(j - 1))
-    for coords, low in zip(inner_coords, lower):
+    for coords, low in zip(d.inner_coords, lower):
         if not (phi_j.apply_coords(coords) + low).is_zero():
             return False
     return True
 
 
-def check_j3(d: DeformationMap, inner_coords: Optional[Sequence] = None) -> bool:
+def check_j3(d: DeformationMap) -> bool:
     """Scalar condition: phi_0 of the bracket vanishes on the overlap space.
-    ``inner_coords`` is as for :func:`check_j2`."""
-    if inner_coords is None:
-        inner_coords = _inner_coords(d)
+    Requires the top condition, as :func:`check_j2` does."""
     phi_0 = d.phi_map(0)
-    return all(phi_0.apply_coords(coords).is_zero() for coords in inner_coords)
+    return all(phi_0.apply_coords(coords).is_zero() for coords in d.inner_coords)
 
 
 @dataclass(frozen=True)
@@ -178,15 +168,11 @@ def pbw_verdict(d: DeformationMap) -> PbwVerdict:
     """Conjunction of all conditions; equals the PBW property whenever the
     homogeneous part is Koszul (an assumption the caller asserts)."""
     n = d.algebra.degree
-    # one pass over the top brackets and their relation coordinates
-    # serves every level
-    tops = _top_brackets(d)
-    j1, witness = check_j1(d, tops)
+    j1, witness = check_j1(d)
     if not j1:
         return PbwVerdict(False, (None,) * (n - 1), None, witness, False)
-    coords = tuple(d.algebra.relation_coords(inner) for inner in tops)
-    j2 = tuple(check_j2(d, j, coords) for j in range(1, n))
-    j3 = check_j3(d, coords)
+    j2 = tuple(check_j2(d, j) for j in range(1, n))
+    j3 = check_j3(d)
     return PbwVerdict(True, j2, j3, None, all(j2) and j3)
 
 

@@ -5,8 +5,8 @@ ever rounded.  ``gmpy2.mpq`` is used when it is installed (a drop-in,
 faster implementation of the same arithmetic), with
 ``fractions.Fraction`` as the pure-Python fallback.  ``gmpy2`` is a
 declared dependency, but every result is the same without it.  The
-sparse echelon (``linalg.SparseEchelon``) converts its input to Python
-ints once, so its inner loop is integer-only on either backend.
+elimination loop in ``linalg`` works on Python ints, so it is
+integer-only on either backend.
 """
 
 from __future__ import annotations

@@ -1,0 +1,112 @@
+"""Reference exact linear algebra for the tests.
+
+Textbook Gauss-Jordan elimination over ``fractions.Fraction`` on dense
+rows: it shares no code with ``pbwforge.linalg``, so comparisons against
+it check the library's fraction-free engine from outside.
+"""
+
+from fractions import Fraction
+
+
+def eliminate(rows, col_limit=None):
+    """Gauss-Jordan elimination of the dense ``rows`` in place, to RREF;
+    returns the pivot columns.
+
+    Pivoting takes the first row with a nonzero entry, columns in order.
+    ``col_limit`` restricts the pivot search (for augmented systems); row
+    operations always span the full width.
+    """
+    if not rows:
+        return []
+    limit = len(rows[0]) if col_limit is None else col_limit
+    pivots = []
+    r = 0
+    for c in range(limit):
+        src = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        inv = 1 / rows[r][c]
+        # only the nonzero entries of the pivot row take part in row operations
+        support = [(j, x * inv) for j, x in enumerate(rows[r]) if x]
+        for j, x in support:
+            rows[r][j] = x
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f != 0:
+                row = rows[i]
+                for j, y in support:
+                    row[j] -= f * y
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def rref(rows):
+    """(reduced rows, pivot columns) of the dense ``rows``, zero rows dropped."""
+    rows = _fractions(rows)
+    pivots = eliminate(rows)
+    return rows[: len(pivots)], pivots
+
+
+def rank(rows):
+    return len(rref(rows)[1])
+
+
+def residual(reduced, pivots, v):
+    """``v`` minus its combination of the RREF rows ``reduced``: zero on
+    every pivot, and zero everywhere iff ``v`` lies in their span."""
+    out = [Fraction(x) for x in v]
+    for row, p in zip(reduced, pivots):
+        f = out[p]
+        if f:
+            out = [y - f * x for x, y in zip(row, out)]
+    return out
+
+
+def kernel(rows, n):
+    """RREF rows of the null space of the dense ``rows`` with ``n`` columns."""
+    reduced, pivots = rref(rows)
+    return _null_space(reduced, pivots, n)
+
+
+def _null_space(reduced, pivots, n):
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[fc]
+        basis.append(v)
+    return rref(basis)[0]
+
+
+def solve_affine(rows, rhs, n):
+    """(particular solution, RREF rows of the homogeneous solutions) of
+    M x = rhs, or None when infeasible."""
+    aug = _fractions(list(row) + [b] for row, b in zip(rows, rhs))
+    pivots = eliminate(aug, col_limit=n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, p in zip(aug, pivots):
+        x[p] = row[n]
+    return x, _null_space(aug, pivots, n)
+
+
+def inverse(rows):
+    """Inverse of the square dense ``rows``, or None when singular."""
+    n = len(rows)
+    aug = _fractions(list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows))
+    pivots = eliminate(aug, col_limit=n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in aug]

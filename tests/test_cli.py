@@ -215,6 +215,31 @@ def test_resource_guard_every_task(tmp_path, monkeypatch, task):
     monkeypatch.setenv("PBWFORGE_MAX_TENSOR_DIM", "50")
     path = write(tmp_path, "p.json", ym_problem(tasks=[task]))
     assert main(["run", "--input", path]) == 3
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        {"family": "yang-mills", "s": 3, "metric": "euclidean"},
+        {"family": "antisymmetrizer", "s": 3, "N": 3},
+    ],
+    ids=["yang-mills", "antisymmetrizer"],
+)
+def test_resource_guard_runs_before_the_algebra_is_built(tmp_path, monkeypatch, algebra):
+    # 4^4 and 4^3 exceed the limit of 50; hilbert up to degree 2 never
+    # sizes a tensor space, so only the guard on the algebra itself stops it
+    import pbwforge.cli
+    import pbwforge.yang_mills
+
+    def built(*args):
+        raise AssertionError("algebra built before the resource guard ran")
+
+    monkeypatch.setattr(pbwforge.yang_mills, "ym_coefficients", built)
+    monkeypatch.setattr(pbwforge.cli, "build_antisymmetrizer_relations", built)
+    monkeypatch.setenv("PBWFORGE_MAX_TENSOR_DIM", "50")
+    doc = ym_problem(algebra=algebra, tasks=[{"task": "hilbert", "n_max": 2}])
+    path = write(tmp_path, "p.json", doc)
+    assert main(["run", "--input", path]) == 3
+
+
 def test_identities_reuse_the_problem_overlap_space(tmp_path, monkeypatch, capsys):
     # identities reads W from the problem's overlap core, which check
     # builds anyway: one overlap_space per run, not one per task

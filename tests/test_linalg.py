@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,15 +143,17 @@ def test_grassmann_identity(seed):
     assert a.dim + b.dim == a.intersect(b).dim + (a + b).dim
 
 
+def _rows(m):
+    return [list(row) for row in m]
+
+
 def _zassenhaus(a, b):
     """Reference intersection: RREF of [a | a ; b | 0], right halves of
     the rows whose left half vanished."""
     n = a.ambient_dim
     block = [list(r) + list(r) for r in a.basis] + [list(r) + [ZERO] * n for r in b.basis]
-    if not block:
-        return Subspace.zero(n)
-    reduced = rref(Matrix.from_rows(block))
-    return Subspace.from_spanning([r[n:] for r in reduced if not any(r[:n])], n)
+    reduced, _ = reference.rref(block)
+    return reference.rref([r[n:] for r in reduced if not any(r[:n])])[0]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -169,7 +172,7 @@ def test_intersect_matches_zassenhaus(seed):
     for x, y in [(a, zero), (a, full), (a, a), (full, full), (a, bigger), (a, disjoint), (a, generic)]:
         for p, q in ((x, y), (y, x)):
             meet = p.intersect(q)
-            assert meet == _zassenhaus(p, q)
+            assert _rows(meet.basis) == _zassenhaus(p, q)
             assert all(p.contains(v) and q.contains(v) for v in meet.basis)
 
 
@@ -243,6 +246,69 @@ def test_inverse_round_trip():
     assert inverse(Matrix.from_rows([[1, 2], [2, 4]])) is None
 
 
+def _random_rank_matrix(rng, n_rows, n_cols, r):
+    """n_rows x n_cols rational matrix of rank at most r: each row is a
+    random combination of r random rows."""
+    def q():
+        return rational(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+
+    gens = [[q() for _ in range(n_cols)] for _ in range(r)]
+    rows = []
+    for _ in range(n_rows):
+        coeffs = [q() for _ in gens]
+        rows.append([sum((c * g[j] for c, g in zip(coeffs, gens)), ZERO) for j in range(n_cols)])
+    return Matrix.from_rows(rows)
+
+
+def _check_dense_ops(m, rhs):
+    rows = _rows(m)
+    want, pivots = reference.rref(rows)
+    assert _rows(rref(m)) == want
+    assert rank(m) == len(pivots)
+    assert _rows(kernel(m).basis) == reference.kernel(rows, m.cols)
+    got, ref = solve_affine(m, rhs), reference.solve_affine(rows, rhs, m.cols)
+    assert (got is None) == (ref is None)
+    if got is not None:
+        assert list(got.particular) == ref[0]
+        assert _rows(got.homogeneous.basis) == ref[1]
+    if m.rows == m.cols:
+        inv, ref = inverse(m), reference.inverse(rows)
+        assert (inv is None) == (ref is None)
+        if inv is not None:
+            assert _rows(inv) == ref
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_dense_ops_match_reference(seed):
+    rng = random.Random(500 + seed)
+    n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
+    m = _random_rank_matrix(rng, n_rows, n_cols, rng.randint(0, min(n_rows, n_cols)))
+    x = [rational(rng.randint(-5, 5)) for _ in range(n_cols)]
+    # a feasible right-hand side, then a random one, almost surely
+    # infeasible when the rank is below the row count
+    _check_dense_ops(m, m.mat_vec(x))
+    _check_dense_ops(m, [rational(rng.randint(-5, 5)) for _ in range(n_rows)])
+    n = rng.randint(1, 6)
+    for r in (n, rng.randint(0, n - 1)):
+        _check_dense_ops(_random_rank_matrix(rng, n, n, r), [ONE] * n)
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, feasible",
+    [
+        ([[1, 2], [3, 4]], [5, 6], True),  # regular
+        ([[1, 2, 3], [2, 4, 7]], [1, 1], True),  # underdetermined
+        ([[1, 2], [2, 4]], [1, 3], False),  # singular, inconsistent
+        ([[0, 0], [0, 0]], [0, 1], False),  # the rhs column is the only pivot
+    ],
+    ids=["regular", "underdetermined", "infeasible", "rhs-only-pivot"],
+)
+def test_dense_ops_match_reference_on_fixed_systems(rows, rhs, feasible):
+    m = Matrix.from_rows(rows)
+    _check_dense_ops(m, vector(rhs))
+    assert (solve_affine(m, vector(rhs)) is not None) == feasible
+
+
 def test_ambient_mismatch_rejected():
     a = Subspace.from_spanning([[1, 0]], 2)
     b = Subspace.from_spanning([[1, 0, 0]], 3)
@@ -303,11 +369,11 @@ def _check_matches_dense(rows, n_cols, tuple_keys):
     assert sorted(key_of.values()) == [key_of[i] for i in range(n_cols)]
     ech = SparseEchelon()
     grew = [ech.insert({key_of[k]: c for k, c in r.items()}) for r in rows]
-    dense = Subspace.from_spanning([_dense(r, n_cols) for r in rows], n_cols)
-    assert ech.rank == dense.dim == sum(grew)
-    assert sorted(col_of[p] for p in ech.rows) == list(dense.pivot_columns())
+    want, pivots = reference.rref([_dense(r, n_cols) for r in rows])
+    assert ech.rank == len(pivots) == sum(grew)
+    assert sorted(col_of[p] for p in ech.rows) == pivots
     stored = [_dense(r, n_cols, col_of.__getitem__) for r in ech.rows.values()]
-    assert Subspace.from_spanning(stored, n_cols) == dense
+    assert reference.rref(stored)[0] == want
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -344,11 +410,11 @@ def test_sparse_echelon_rows_are_primitive_integer(seed):
 def _check_reduce_up_to_scalar(rows, probes, n_cols):
     ech = SparseEchelon()
     ech.extend(rows)
-    dense = Subspace.from_spanning([_dense(r, n_cols) for r in rows], n_cols)
+    reduced, pivots = reference.rref([_dense(r, n_cols) for r in rows])
     for probe in probes:
         res = ech.reduce(probe)
-        want = dense.reduce(_dense(probe, n_cols))
-        assert (not res) == dense.contains(_dense(probe, n_cols))
+        want = reference.residual(reduced, pivots, _dense(probe, n_cols))
+        assert (not res) == (not any(want))
         if res:
             # the residual vanishes on every pivot, so it is a nonzero
             # multiple of the canonical residual modulo the span

@@ -110,6 +110,17 @@ def test_top_bracket_outside_r_raises_in_check_j2():
     assert not pbw.check_j1(d)[0]
     with pytest.raises(ValueError):
         pbw.check_j2(d, 1)
+    # on the custom cubic the level-2 test already fails on the first
+    # overlap vector, whose top bracket lies in R; a later one's does not
+    c = custom_cubic()
+    zeros = [TensorElement.zero(2)] * len(c.relation_basis)
+    top = GradedMap.from_images(2, 2, [TensorElement.from_terms(2, {(0, 0): rational(1)})] + zeros[1:])
+    low = GradedMap.from_images(2, 1, [TensorElement.from_terms(2, {(1,): rational(1)})] + zeros[1:])
+    d = pbw.DeformationMap(c, (None, low, top))
+    assert not pbw.check_j1(d)[0]
+    for check in (lambda: pbw.check_j2(d, 2), lambda: pbw.check_j3(d)):
+        with pytest.raises(ValueError):
+            check()
 
 
 def pinned_metrics(s):

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+import reference
 
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations
-from pbwforge.linalg import Matrix, Subspace, inverse
+from pbwforge.linalg import Matrix, inverse
 from pbwforge.pbw import (
     IdealSpan,
     ResourceGuardError,
@@ -17,7 +18,7 @@ from pbwforge.pbw import (
 )
 from pbwforge.rationals import Q, rational
 from pbwforge.sampling import sample_current_parameters
-from pbwforge.tensors import TensorElement, filtered_dim, filtered_offset, words
+from pbwforge.tensors import TensorElement, filtered_offset, words
 from pbwforge.yang_mills import (
     Current,
     CurrentParameters,
@@ -218,7 +219,7 @@ def test_oracle_cutoff_below_nmax_rejected():
 
 
 def _dense_intersection_dims(relations, dim_v, cutoff):
-    """dim (span of a p b) cap F^n for n = 0..cutoff, by dense elimination
+    """dim (span of a p b) cap F^n for n = 0..cutoff, by reference elimination
     in the filtered coordinates of F^cutoff (degree blocks in increasing
     order, so F^n is the first filtered_dim(dim_v, n) coordinates)."""
     degree = max(p.max_degree for p in relations)
@@ -230,13 +231,12 @@ def _dense_intersection_dims(relations, dim_v, cutoff):
                     a = TensorElement.from_terms(dim_v, {left: 1})
                     b = TensorElement.from_terms(dim_v, {right: 1})
                     products += [a.tensor(p).tensor(b).to_filtered_vector(cutoff) for p in relations]
-    size = filtered_dim(dim_v, cutoff)
-    span = Subspace.from_spanning(products, size)
-    dims = []
-    for n in range(cutoff + 1):
-        units = [[1 if j == c else 0 for j in range(size)] for c in range(filtered_offset(dim_v, n + 1))]
-        dims.append(span.intersect(Subspace.from_spanning(units, size)).dim)
-    return dims
+    total = reference.rank(products)
+    # a vector of the span lies in F^n iff it vanishes on every coordinate after F^n
+    return [
+        total - reference.rank([v[filtered_offset(dim_v, n + 1):] for v in products])
+        for n in range(cutoff + 1)
+    ]
 
 
 def _custom_quadratic_deformation(seed):
