@@ -19,7 +19,6 @@ from .rationals import ONE, ZERO
 from .tensors import (
     GradedMap,
     TensorElement,
-    flatten_graded_map,
     guard_tensor_dim,
     side_decompose,
     side_tensor,
@@ -51,10 +50,6 @@ class AlgebraPresentation:
             if not r.is_homogeneous(self.degree) or r.is_zero():
                 raise ValueError("relations must be nonzero and homogeneous of degree N")
         self.relation_space  # raises ValueError when the basis is linearly dependent
-
-    @classmethod
-    def from_relations(cls, dim_v: int, degree: int, relations: Sequence[TensorElement]) -> "AlgebraPresentation":
-        return cls(dim_v, degree, tuple(relations))
 
     @cached_property
     def relation_space(self) -> Subspace:
@@ -137,16 +132,17 @@ def overlap_space(a: AlgebraPresentation) -> Subspace:
 
 
 class OverlapData:
-    """The overlap space W of a presentation with its bracket matrices.
+    """The overlap space W of a presentation with its side decompositions.
 
     Everything the PBW conditions and the classifier need from W depends
     on the presentation alone, so it is computed once here: the canonical
     basis x_i of W (``vectors``) and the coefficient matrices of each x_i
     in R (tensor) V (``right``) and in V (tensor) R (``left``), in the
-    layout of :func:`side_decompose`.  ``bracket_matrices(j)`` holds, for
-    each x_i, the matrix B_(i,j) that sends ``flatten_graded_map(phi_j)``
-    of any phi_j : R -> V^(tensor j) to (phi_j tensor I - I tensor
-    phi_j)(x_i) in V^(tensor j+1) coordinates; it is built on first use.
+    layout of :func:`side_decompose`.  ``brackets(phi)`` evaluates (phi
+    tensor I - I tensor phi)(x_i) from those matrices and the images of
+    phi; ``bracket_matrices(j)`` is the same map as matrices on
+    ``flatten_graded_map`` coordinates, for the classifier's linear
+    systems, derived from ``brackets`` on unit images.
     """
 
     def __init__(self, a: AlgebraPresentation):
@@ -161,39 +157,44 @@ class OverlapData:
         self.left = tuple(side_decompose(x, a.relation_basis, "left") for x in self.vectors)
         self._brackets: dict = {}
 
+    def brackets(self, phi: GradedMap) -> tuple:
+        """(phi tensor I - I tensor phi)(x_i) for every overlap vector x_i:
+        the sum over k, lam of right[k][lam] phi(r_k) (x) e_lam minus
+        left[k][lam] e_lam (x) phi(r_k)."""
+        if len(phi.images) != self.source_dim:
+            raise ValueError(f"{len(phi.images)} images against {self.source_dim} relations")
+        out = []
+        for cr, cl in zip(self.right, self.left):
+            terms: dict = {}
+            for image, rrow, lrow in zip(phi.images, cr.data, cl.data):
+                for w, c in image.terms.items():
+                    for lam in range(self.dim_v):
+                        if rrow[lam]:
+                            terms[w + (lam,)] = terms.get(w + (lam,), ZERO) + rrow[lam] * c
+                        if lrow[lam]:
+                            terms[(lam,) + w] = terms.get((lam,) + w, ZERO) - lrow[lam] * c
+            out.append(TensorElement(self.dim_v, {w: c for w, c in terms.items() if c}))
+        return tuple(out)
+
     def bracket_matrices(self, j: int) -> tuple:
-        """B_(i,j) for every overlap vector x_i, in basis order."""
+        """B_(i,j) for every overlap vector x_i, in basis order: the matrix
+        that sends ``flatten_graded_map(phi_j)`` to the degree-(j+1)
+        coordinates of ``brackets(phi_j)[i]``.  Its column k * dim^j +
+        word_index(w) is the bracket of the map r_k -> w, r_l -> 0 (l != k).
+        """
         if j not in self._brackets:
+            zero = TensorElement.zero(self.dim_v)
+            columns = []
+            for k in range(self.source_dim):
+                for w in words(self.dim_v, j):
+                    images = [zero] * self.source_dim
+                    images[k] = TensorElement(self.dim_v, {w: ONE})
+                    unit = GradedMap(self.dim_v, j, tuple(images))
+                    columns.append([b.to_degree_vector(j + 1) for b in self.brackets(unit)])
             self._brackets[j] = tuple(
-                self._bracket_matrix(j, cr, cl) for cr, cl in zip(self.right, self.left)
+                Matrix(tuple(zip(*cols))) for cols in zip(*columns)
             )
         return self._brackets[j]
-
-    def _bracket_matrix(self, j: int, cr: Matrix, cl: Matrix) -> Matrix:
-        dim = self.dim_v
-        block = dim**j
-        cols = self.source_dim * block
-        rows = [[ZERO] * cols for _ in range(block * dim)]
-        for k in range(self.source_dim):
-            for widx in range(block):
-                col = k * block + widx
-                for lam in range(dim):
-                    c = cr.data[k][lam]
-                    if c != 0:
-                        rows[widx * dim + lam][col] += c  # phi(r_k) (x) e_lam
-                    c = cl.data[k][lam]
-                    if c != 0:
-                        rows[lam * block + widx][col] -= c  # e_lam (x) phi(r_k)
-        return Matrix.from_rows(rows)
-
-    def brackets(self, phi: GradedMap) -> tuple:
-        """(phi tensor I - I tensor phi)(x_i) for every overlap vector x_i."""
-        u = flatten_graded_map(phi)
-        j = phi.target_degree
-        return tuple(
-            TensorElement.from_degree_vector(self.dim_v, j + 1, b.mat_vec(u))
-            for b in self.bracket_matrices(j)
-        )
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

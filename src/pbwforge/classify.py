@@ -151,13 +151,10 @@ def family_equals_solutions(
     stage1: Optional[StageSolution] = None,
 ) -> FamilyComparison:
     """Two-sided inclusion between the stage-1 solution space and the span
-    of a parametrized family, given by generator coefficient vectors (or
-    graded maps) of the top-degree block.  ``stage1``, when given, is
-    ``solve_stage1(a)`` as the caller already computed it."""
-    vectors = [
-        flatten_graded_map(g) if isinstance(g, GradedMap) else tuple(g)
-        for g in family_generators
-    ]
+    of a parametrized family, given by generator coefficient vectors of
+    the top-degree block.  ``stage1``, when given, is ``solve_stage1(a)``
+    as the caller already computed it."""
+    vectors = [tuple(g) for g in family_generators]
     if stage1 is None:
         stage1 = solve_stage1(a)
     sols = stage1.parameters

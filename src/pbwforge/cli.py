@@ -15,6 +15,7 @@ a negative mathematical verdict, 2 invalid input, 3 resource guard.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import importlib.resources
 import json
@@ -305,26 +306,11 @@ def run_task(task: dict, problem: dict, a, metric, deformation):
     kind = task["task"]
     family = problem["algebra"]["family"]
     if kind == "identities":
-        if family == "yang-mills":
-            rep = verify_identities(metric, presentation=a)
-            result = {
-                "cyclic_invariance": rep.cyclic_invariance,
-                "two_sided_overlap": rep.two_sided_overlap,
-                "cyclic_sum_zero": rep.cyclic_sum_zero,
-                "commutator_form": rep.commutator_form,
-                "overlap_is_line": rep.overlap_is_line,
-            }
-            return {"task": kind, **result, "pass": rep.all_pass}, rep.all_pass, None
-        if family == "super-yang-mills":
-            rep = verify_super_identities(metric, presentation=a)
-            result = {
-                "anti_cyclic": rep.anti_cyclic,
-                "two_sided_overlap": rep.two_sided_overlap,
-                "bracket_form": rep.bracket_form,
-                "overlap_is_line": rep.overlap_is_line,
-            }
-            return {"task": kind, **result, "pass": rep.all_pass}, rep.all_pass, None
-        raise ProblemError(f"task 'identities' is not defined for family {family!r}")
+        verify = {"yang-mills": verify_identities, "super-yang-mills": verify_super_identities}
+        if family not in verify:
+            raise ProblemError(f"task 'identities' is not defined for family {family!r}")
+        rep = verify[family](metric, presentation=a)
+        return {"task": kind, **dataclasses.asdict(rep), "pass": rep.all_pass}, rep.all_pass, None
     if kind == "check":
         v = pbw_verdict(deformation)
         result = {

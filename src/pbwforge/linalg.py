@@ -35,10 +35,6 @@ def vector(entries: Iterable) -> Vector:
     return tuple(rational(e) for e in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def dot(a: Sequence, b: Sequence) -> Q:
     return sum((x * y for x, y in zip(a, b) if x), ZERO)
 
@@ -73,9 +69,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return len(self.data[0]) if self.data else 0
-
-    def row(self, i: int) -> Vector:
-        return self.data[i]
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.data))) if self.data else Matrix(())

@@ -3,10 +3,12 @@
 The theorem-based checker evaluates three conditions on the overlap
 space W = (R tensor V) intersect (V tensor R): the top-level bracket
 image must land in R, the intermediate composites must vanish, and the
-scalar composite must vanish.  Every bracket is a product with a bracket
-matrix of the presentation's overlap core (``AlgebraPresentation.overlap``,
-shared with the classifier), so W and its side decompositions are
-computed once per presentation, not once per deformation.  Because the
+scalar composite must vanish.  A deformation is its tails, one per
+relation basis vector, and every bracket is one sparse combination of
+tails read off the presentation's overlap core
+(``AlgebraPresentation.overlap``, shared with the classifier), so W and
+its side decompositions are computed once per presentation, not once per
+deformation.  Because the
 deformed relations are graphs {x - phi(x)}, the ideal meets F^(N-1)
 trivially by construction; that condition needs no computation.
 
@@ -38,32 +40,26 @@ from .tensors import (
 
 @dataclass(frozen=True, eq=False)
 class DeformationMap:
-    """phi = sum of phi_j : R -> V^(tensor j), j = 0 .. N-1.
+    """phi(r_k) = tails[k] in F^(N-1), one tail per vector r_k of the
+    algebra's distinguished relation basis.
 
-    ``phi`` is indexed by target degree; ``None`` entries are zero maps.
-    Columns of each map refer to the algebra's distinguished relation
-    basis.  The deformed relations x - phi(x) form a graph over R, so
-    the ideal's intersection with F^(N-1) is automatically zero.
+    The degree-j parts of the tails are the graded map phi_j : R ->
+    V^(tensor j) (``phi_map``).  The deformed relations r_k - tails[k]
+    form a graph over R, so the ideal's intersection with F^(N-1) is
+    automatically zero.
     """
 
     algebra: AlgebraPresentation
-    phi: tuple
+    tails: tuple
 
     def __post_init__(self) -> None:
-        n = self.algebra.degree
-        if len(self.phi) != n:
-            raise ValueError(f"expected {n} graded map slots (j = 0..{n - 1})")
-        for j, m in enumerate(self.phi):
-            if m is None:
-                continue
-            if m.target_degree != j or m.source_dim != len(self.algebra.relation_basis):
-                raise ValueError(f"slot {j} holds a map with wrong shape")
-            if m.dim_v != self.algebra.dim_v:
-                raise ValueError("graded map over the wrong generator space")
-
-    @classmethod
-    def homogeneous(cls, algebra: AlgebraPresentation) -> "DeformationMap":
-        return cls(algebra, (None,) * algebra.degree)
+        if len(self.tails) != len(self.algebra.relation_basis):
+            raise ValueError("one tail per relation basis vector is required")
+        for t in self.tails:
+            if t.dim_v != self.algebra.dim_v:
+                raise ValueError("tail over the wrong generator space")
+            if t.max_degree >= self.algebra.degree:
+                raise ValueError("tails must lie in F^(N-1)")
 
     @cached_property
     def top_brackets(self) -> tuple:
@@ -78,47 +74,19 @@ class DeformationMap:
         return tuple(self.algebra.relation_coords(inner) for inner in self.top_brackets)
 
     def phi_map(self, j: int) -> GradedMap:
-        m = self.phi[j]
-        if m is not None:
-            return m
-        return GradedMap.zero(self.algebra.dim_v, len(self.algebra.relation_basis), j)
-
-    def tail(self, coords: Sequence) -> TensorElement:
-        """phi applied to the relation with the given basis coordinates."""
-        out = TensorElement.zero(self.algebra.dim_v)
-        for m in self.phi:
-            if m is not None:
-                out = out + m.apply_coords(coords)
-        return out
+        """phi_j: the degree-j part of each tail."""
+        return GradedMap(self.algebra.dim_v, j, tuple(t.degree_component(j) for t in self.tails))
 
     def deformed_relations(self) -> tuple:
-        """The relations x - phi(x) for x in the distinguished basis."""
-        k = len(self.algebra.relation_basis)
-        rels = []
-        for i, r in enumerate(self.algebra.relation_basis):
-            unit = tuple(1 if j == i else 0 for j in range(k))
-            rels.append(r - self.tail(unit))
-        return tuple(rels)
+        """The relations r_k - tails[k], in relation basis order."""
+        return tuple(r - t for r, t in zip(self.algebra.relation_basis, self.tails))
 
 
 def deformation_from_tails(
     algebra: AlgebraPresentation, tails: Sequence[TensorElement]
 ) -> DeformationMap:
     """Build the deformation with phi(r_a) = tails[a] in F^(N-1)."""
-    if len(tails) != len(algebra.relation_basis):
-        raise ValueError("one tail per relation basis vector is required")
-    n = algebra.degree
-    maps = []
-    for j in range(n):
-        comps = [t.degree_component(j) for t in tails]
-        if all(c.is_zero() for c in comps):
-            maps.append(None)
-        else:
-            maps.append(GradedMap.from_images(algebra.dim_v, j, comps))
-    for t in tails:
-        if t.max_degree >= n:
-            raise ValueError("tails must lie in F^(N-1)")
-    return DeformationMap(algebra, tuple(maps))
+    return DeformationMap(algebra, tuple(tails))
 
 
 def check_j1(d: DeformationMap) -> tuple[bool, Optional[TensorElement]]:
@@ -314,9 +282,7 @@ def conservation_residual(d: DeformationMap) -> ConservationResult:
         raise ValueError("relation basis lacks the two-sided overlap identity")
 
     divergence = TensorElement.zero(a.dim_v)
-    for rho in range(k):
-        unit = tuple(1 if j == rho else 0 for j in range(k))
-        current = d.tail(unit)
+    for rho, current in enumerate(d.tails):
         e = TensorElement.generator(a.dim_v, rho)
         divergence = divergence + e.tensor(current) - current.tensor(e)
 

@@ -26,6 +26,7 @@ from .yang_mills import (
     build_cubic,
     current_to_deformation,
     overlap_identities,
+    swap_sign_holds,
 )
 
 
@@ -138,15 +139,11 @@ def centrality_check(a: AlgebraPresentation, metric: Metric, n_max: int = 3) -> 
     return True
 
 
-def _is_antisymmetric2(t, n: int) -> bool:
-    return all(t[a][b] == -t[b][a] for a in range(n) for b in range(n))
-
-
 def super_current_from_parameters(b: Sequence, omega2, metric: Metric) -> Current:
     """The closed-form regular super current for parameters (b, omega2)."""
     n = metric.dim
     b = tuple(rational(x) for x in b)
-    if not _is_antisymmetric2(omega2, n):
+    if not swap_sign_holds(omega2, n, 2, -1):
         raise ValueError("omega2 must be antisymmetric")
     j3 = b_family_block(b, metric, -1)
     j2 = tuple(tuple(rational(omega2[a][b_]) for b_ in range(n)) for a in range(n))

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import BasisCoordinates, Matrix, Subspace, Vector
-from .rationals import ONE, ZERO, Q, rational
+from .rationals import ONE, ZERO, rational
 
 Word = tuple  # tuple of generator indices
 
@@ -123,9 +123,6 @@ class TensorElement:
         if not 0 <= i < dim_v:
             raise ValueError(f"generator index {i} out of range")
         return cls(dim_v, {(i,): ONE})
-
-    def coefficient(self, word: Word) -> Q:
-        return self.terms.get(tuple(word), ZERO)
 
     @property
     def max_degree(self) -> int:
@@ -269,44 +266,33 @@ def side_tensor(sub: Subspace, dim_v: int, side: str, degree: int) -> Subspace:
 
 @dataclass(frozen=True)
 class GradedMap:
-    """A linear map from relation coordinates into V^(tensor target_degree).
+    """A linear map from R into V^(tensor target_degree), by its images.
 
-    ``matrix`` has one column per distinguished relation basis vector and
-    one row per word of the target degree.  Which ordered basis the
-    columns refer to is the owner's contract (see DeformationMap).
+    ``images[k]`` is the image of the k-th distinguished relation basis
+    vector, homogeneous of the target degree; a map is applied as a sparse
+    combination of its images.  Which ordered basis ``images`` refers to
+    is the owner's contract (see DeformationMap).
     """
 
     dim_v: int
-    source_dim: int
     target_degree: int
-    matrix: Matrix
+    images: tuple
 
     def __post_init__(self) -> None:
-        expected_rows = self.dim_v**self.target_degree
-        if self.matrix.rows != expected_rows or (
-            self.matrix.rows and self.matrix.cols != self.source_dim
-        ):
-            raise ValueError(
-                f"matrix shape {self.matrix.rows}x{self.matrix.cols} does not match "
-                f"target {expected_rows} x source {self.source_dim}"
-            )
-
-    @classmethod
-    def zero(cls, dim_v: int, source_dim: int, target_degree: int) -> "GradedMap":
-        return cls(dim_v, source_dim, target_degree, Matrix.zeros(dim_v**target_degree, source_dim))
-
-    @classmethod
-    def from_images(cls, dim_v: int, target_degree: int, images: Sequence[TensorElement]) -> "GradedMap":
-        cols = [img.to_degree_vector(target_degree) for img in images]
-        rows = tuple(zip(*cols)) if cols else ()
-        return cls(dim_v, len(images), target_degree, Matrix(rows))
+        for img in self.images:
+            if img.dim_v != self.dim_v or not img.is_homogeneous(self.target_degree):
+                raise ValueError(f"image is not in V^(tensor {self.target_degree})")
 
     def apply_coords(self, coords: Sequence) -> TensorElement:
-        vec = self.matrix.mat_vec(coords)
-        return TensorElement.from_degree_vector(self.dim_v, self.target_degree, vec)
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.matrix)
+        """The image of the relation with the given basis coordinates."""
+        if len(coords) != len(self.images):
+            raise ValueError(f"{len(coords)} coordinates against {len(self.images)} images")
+        terms: dict = {}
+        for c, img in zip(coords, self.images):
+            if c:
+                for w, x in img.terms.items():
+                    terms[w] = terms.get(w, ZERO) + c * x
+        return TensorElement(self.dim_v, {w: x for w, x in terms.items() if x})
 
 
 def flatten_graded_map(m: GradedMap) -> Vector:
@@ -316,9 +302,10 @@ def flatten_graded_map(m: GradedMap) -> Vector:
     where k indexes the relation basis and w runs over degree-j words.
     """
     block = m.dim_v**m.target_degree
-    out = []
-    for k in range(m.source_dim):
-        out.extend(m.matrix.data[row][k] for row in range(block))
+    out = [ZERO] * (block * len(m.images))
+    for k, img in enumerate(m.images):
+        for w, c in img.terms.items():
+            out[k * block + word_index(w, m.dim_v)] = c
     return tuple(out)
 
 
@@ -326,10 +313,11 @@ def unflatten_graded_map(
     dim_v: int, source_dim: int, target_degree: int, coeffs: Sequence
 ) -> GradedMap:
     block = dim_v**target_degree
-    rows = tuple(
-        tuple(coeffs[k * block + row] for k in range(source_dim)) for row in range(block)
+    images = tuple(
+        TensorElement.from_degree_vector(dim_v, target_degree, coeffs[k * block : (k + 1) * block])
+        for k in range(source_dim)
     )
-    return GradedMap(dim_v, source_dim, target_degree, Matrix.from_rows(rows))
+    return GradedMap(dim_v, target_degree, images)
 
 
 def side_decompose(
@@ -370,27 +358,25 @@ def side_decompose(
 
 
 def apply_graded_side(
-    phi: GradedMap,
+    images: Sequence[TensorElement],
     relation_basis: Sequence[TensorElement],
     x: TensorElement,
     side: str,
 ) -> TensorElement:
-    """Evaluate phi (tensor) I (side='right') or I (tensor) phi (side='left').
+    """Evaluate phi (tensor) I (side='right') or I (tensor) phi (side='left'),
+    where phi sends the k-th relation basis vector to ``images[k]``.
 
     ``x`` must lie in R (tensor) V resp. V (tensor) R; it is first
     factorized against the relation basis (ValueError otherwise), then
     phi acts on the relation factor.  This is the direct evaluation; the
-    checker and the classifier use the precomputed bracket matrices of
-    ``AlgebraPresentation.overlap`` instead, and the tests compare the two.
+    checker and the classifier use ``AlgebraPresentation.overlap``, whose
+    side decompositions are computed once per presentation, and the tests
+    compare the two.
     """
     dim_v = x.dim_v
     coeffs = side_decompose(x, relation_basis, side)
-    unit = [ZERO] * len(relation_basis)
     result = TensorElement.zero(dim_v)
-    for k in range(len(relation_basis)):
-        unit[k] = ONE
-        image = phi.apply_coords(tuple(unit))
-        unit[k] = ZERO
+    for k, image in enumerate(images):
         for lam in range(dim_v):
             c = coeffs.data[k][lam]
             if c == 0:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Sequence
 
 from .algebra import AlgebraPresentation, permutation_sign
 from .linalg import Matrix, inverse
 from .pbw import DeformationMap, deformation_from_tails
-from .rationals import HALF, ONE, Q, ZERO, rational
+from .rationals import HALF, ONE, ZERO, rational
 from .tensors import TensorElement, commutator
 
 
@@ -68,12 +68,6 @@ class Metric:
         inv = inverse(self.g)
         assert inv is not None
         return inv
-
-    def lower(self, i: int, j: int) -> Q:
-        return self.g.data[i][j]
-
-    def upper(self, i: int, j: int) -> Q:
-        return self.g_inv.data[i][j]
 
 
 def ym_coefficients(metric: Metric) -> tuple:
@@ -244,10 +238,6 @@ class Current:
     j2: tuple  # j2[lam][rho]
     j1: tuple  # j1[rho]
 
-    @classmethod
-    def zero(cls, dim: int) -> "Current":
-        return cls(freeze(nested_zeros(dim, 3)), freeze(nested_zeros(dim, 2)), freeze(nested_zeros(dim, 1)))
-
     @property
     def dim(self) -> int:
         return len(self.j1)
@@ -266,35 +256,35 @@ class Current:
         return tuple(out)
 
 
-def _is_antisymmetric3(t, n: int) -> bool:
-    # the two adjacent transpositions generate S3
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t[a][b][c] != -t[b][a][c] or t[a][b][c] != -t[a][c][b]:
+def swap_sign_holds(t, n: int, rank: int, sign: int) -> bool:
+    """Whether the rank-``rank`` array ``t`` (``n`` per axis) takes the
+    factor ``sign`` under each swap of two adjacent indices: total symmetry
+    for sign 1, total antisymmetry for -1, since the adjacent
+    transpositions generate the symmetric group.  A swap and its inverse
+    give the same condition, so each pair of indices is read once."""
+    for idx in product(range(n), repeat=rank):
+        entry = _entry(t, idx)
+        for p in range(rank - 1):
+            if idx[p] <= idx[p + 1]:
+                other = _entry(t, idx[:p] + (idx[p + 1], idx[p]) + idx[p + 2 :])
+                if entry != (other if sign == 1 else -other):
                     return False
     return True
 
 
-def _is_symmetric3(t, n: int) -> bool:
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t[a][b][c] != t[b][a][c] or t[a][b][c] != t[a][c][b]:
-                    return False
-    return True
-
-
-def _is_symmetric2(t, n: int) -> bool:
-    return all(t[a][b] == t[b][a] for a in range(n) for b in range(n))
+def _entry(t, idx: tuple):
+    for i in idx:
+        t = t[i]
+    return t
 
 
 @dataclass(frozen=True)
 class CurrentParameters:
     """Parameters (b, omega3, s3, s2, s1) of the closed-form current family.
 
-    Symmetry invariants are enforced at construction; the orthogonality
-    side conditions against b are *reported*, never silently enforced.
+    The symmetries of omega3, s3 and s2 are enforced at construction.  The
+    orthogonality of s3, s2 and s1 against b is not: a family member that
+    breaks it is still a current, and the PBW checks decide it.
     """
 
     b: tuple
@@ -305,32 +295,16 @@ class CurrentParameters:
 
     def __post_init__(self) -> None:
         n = len(self.b)
-        if not _is_antisymmetric3(self.omega3, n):
+        if not swap_sign_holds(self.omega3, n, 3, -1):
             raise ValueError("omega3 must be totally antisymmetric")
-        if not _is_symmetric3(self.s3, n):
+        if not swap_sign_holds(self.s3, n, 3, 1):
             raise ValueError("s3 must be totally symmetric")
-        if not _is_symmetric2(self.s2, n):
+        if not swap_sign_holds(self.s2, n, 2, 1):
             raise ValueError("s2 must be symmetric")
 
     @property
     def dim(self) -> int:
         return len(self.b)
-
-    def side_conditions(self) -> dict:
-        n = self.dim
-        s3b = all(
-            sum((self.s3[a][b_][r] * self.b[r] for r in range(n)), ZERO) == 0
-            for a in range(n)
-            for b_ in range(n)
-        )
-        s2b = all(
-            sum((self.s2[a][r] * self.b[r] for r in range(n)), ZERO) == 0 for a in range(n)
-        )
-        s1b = sum((self.s1[r] * self.b[r] for r in range(n)), ZERO) == 0
-        return {"s3_orthogonal": s3b, "s2_orthogonal": s2b, "s1_orthogonal": s1b}
-
-    def all_side_conditions_hold(self) -> bool:
-        return all(self.side_conditions().values())
 
 
 def b_family_block(b: Sequence, metric: Metric, sign: int = 1) -> tuple:
@@ -427,7 +401,7 @@ def physics_current(
     n = metric.dim
     b = tuple(rational(x) for x in b)
     s1 = tuple(rational(x) for x in s1)
-    if not _is_antisymmetric3(omega3, n):
+    if not swap_sign_holds(omega3, n, 3, -1):
         raise ValueError("omega3 must be totally antisymmetric")
     G = metric.g_inv.data
     j3 = nested_zeros(n, 3)

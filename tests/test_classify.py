@@ -14,6 +14,7 @@ from pbwforge.pbw import DeformationMap, pbw_verdict
 from pbwforge.rationals import rational
 from pbwforge.sampling import random_metric
 from pbwforge.super_ym import build_sym, isym_family_generators
+from pbwforge.tensors import TensorElement
 from pbwforge.yang_mills import Metric, build_ym, iym_family_generators
 
 
@@ -64,14 +65,16 @@ def test_stage1_family_random_metric():
 
 
 def _assemble(a, phi_top, levels):
-    phi = [None] * a.degree
-    phi[a.degree - 1] = phi_top
+    maps = [phi_top]
     k = len(a.relation_basis)
     for sol in levels:
         if sol.stage.startswith("level") and sol.stage != "level0":
             j = int(sol.stage[5:])
-            phi[j - 1] = unflatten_graded_map(a.dim_v, k, j - 1, sol.particular)
-    return DeformationMap(a, tuple(phi))
+            maps.append(unflatten_graded_map(a.dim_v, k, j - 1, sol.particular))
+    tails = [TensorElement.zero(a.dim_v)] * k
+    for m in maps:
+        tails = [t + image for t, image in zip(tails, m.images)]
+    return DeformationMap(a, tuple(tails))
 
 
 def test_stage2_closure_property():

@@ -267,6 +267,39 @@ def test_identities_reuse_the_problem_overlap_space(tmp_path, monkeypatch, capsy
     assert report["tasks"][0]["pass"] is True
 
 
+IDENTITY_REPORTS = {
+    ("yang-mills", "euclidean"): {
+        "task": "identities",
+        "cyclic_invariance": True,
+        "two_sided_overlap": True,
+        "cyclic_sum_zero": True,
+        "commutator_form": True,
+        "overlap_is_line": True,
+        "pass": True,
+    },
+    ("super-yang-mills", "minkowski"): {
+        "task": "identities",
+        "anti_cyclic": True,
+        "two_sided_overlap": True,
+        "bracket_form": True,
+        "overlap_is_line": True,
+        "pass": True,
+    },
+}
+
+
+@pytest.mark.parametrize("family, metric", sorted(IDENTITY_REPORTS))
+def test_identities_result_keys(tmp_path, capsys, family, metric):
+    # each family reports exactly the fields of its identity report
+    doc = ym_problem(
+        algebra={"family": family, "s": 2, "metric": metric},
+        tasks=[{"task": "identities"}],
+    )
+    assert main(["run", "--input", write(tmp_path, "p.json", doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tasks"] == [IDENTITY_REPORTS[family, metric]]
+
+
 GOLDEN = (
     (["run", "--input", "ym_minkowski_check_j1_violation.problem.json"], 1, "ym_minkowski_check_j1_violation"),
     (["run", "--input", "sym_s3_classify.problem.json"], 0, "sym_s3_classify"),

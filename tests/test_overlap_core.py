@@ -11,7 +11,6 @@ import pbwforge.classify as classify
 import pbwforge.pbw as pbw
 import pbwforge.tensors as tensors
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations, overlap_space
-from pbwforge.linalg import Matrix
 from pbwforge.rationals import format_rational, rational
 from pbwforge.sampling import (
     random_metric,
@@ -20,7 +19,7 @@ from pbwforge.sampling import (
     sample_super_parameters,
 )
 from pbwforge.super_ym import build_sym, super_current_from_parameters
-from pbwforge.tensors import GradedMap, TensorElement, apply_graded_side
+from pbwforge.tensors import GradedMap, TensorElement, apply_graded_side, flatten_graded_map
 from pbwforge.yang_mills import (
     Current,
     Metric,
@@ -57,10 +56,11 @@ PRESENTATIONS = {
 def random_graded_map(rng, a, j):
     rows = a.dim_v**j
     cols = len(a.relation_basis)
-    return GradedMap(
-        a.dim_v, cols, j,
-        Matrix.from_rows([[random_rational(rng, 9) for _ in range(cols)] for _ in range(rows)]),
+    entries = [[random_rational(rng, 9) for _ in range(cols)] for _ in range(rows)]
+    images = tuple(
+        TensorElement.from_degree_vector(a.dim_v, j, [row[k] for row in entries]) for k in range(cols)
     )
+    return GradedMap(a.dim_v, j, images)
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
@@ -75,10 +75,14 @@ def test_core_brackets_match_side_evaluation(name):
             brackets = core.brackets(phi)
             assert len(brackets) == len(core.vectors)
             for x, got in zip(core.vectors, brackets):
-                want = apply_graded_side(phi, a.relation_basis, x, "right") - apply_graded_side(
-                    phi, a.relation_basis, x, "left"
+                want = apply_graded_side(phi.images, a.relation_basis, x, "right") - apply_graded_side(
+                    phi.images, a.relation_basis, x, "left"
                 )
                 assert got == want
+            # the classifier's linear view is the same map
+            u = flatten_graded_map(phi)
+            for bm, got in zip(core.bracket_matrices(j), brackets):
+                assert bm.mat_vec(u) == got.to_degree_vector(j + 1)
 
 
 def test_side_decompose_runs_once_per_presentation(monkeypatch):
@@ -105,8 +109,7 @@ def test_top_bracket_outside_r_raises_in_check_j2():
     a = build_ym(2, Metric.euclidean(3))
     # phi(r_1) = e_0 (x) e_0, the lone j3[0][0][1] that breaks the top condition
     lone = TensorElement.from_terms(3, {(0, 0): rational(1)})
-    top = GradedMap.from_images(3, 2, [TensorElement.zero(3), lone, TensorElement.zero(3)])
-    d = pbw.DeformationMap(a, (None, None, top))
+    d = pbw.DeformationMap(a, (TensorElement.zero(3), lone, TensorElement.zero(3)))
     assert not pbw.check_j1(d)[0]
     with pytest.raises(ValueError):
         pbw.check_j2(d, 1)
@@ -114,9 +117,8 @@ def test_top_bracket_outside_r_raises_in_check_j2():
     # overlap vector, whose top bracket lies in R; a later one's does not
     c = custom_cubic()
     zeros = [TensorElement.zero(2)] * len(c.relation_basis)
-    top = GradedMap.from_images(2, 2, [TensorElement.from_terms(2, {(0, 0): rational(1)})] + zeros[1:])
-    low = GradedMap.from_images(2, 1, [TensorElement.from_terms(2, {(1,): rational(1)})] + zeros[1:])
-    d = pbw.DeformationMap(c, (None, low, top))
+    tail = TensorElement.from_terms(2, {(0, 0): rational(1), (1,): rational(1)})
+    d = pbw.DeformationMap(c, tuple([tail] + zeros[1:]))
     assert not pbw.check_j1(d)[0]
     for check in (lambda: pbw.check_j2(d, 2), lambda: pbw.check_j3(d)):
         with pytest.raises(ValueError):

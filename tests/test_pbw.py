@@ -6,6 +6,7 @@ import reference
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations
 from pbwforge.linalg import Matrix, inverse
 from pbwforge.pbw import (
+    DeformationMap,
     IdealSpan,
     ResourceGuardError,
     brute_force_oracle,
@@ -285,5 +286,13 @@ def test_ideal_span_matches_dense_reference(case, cutoff):
 
 def test_deformation_tail_shape_checked():
     a = build_ym(2, Metric.euclidean(3))
-    with pytest.raises(ValueError):
-        deformation_from_tails(a, (TensorElement.zero(3),))
+    zero = TensorElement.zero(3)
+    bad = {
+        "one tail per relation basis vector": (zero,),
+        "wrong generator space": (TensorElement.zero(2), zero, zero),
+        r"F\^\(N-1\)": (TensorElement.from_terms(3, {(0, 1, 2): 1}), zero, zero),
+    }
+    for message, tails in bad.items():
+        for build in (deformation_from_tails, DeformationMap):
+            with pytest.raises(ValueError, match=message):
+                build(a, tails)

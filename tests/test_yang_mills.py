@@ -10,6 +10,7 @@ from pbwforge.sampling import (
     random_metric,
     sample_current_parameters,
 )
+from pbwforge.super_ym import super_current_from_parameters
 from pbwforge.tensors import TensorElement, commutator
 from pbwforge.yang_mills import (
     Current,
@@ -18,6 +19,8 @@ from pbwforge.yang_mills import (
     build_ym,
     current_from_parameters,
     current_to_deformation,
+    freeze,
+    nested_zeros,
     physics_current,
     relations_from_nested_commutators,
     verify_identities,
@@ -131,6 +134,37 @@ def test_current_parameters_symmetry_enforced():
         CurrentParameters((Q(1),) * n, tuple(tuple(tuple(r) for r in x) for x in bad), zero3(n), zero2(n), (Q(0),) * n)
 
 
+# one bad array per case: (parameter, nonzero entries, message); each
+# rank-3 array obeys the rule under one adjacent swap and breaks it under the other
+BAD_SYMMETRY = [
+    ("omega3", {(0, 1, 2): 1, (1, 0, 2): -1}, "omega3 must be totally antisymmetric"),
+    ("omega3", {(0, 1, 2): 1, (0, 2, 1): -1}, "omega3 must be totally antisymmetric"),
+    ("s3", {(0, 0, 1): 1}, "s3 must be totally symmetric"),
+    ("s3", {(0, 1, 1): 1}, "s3 must be totally symmetric"),
+    ("s2", {(0, 1): 1}, "s2 must be symmetric"),
+    ("omega2", {(0, 1): 1, (1, 0): 1}, "omega2 must be antisymmetric"),
+    ("omega2", {(2, 2): 1}, "omega2 must be antisymmetric"),
+]
+
+
+@pytest.mark.parametrize("name, entries, message", BAD_SYMMETRY)
+def test_parameter_symmetry_enforced(name, entries, message):
+    n = 3
+    t = nested_zeros(n, len(next(iter(entries))))
+    for idx, c in entries.items():
+        row = t
+        for i in idx[:-1]:
+            row = row[i]
+        row[idx[-1]] = Q(c)
+    bad = freeze(t)
+    with pytest.raises(ValueError, match=message):
+        if name == "omega2":
+            super_current_from_parameters((Q(1), Q(0), Q(0)), bad, Metric.euclidean(n))
+        else:
+            given = {"omega3": zero3(n), "s3": zero3(n), "s2": zero2(n), name: bad}
+            CurrentParameters((Q(1),) * n, given["omega3"], given["s3"], given["s2"], (Q(0),) * n)
+
+
 def test_zero_parameters_zero_current():
     metric = Metric.euclidean(3)
     p = CurrentParameters((Q(0),) * 3, zero3(3), zero3(3), zero2(3), (Q(0),) * 3)
@@ -169,8 +203,7 @@ def test_current_round_trip():
     d = current_to_deformation(c, a)
     tails = c.tails()
     for k in range(3):
-        unit = tuple(1 if i == k else 0 for i in range(3))
-        assert d.tail(unit) == tails[k]
+        assert d.tails[k] == tails[k]
 
 
 def test_nonconserved_current_oracle_failure():
