@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,12 +11,13 @@ from pbwforge.classify import (
     solve_stage2plus,
     unflatten_graded_map,
 )
-from pbwforge.pbw import DeformationMap, pbw_verdict
-from pbwforge.rationals import rational
-from pbwforge.sampling import random_metric
+from pbwforge.pbw import DeformationMap, check_j1, pbw_verdict
+from pbwforge.rationals import format_rational, rational
+from pbwforge.sampling import random_metric, random_rational
 from pbwforge.super_ym import build_sym, isym_family_generators
 from pbwforge.tensors import TensorElement
 from pbwforge.yang_mills import Metric, build_ym, iym_family_generators
+from test_overlap_core import PRESENTATIONS
 
 
 def test_flatten_round_trip():
@@ -137,3 +139,74 @@ def test_stage2_super_forces_scalar_block():
     assert all(sol.feasible for sol in levels)
     d = _assemble(a, phi_top, levels)
     assert pbw_verdict(d).overall
+
+
+def _stage_points(rng, space):
+    """Three seeded points of the stage-1 space and, unless it is the
+    whole coefficient space, one point outside it."""
+    inside = []
+    for _ in range(3):
+        point = [rational(0)] * space.ambient_dim
+        for row in space.basis:
+            c = random_rational(rng, 9)
+            point = [x + c * y for x, y in zip(point, row)]
+        inside.append(tuple(point))
+    outside = None
+    while space.dim < space.ambient_dim and outside is None:
+        candidate = tuple(random_rational(rng, 9) for _ in range(space.ambient_dim))
+        if not space.contains(candidate):
+            outside = candidate
+    return inside, outside
+
+
+def _serialize(sol):
+    particular = None if sol.particular is None else [format_rational(c) for c in sol.particular]
+    basis = [[format_rational(c) for c in row] for row in sol.parameters.basis]
+    return (sol.stage, sol.parameters.ambient_dim, basis, particular, sol.feasible)
+
+
+# sha256 of the serialized stage-1 and stage-2+ solutions on the overlap
+# core presentations, recorded while the classifier built its equations
+# from dense bracket matrices
+CLASSIFIER_PINS = {
+    "custom-cubic": "c976a8b3f0d9a1ac158c5df888e0b5e03a0c661a153c58e37a57069e83f60412",
+    "so3": "6fc8018a2933abbe44cde33fd482de7fa31189789413a5e71d17e510df82910b",
+    "sym-s2": "7378e2b85c8c29a8c78533a38f2d0d40c99c704037a5dc8563aa578d0d71b484",
+    "sym-s3": "da882a60c7afa55312f9ff8218ccfd7a6895622b7b7757e6b679920b8859c916",
+    "ym-s2": "2eafebe7ed5e62543f9dd17575febc105b42d57e120ed51033bf8b33106539db",
+    "ym-s3": "f617f5bb95b260053af0d9070a4e6beb380277168a42b3d8b1b56b99266c637e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFIER_PINS))
+def test_classifier_matches_pinned_hash(name):
+    a = PRESENTATIONS[name]()
+    stage1 = solve_stage1(a)
+    h = hashlib.sha256(repr(_serialize(stage1)).encode())
+    inside, outside = _stage_points(random.Random(f"classify-{name}"), stage1.parameters)
+    top = a.degree - 1
+    # seeded top points are generic, so most die at some level; the origin
+    # keeps every level feasible with a nonzero solution space
+    for point in inside + [stage1.particular]:
+        levels = solve_stage2plus(a, unflatten_graded_map(a.dim_v, len(a.relation_basis), top, point))
+        h.update(repr([_serialize(sol) for sol in levels]).encode())
+    if outside is not None:
+        with pytest.raises(ValueError):
+            solve_stage2plus(a, unflatten_graded_map(a.dim_v, len(a.relation_basis), top, outside))
+    assert h.hexdigest() == CLASSIFIER_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_stage1_space_is_the_top_condition(name):
+    # the classifier's stage-1 space and the checker's j1 agree on every
+    # top block: seeded points inside it, one outside it and unit blocks
+    a = PRESENTATIONS[name]()
+    space = solve_stage1(a).parameters
+    inside, outside = _stage_points(random.Random(f"j1-{name}"), space)
+    units = [tuple(rational(int(i == k)) for i in range(space.ambient_dim)) for k in range(space.ambient_dim)]
+    points = inside + ([] if outside is None else [outside]) + units
+    k = len(a.relation_basis)
+    for u in points:
+        phi = unflatten_graded_map(a.dim_v, k, a.degree - 1, u)
+        d = DeformationMap(a, phi.images)
+        assert check_j1(d)[0] == space.contains(u)
