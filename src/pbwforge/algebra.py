@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from typing import Sequence
 
-from .linalg import BasisCoordinates, Matrix, SparseEchelon, Subspace
+from .linalg import BasisCoordinates, SparseEchelon, Subspace
 from .rationals import ONE, ZERO
 from .tensors import (
     GradedMap,
@@ -140,9 +140,9 @@ class OverlapData:
     in R (tensor) V (``right``) and in V (tensor) R (``left``), in the
     layout of :func:`side_decompose`.  ``brackets(phi)`` evaluates (phi
     tensor I - I tensor phi)(x_i) from those matrices and the images of
-    phi; ``bracket_matrices(j)`` is the same map as matrices on
-    ``flatten_graded_map`` coordinates, for the classifier's linear
-    systems, derived from ``brackets`` on unit images.
+    phi.  The checker reads it on a deformation's tails; the classifier
+    reads it on unit images, through the same level residuals
+    (:func:`pbwforge.pbw.level_residuals`).
     """
 
     def __init__(self, a: AlgebraPresentation):
@@ -155,7 +155,6 @@ class OverlapData:
         )
         self.right = tuple(side_decompose(x, a.relation_basis, "right") for x in self.vectors)
         self.left = tuple(side_decompose(x, a.relation_basis, "left") for x in self.vectors)
-        self._brackets: dict = {}
 
     def brackets(self, phi: GradedMap) -> tuple:
         """(phi tensor I - I tensor phi)(x_i) for every overlap vector x_i:
@@ -175,26 +174,6 @@ class OverlapData:
                             terms[(lam,) + w] = terms.get((lam,) + w, ZERO) - lrow[lam] * c
             out.append(TensorElement(self.dim_v, {w: c for w, c in terms.items() if c}))
         return tuple(out)
-
-    def bracket_matrices(self, j: int) -> tuple:
-        """B_(i,j) for every overlap vector x_i, in basis order: the matrix
-        that sends ``flatten_graded_map(phi_j)`` to the degree-(j+1)
-        coordinates of ``brackets(phi_j)[i]``.  Its column k * dim^j +
-        word_index(w) is the bracket of the map r_k -> w, r_l -> 0 (l != k).
-        """
-        if j not in self._brackets:
-            zero = TensorElement.zero(self.dim_v)
-            columns = []
-            for k in range(self.source_dim):
-                for w in words(self.dim_v, j):
-                    images = [zero] * self.source_dim
-                    images[k] = TensorElement(self.dim_v, {w: ONE})
-                    unit = GradedMap(self.dim_v, j, tuple(images))
-                    columns.append([b.to_degree_vector(j + 1) for b in self.brackets(unit)])
-            self._brackets[j] = tuple(
-                Matrix(tuple(zip(*cols))) for cols in zip(*columns)
-            )
-        return self._brackets[j]
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

@@ -5,9 +5,11 @@ degree-(N-1) coefficient block.  The lower conditions are bilinear in
 (top block, lower blocks), so the full classification proceeds by fixing
 a concrete stage-1 point and solving each lower level as an affine
 linear system, then comparing the resulting spaces against a supplied
-closed-form family by two-sided inclusion.  Both stages read the overlap
-vectors and bracket matrices from the presentation's overlap core
-(``AlgebraPresentation.overlap``), the same object the PBW checker uses.
+closed-form family by two-sided inclusion.  Neither stage writes the
+conditions again: the columns of each system are the checker's own
+conditions evaluated on unit blocks, the top brackets of the overlap core
+(``AlgebraPresentation.overlap``) for stage 1 and
+:func:`pbwforge.pbw.level_residuals` for the lower levels.
 
 Coefficient coordinates: the degree-j block of a deformation is
 flattened as ``u[k * dim_v**j + word_index(w)]`` where k indexes the
@@ -22,7 +24,9 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraPresentation
 from .linalg import Matrix, Subspace, Vector, kernel, solve_affine
-from .rationals import ZERO
+from .pbw import graded_part, level_residuals
+from .rationals import ONE, ZERO
+from .tensors import TensorElement, words
 from .tensors import GradedMap, flatten_graded_map, unflatten_graded_map  # noqa: F401  (re-exported)
 
 
@@ -32,6 +36,17 @@ class StageSolution:
     parameters: Subspace  # solution directions in coefficient coordinates
     particular: Optional[Vector]
     feasible: bool
+
+
+def _unit_blocks(a: AlgebraPresentation, j: int):
+    """The tails of the maps r_k -> w, r_l -> 0 (l != k) over the degree-j
+    words w, in ``flatten_graded_map`` order: one per coordinate of the
+    degree-j block."""
+    zero = TensorElement.zero(a.dim_v)
+    k_count = len(a.relation_basis)
+    for k in range(k_count):
+        for w in words(a.dim_v, j):
+            yield tuple(TensorElement(a.dim_v, {w: ONE}) if l == k else zero for l in range(k_count))
 
 
 def solve_stage1(a: AlgebraPresentation) -> StageSolution:
@@ -47,12 +62,14 @@ def solve_stage1(a: AlgebraPresentation) -> StageSolution:
     if k_count == 0:
         return StageSolution("stage1", Subspace.full(0), (), True)
     r = a.relation_space
+    # one tuple of top brackets per unit block, one bracket per overlap vector
+    columns = [a.overlap.brackets(graded_part(dim, unit, top)) for unit in _unit_blocks(a, top)]
     eq_rows = []
-    for bm in a.overlap.bracket_matrices(top):
+    for brackets in zip(*columns):
         # condition: the residual of the image modulo R vanishes.  The
         # residual is linear, so its matrix has the residuals of the
-        # columns of B as columns; zero rows constrain nothing.
-        residuals = [r.reduce(col) for col in bm.transpose()]
+        # unit blocks as columns; zero rows constrain nothing.
+        residuals = [r.reduce(b.to_degree_vector(a.degree)) for b in brackets]
         eq_rows.extend(row for row in zip(*residuals) if any(row))
     if not eq_rows:
         return StageSolution("stage1", Subspace.full(cols), (ZERO,) * cols, True)
@@ -63,9 +80,11 @@ def solve_stage1(a: AlgebraPresentation) -> StageSolution:
 def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     """Solve the lower conditions for a fixed top block.
 
-    The unknowns are all lower blocks phi_(N-2), ..., phi_0 jointly: each
-    level-j condition couples the blocks j and j-1 linearly, so the whole
-    descent is one affine system.  Equations are added level by level and
+    The unknowns are all lower blocks phi_(N-2), ..., phi_0 jointly.  For
+    a fixed top block the residuals of :func:`pbwforge.pbw.level_residuals`
+    are affine in them, so the whole descent is one affine system: each
+    column is the residuals of one unit block, and the right-hand side is
+    minus the residuals of phi_top.  Equations are added level by level and
     the accumulated system is re-solved after each, which attributes an
     infeasibility to the first level whose equations make the system
     unsolvable.  The scalar condition is folded into level 1; "level0" in
@@ -73,46 +92,26 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     the joint solution for the block that level determines.  Raises
     ValueError when phi_top does not satisfy the top condition.
     """
-    dim = a.dim_v
     n = a.degree
-    core = a.overlap
     # inner images and their relation coordinates (requires stage-1 point)
-    inner_coords = [a.relation_coords(img) for img in core.brackets(phi_top)]
+    inner_coords = [a.relation_coords(img) for img in a.overlap.brackets(phi_top)]
 
-    k_count = len(a.relation_basis)
-    sizes = [k_count * dim**j for j in range(n - 1)]
+    sizes = [len(a.relation_basis) * a.dim_v**j for j in range(n - 1)]
     offsets = [sum(sizes[:j]) for j in range(n - 1)]
-    total = sum(sizes)
+    units = [unit for j in range(n - 1) for unit in _unit_blocks(a, j)]
+
+    def residual_coords(tails, j: int) -> list:
+        return [c for res in level_residuals(a, inner_coords, tails, j) for c in res.to_degree_vector(j)]
+
     eq_rows: list = []
     rhs: list = []
     levels = list(range(n - 1, 0, -1))
     sol = None
     for j in levels:
-        off = offsets[j - 1]
-        for bm, coords in zip(core.bracket_matrices(j - 1), inner_coords):
-            if j == n - 1:
-                const_vec = phi_top.apply_coords(coords).to_degree_vector(j)
-            for i in range(dim**j):
-                row = [ZERO] * total
-                for c in range(sizes[j - 1]):
-                    row[off + c] = bm.data[i][c]
-                if j == n - 1:
-                    rhs.append(-const_vec[i])
-                else:
-                    # the phi_j term, linear in the unknown degree-j block
-                    offj = offsets[j]
-                    for k in range(k_count):
-                        row[offj + k * dim**j + i] += coords[k]
-                    rhs.append(ZERO)
-                eq_rows.append(row)
-        if j == 1:
-            # fold in the scalar condition: phi_0 kills every inner image
-            for coords in inner_coords:
-                row = [ZERO] * total
-                for k in range(k_count):
-                    row[offsets[0] + k] += coords[k]
-                eq_rows.append(row)
-                rhs.append(ZERO)
+        # the scalar condition (level 0) is folded into level 1
+        for level in (j, 0) if j == 1 else (j,):
+            eq_rows.extend(zip(*(residual_coords(unit, level) for unit in units)))
+            rhs.extend(-c for c in residual_coords(phi_top.images, level))
         sol = solve_affine(Matrix.from_rows(eq_rows), tuple(rhs)) if eq_rows else None
         if eq_rows and sol is None:
             return [StageSolution(f"level{j}", Subspace.zero(sizes[j - 1]), None, False)]

@@ -6,9 +6,11 @@ image must land in R, the intermediate composites must vanish, and the
 scalar composite must vanish.  A deformation is its tails, one per
 relation basis vector, and every bracket is one sparse combination of
 tails read off the presentation's overlap core
-(``AlgebraPresentation.overlap``, shared with the classifier), so W and
-its side decompositions are computed once per presentation, not once per
-deformation.  Because the
+(``AlgebraPresentation.overlap``), so W and its side decompositions are
+computed once per presentation, not once per deformation.  The lower
+conditions are written once, as :func:`level_residuals`: the checker
+tests that they vanish, and the classifier solves them for the unknown
+lower blocks.  Because the
 deformed relations are graphs {x - phi(x)}, the ideal meets F^(N-1)
 trivially by construction; that condition needs no computation.
 
@@ -44,9 +46,9 @@ class DeformationMap:
     algebra's distinguished relation basis.
 
     The degree-j parts of the tails are the graded map phi_j : R ->
-    V^(tensor j) (``phi_map``).  The deformed relations r_k - tails[k]
-    form a graph over R, so the ideal's intersection with F^(N-1) is
-    automatically zero.
+    V^(tensor j) (:func:`graded_part`).  The deformed relations r_k -
+    tails[k] form a graph over R, so the ideal's intersection with
+    F^(N-1) is automatically zero.
     """
 
     algebra: AlgebraPresentation
@@ -65,7 +67,8 @@ class DeformationMap:
     def top_brackets(self) -> tuple:
         """(phi_{N-1} tensor I - I tensor phi_{N-1})(x) for each x in W,
         in overlap basis order; computed once per deformation."""
-        return self.algebra.overlap.brackets(self.phi_map(self.algebra.degree - 1))
+        a = self.algebra
+        return a.overlap.brackets(graded_part(a.dim_v, self.tails, a.degree - 1))
 
     @cached_property
     def inner_coords(self) -> tuple:
@@ -73,13 +76,32 @@ class DeformationMap:
         raises ValueError when some top bracket is not in R."""
         return tuple(self.algebra.relation_coords(inner) for inner in self.top_brackets)
 
-    def phi_map(self, j: int) -> GradedMap:
-        """phi_j: the degree-j part of each tail."""
-        return GradedMap(self.algebra.dim_v, j, tuple(t.degree_component(j) for t in self.tails))
-
     def deformed_relations(self) -> tuple:
         """The relations r_k - tails[k], in relation basis order."""
         return tuple(r - t for r, t in zip(self.algebra.relation_basis, self.tails))
+
+
+def graded_part(dim_v: int, tails: Sequence[TensorElement], j: int) -> GradedMap:
+    """phi_j: the degree-j part of each tail."""
+    return GradedMap(dim_v, j, tuple(t.degree_component(j) for t in tails))
+
+
+def level_residuals(
+    a: AlgebraPresentation, inner_coords: Sequence, tails: Sequence[TensorElement], j: int
+) -> tuple:
+    """The level-j residual on each overlap vector x_i, in overlap basis
+    order, where c_i = ``inner_coords[i]`` are the relation coordinates of
+    the top bracket of x_i and phi_j is the degree-j part of ``tails``:
+    phi_j(c_i) + (phi_(j-1) tensor I - I tensor phi_(j-1))(x_i) for j >= 1,
+    and phi_0(c_i) for j = 0.  The deformation is PBW at level j iff every
+    residual vanishes; for fixed c_i they are linear in the tails.
+    """
+    phi_j = graded_part(a.dim_v, tails, j)
+    own = tuple(phi_j.apply_coords(c) for c in inner_coords)
+    if j == 0:
+        return own
+    lower = a.overlap.brackets(graded_part(a.dim_v, tails, j - 1))
+    return tuple(x + low for x, low in zip(own, lower))
 
 
 def deformation_from_tails(
@@ -102,25 +124,19 @@ def check_j1(d: DeformationMap) -> tuple[bool, Optional[TensorElement]]:
 
 
 def check_j2(d: DeformationMap, j: int) -> bool:
-    """Level-j condition: phi_j of the bracket plus the level-(j-1) bracket
-    annihilates the overlap space.  Requires the top condition (the inner
-    image must lie in R); violating that precondition raises ValueError.
+    """Level-j condition: every :func:`level_residuals` at level j is zero.
+    Requires the top condition (each top bracket must lie in R); violating
+    that precondition raises ValueError.
     """
     if not 1 <= j <= d.algebra.degree - 1:
         raise ValueError(f"level must be in 1..{d.algebra.degree - 1}")
-    phi_j = d.phi_map(j)
-    lower = d.algebra.overlap.brackets(d.phi_map(j - 1))
-    for coords, low in zip(d.inner_coords, lower):
-        if not (phi_j.apply_coords(coords) + low).is_zero():
-            return False
-    return True
+    return all(r.is_zero() for r in level_residuals(d.algebra, d.inner_coords, d.tails, j))
 
 
 def check_j3(d: DeformationMap) -> bool:
     """Scalar condition: phi_0 of the bracket vanishes on the overlap space.
     Requires the top condition, as :func:`check_j2` does."""
-    phi_0 = d.phi_map(0)
-    return all(phi_0.apply_coords(coords).is_zero() for coords in d.inner_coords)
+    return all(r.is_zero() for r in level_residuals(d.algebra, d.inner_coords, d.tails, 0))
 
 
 @dataclass(frozen=True)
@@ -214,10 +230,6 @@ class OracleResult:
     expected_dims: tuple  # cumulative graded dims of the homogeneous algebra
     verdict: str  # "FAIL" | "CONSISTENT" | "INCONCLUSIVE"
     failure_degree: Optional[int]
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == "FAIL"
 
 
 def brute_force_oracle(d: DeformationMap, n_max: int, cutoff: Optional[int] = None) -> OracleResult:

@@ -13,7 +13,7 @@ import random
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .linalg import Matrix, kernel
+from .linalg import Matrix, dot, kernel
 from .rationals import ZERO, Q, rational
 from .yang_mills import CurrentParameters, Metric, freeze, nested_zeros
 
@@ -75,28 +75,19 @@ def _sym_multisets(n: int, rank: int) -> list:
 def _unflatten_symmetric(coords, n: int, rank: int):
     """Full symmetric tensor from one coordinate per sorted multiset."""
     lookup = {m: c for m, c in zip(_sym_multisets(n, rank), coords)}
-    t = nested_zeros(n, rank)
-    if rank == 2:
-        for a in range(n):
-            for b in range(n):
-                t[a][b] = lookup[tuple(sorted((a, b)))]
-    else:
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    t[a][b][c] = lookup[tuple(sorted((a, b, c)))]
-    return freeze(t)
+
+    def entries(prefix: tuple):
+        if len(prefix) == rank:
+            return lookup[tuple(sorted(prefix))]
+        return tuple(entries(prefix + (a,)) for a in range(n))
+
+    return entries(())
 
 
-def _orthogonal_symmetric_sample(
-    rng: random.Random, n: int, rank: int, b: tuple, bound: int = 20
-):
-    """Random symmetric rank-2 or rank-3 tensor s with s(..., b) = 0.
-
-    The contraction s^{a...r} b_r = 0 over the last slot is a linear
-    condition on the multiset coordinates; we sample from its exact
-    kernel.
-    """
+def _contraction_rows(n: int, rank: int, b: tuple) -> list:
+    """The contraction s^{a...r} b_r over the last slot of a symmetric
+    tensor s, as a matrix on its multiset coordinates: one row per sorted
+    multiset of the free slots."""
     multisets = _sym_multisets(n, rank)
     col = {m: i for i, m in enumerate(multisets)}
     rows = []
@@ -106,22 +97,28 @@ def _orthogonal_symmetric_sample(
             if b[r] != 0:
                 row[col[tuple(sorted(free + (r,)))]] += b[r]
         rows.append(row)
-    null = kernel(Matrix.from_rows(rows))
-    coords = [ZERO] * len(multisets)
+    return rows
+
+
+def _orthogonal_symmetric_sample(
+    rng: random.Random, n: int, rank: int, b: tuple, bound: int = 20
+):
+    """Random symmetric tensor s of the given rank with s(..., b) = 0
+    (at rank 1, a vector orthogonal to b).
+
+    The contraction is a linear condition on the multiset coordinates; we
+    sample from its exact kernel.
+    """
+    null = kernel(Matrix.from_rows(_contraction_rows(n, rank, b)))
+    coords = [ZERO] * null.ambient_dim
     for basis_row in null.basis:
         c = random_rational(rng, bound)
         coords = [x + c * y for x, y in zip(coords, basis_row)]
     return _unflatten_symmetric(coords, n, rank)
 
 
-def orthogonal_vector_sample(rng: random.Random, b: tuple, bound: int = 20) -> tuple:
-    n = len(b)
-    null = kernel(Matrix.from_rows([b]))
-    v = [ZERO] * n
-    for basis_row in null.basis:
-        c = random_rational(rng, bound)
-        v = [x + c * y for x, y in zip(v, basis_row)]
-    return tuple(v)
+# the rank of each symmetric block of the current parameters, in draw order
+_BLOCK_RANKS = {"s3": 3, "s2": 2, "s1": 1}
 
 
 def sample_current_parameters(
@@ -133,36 +130,21 @@ def sample_current_parameters(
     re-drawn unconstrained until its side condition actually fails; the
     other two conditions still hold.
     """
-    if violate not in (None, "s3", "s2", "s1"):
+    if violate not in (None, *_BLOCK_RANKS):
         raise ValueError(f"unknown violation target {violate!r}")
     n = metric.dim
     b = random_nonzero_vector(rng, n)
     omega3 = random_antisymmetric3(rng, n)
-    s3 = _orthogonal_symmetric_sample(rng, n, 3, b)
-    s2 = _orthogonal_symmetric_sample(rng, n, 2, b)
-    s1 = orthogonal_vector_sample(rng, b)
-    if violate == "s3":
+    blocks = {name: _orthogonal_symmetric_sample(rng, n, rank, b) for name, rank in _BLOCK_RANKS.items()}
+    if violate is not None:
+        rank = _BLOCK_RANKS[violate]
+        rows = _contraction_rows(n, rank, b)
         while True:
-            coords = [random_rational(rng) for _ in _sym_multisets(n, 3)]
-            s3 = _unflatten_symmetric(coords, n, 3)
-            if any(
-                sum((s3[a][c][r] * b[r] for r in range(n)), ZERO) != 0
-                for a in range(n)
-                for c in range(n)
-            ):
+            coords = [random_rational(rng) for _ in _sym_multisets(n, rank)]
+            if any(dot(row, coords) != 0 for row in rows):
+                blocks[violate] = _unflatten_symmetric(coords, n, rank)
                 break
-    elif violate == "s2":
-        while True:
-            coords = [random_rational(rng) for _ in _sym_multisets(n, 2)]
-            s2 = _unflatten_symmetric(coords, n, 2)
-            if any(sum((s2[a][r] * b[r] for r in range(n)), ZERO) != 0 for a in range(n)):
-                break
-    elif violate == "s1":
-        while True:
-            s1 = random_vector(rng, n)
-            if sum((s1[r] * b[r] for r in range(n)), ZERO) != 0:
-                break
-    return CurrentParameters(b, omega3, s3, s2, s1)
+    return CurrentParameters(b, omega3, blocks["s3"], blocks["s2"], blocks["s1"])
 
 
 def sample_super_parameters(rng: random.Random, n: int) -> tuple:

@@ -43,8 +43,7 @@ class Metric:
             for j in range(n):
                 if self.g.data[i][j] != self.g.data[j][i]:
                     raise ValueError("metric must be symmetric")
-        if inverse(self.g) is None:
-            raise ValueError("metric is degenerate")
+        self.g_inv  # raises ValueError when the metric is degenerate
 
     @classmethod
     def from_rows(cls, rows) -> "Metric":
@@ -66,7 +65,8 @@ class Metric:
     @cached_property
     def g_inv(self) -> Matrix:
         inv = inverse(self.g)
-        assert inv is not None
+        if inv is None:
+            raise ValueError("metric is degenerate")
         return inv
 
 
