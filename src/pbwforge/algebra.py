@@ -2,16 +2,19 @@
 dimensions, the overlap space W = (R tensor V) intersect (V tensor R), and
 the overlap core shared by the PBW checker and the classifier.
 
-Graded dimensions are always computed by brute quotient dimension (rank
-of an explicit spanning set of the ideal component); no Hilbert-series
-assumption ever enters the computation.
+Graded dimensions are exact quotient dimensions dim V^n - dim I_n, with
+the ideal component built degree by degree from the recurrence
+I_n = V tensor I_(n-1) + R tensor V^(n-N): the left shifts of the echelon
+rows of I_(n-1) are kept as they are, and only the rows r b are
+eliminated.  No Hilbert-series assumption ever enters the computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations
+from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import BasisCoordinates, SparseEchelon, Subspace
@@ -23,7 +26,6 @@ from .tensors import (
     side_decompose,
     side_tensor,
     word_index,
-    words,
 )
 
 
@@ -75,49 +77,87 @@ class AlgebraPresentation:
         return coords
 
     @cached_property
+    def ideal_rows(self) -> list:
+        """Echelon rows of I_0, I_1, ... as far as :func:`graded_dim` has
+        needed them; filled on demand, kept for the presentation's life."""
+        return [{}]
+
+    @cached_property
     def overlap(self) -> "OverlapData":
         """The overlap core of this presentation, built on first use."""
         return OverlapData(self)
 
 
-def _ideal_spanning_words(a: AlgebraPresentation, n: int):
-    """Yield sparse vectors u (x) r (x) v spanning the degree-n ideal part."""
-    dim = a.dim_v
-    for i in range(n - a.degree + 1):
-        k = n - a.degree - i
-        for left in words(dim, i):
-            for right in words(dim, k):
-                for r in a.relation_basis:
-                    yield {
-                        word_index(left + w + right, dim): c
-                        for w, c in r.terms.items()
-                    }
+def primitive_terms(p: TensorElement) -> list:
+    """(degree, word index, coefficient) of each term of ``p``, with the
+    denominators cleared and the content removed: a primitive integer row."""
+    den = lcm(*(int(c.denominator) for c in p.terms.values()))
+    ints = {w: int(c.numerator) * (den // int(c.denominator)) for w, c in p.terms.items()}
+    content = gcd(*ints.values())
+    return [(len(w), word_index(w, p.dim_v), c // content) for w, c in ints.items()]
+
+
+def left_shifts(rows: dict, dim_v: int, place) -> dict:
+    """The rows x row for every stored row and letter x, keyed by pivot.
+
+    ``rows`` are the pivot -> row dict of a :class:`SparseEchelon` whose
+    key order is kept by prefixing a letter, and ``place(k)`` is the pair
+    (base, step) with key(x w) = base + x step for the word w of key k.
+    So x row is again primitive with a positive pivot entry at x pivot,
+    and shifts of distinct rows or by distinct letters have distinct
+    pivots: the result is an echelon with no elimination.
+    """
+    place = cache(place)
+    out = {}
+    for p, row in rows.items():
+        placed = [(*place(k), c) for k, c in row.items()]
+        base, step = place(p)
+        for x in range(dim_v):
+            out[base + x * step] = {b + x * s: c for b, s, c in placed}
+    return out
+
+
+def _ideal_component_rows(a: AlgebraPresentation, n: int) -> dict:
+    """Echelon rows of I_n, keyed by word index, from
+    I_m = V tensor I_(m-1) + R tensor V^(m-N), one degree m at a time."""
+    levels = a.ideal_rows
+    while len(levels) <= n:
+        m = len(levels)
+        size = a.dim_v ** (m - 1)
+        echelon = SparseEchelon()
+        echelon.rows = left_shifts(levels[-1], a.dim_v, lambda k: (k, size))
+        if m >= a.degree:
+            right = a.dim_v ** (m - a.degree)
+            for terms in map(primitive_terms, a.relation_basis):
+                for b in range(right):
+                    echelon.insert({wi * right + b: c for _, wi, c in terms})
+        levels.append(echelon.rows)
+    return levels[n]
 
 
 def ideal_component(a: AlgebraPresentation, n: int) -> Subspace:
     """Degree-n component of the two-sided ideal (R), in canonical form."""
     guard_tensor_dim(a.dim_v, n)
-    size = a.dim_v**n
-    if n < a.degree:
-        return Subspace.zero(size)
-    return Subspace.from_sparse(_ideal_spanning_words(a, n), size)
+    return Subspace.from_sparse(_ideal_component_rows(a, n).values(), a.dim_v**n)
 
 
 def ideal_component_dim(a: AlgebraPresentation, n: int) -> int:
-    """dim of the degree-n ideal component, via sparse echelon (fast path)."""
-    guard_tensor_dim(a.dim_v, n)
-    if n < a.degree:
-        return 0
-    ech = SparseEchelon()
-    ech.extend(_ideal_spanning_words(a, n))
-    return ech.rank
+    """dim of the degree-n ideal component."""
+    return a.dim_v**n - graded_dim(a, n)
 
 
 def graded_dim(a: AlgebraPresentation, n: int) -> int:
-    """Exact dimension of the degree-n part of T(V)/(R)."""
+    """Exact dimension of the degree-n part of T(V)/(R).
+
+    The ideal components are built once per presentation
+    (``AlgebraPresentation.ideal_rows``), so a later call in a degree
+    already reached costs no elimination; the resource guard still runs
+    on every call.
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return a.dim_v**n - ideal_component_dim(a, n)
+    guard_tensor_dim(a.dim_v, n)
+    return a.dim_v**n - len(_ideal_component_rows(a, n))
 
 
 def overlap_space(a: AlgebraPresentation) -> Subspace:

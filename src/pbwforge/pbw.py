@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .algebra import AlgebraPresentation, graded_dim
+from .algebra import AlgebraPresentation, graded_dim, left_shifts, primitive_terms
 from .linalg import SparseEchelon, Subspace
 from .tensors import (
     GradedMap,
@@ -36,7 +35,6 @@ from .tensors import (
     TensorElement,
     filtered_dim,
     guard_tensor_dim,
-    word_index,
 )
 
 
@@ -160,15 +158,6 @@ def pbw_verdict(d: DeformationMap) -> PbwVerdict:
     return PbwVerdict(True, j2, j3, None, all(j2) and j3)
 
 
-def _primitive_terms(p: TensorElement) -> list:
-    """(degree, word index, coefficient) of each term of ``p``, with the
-    denominators cleared and the content removed: a primitive integer row."""
-    den = lcm(*(int(c.denominator) for c in p.terms.values()))
-    ints = {w: int(c.numerator) * (den // int(c.denominator)) for w, c in p.terms.items()}
-    content = gcd(*ints.values())
-    return [(len(w), word_index(w, p.dim_v), c // content) for w, c in ints.items()]
-
-
 class IdealSpan:
     """Echelon basis of span{a p b : |a| + N + |b| <= cutoff} in F^cutoff.
 
@@ -177,9 +166,15 @@ class IdealSpan:
     block of the degree above, so keys order words by decreasing degree,
     then lexicographically.  Basis rows whose pivot key is at least
     start[n], the rows with pivot in degree <= n, then span exactly the
-    intersection with F^n.  Each relation enters as one primitive integer
-    row, and the key of a product a p b is computed from the indices of
-    a, of each term of p and of b.
+    intersection with F^n.
+
+    The span is built level by level: with J_t the span of the a p b with
+    |a| + |b| <= t, J_t = V tensor J_(t-1) + span{p b : |b| <= t}.
+    Prefixing a letter keeps the key order, so the left shifts of the
+    echelon rows of J_(t-1) are echelon rows of V tensor J_(t-1) as they
+    stand (:func:`~pbwforge.algebra.left_shifts`); each level seeds the
+    echelon with them and eliminates only the rows p b, each relation a
+    primitive integer row placed by index arithmetic.
     """
 
     def __init__(self, relations: Sequence[TensorElement], dim_v: int, cutoff: int):
@@ -191,29 +186,26 @@ class IdealSpan:
         guard_tensor_dim(dim_v, cutoff)
         self.dim_v = dim_v
         self.cutoff = cutoff
-        self.start = [0] * (cutoff + 1)
+        self.start = start = [0] * (cutoff + 1)
         for d in range(cutoff - 1, -1, -1):
-            self.start[d] = self.start[d + 1] + dim_v ** (d + 1)
-        rows = [_primitive_terms(p) for p in relations]
+            start[d] = start[d + 1] + dim_v ** (d + 1)
+
+        def place(k):
+            # key(x w) = start[d + 1] + x dim^d + index(w) for w of degree d
+            d = next(d for d in range(cutoff + 1) if start[d] <= k)
+            return k - dim_v ** (d + 1), dim_v**d
+
+        rows = [primitive_terms(p) for p in relations]
         self.echelon = SparseEchelon()
-        for total in range(cutoff - degree + 1):
-            for i in range(total + 1):
-                k = total - i
+        for t in range(cutoff - degree + 1):
+            self.echelon.rows = left_shifts(self.echelon.rows, dim_v, place)
+            for k in range(t + 1):
                 right_size = dim_v**k
-                # key of a w b = start[|a w b|] + index(a) dim^(|w|+k) + index(w) dim^k + index(b)
-                placed = [
-                    [
-                        (self.start[i + m + k] + wi * right_size, dim_v ** (m + k), c)
-                        for m, wi, c in terms
-                    ]
-                    for terms in rows
-                ]
-                for left in range(dim_v**i):
-                    for right in range(right_size):
-                        for terms in placed:
-                            self.echelon.insert(
-                                {base + left * step + right: c for base, step, c in terms}
-                            )
+                # key of w b = start[|w| + k] + index(w) dim^k + index(b)
+                placed = [[(start[m + k] + wi * right_size, c) for m, wi, c in terms] for terms in rows]
+                for right in range(right_size):
+                    for terms in placed:
+                        self.echelon.insert({base + right: c for base, c in terms})
 
     def intersection_dim(self, n: int) -> int:
         """dim of span intersect F^n."""

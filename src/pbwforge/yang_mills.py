@@ -309,18 +309,15 @@ class CurrentParameters:
 
 def b_family_block(b: Sequence, metric: Metric, sign: int = 1) -> tuple:
     """The b-family top block j3[a][b][c] = sign * (g^{ar} g^{bc} - g^{ac}
-    g^{br}) b_r; the super family's is the negative (sign -1)."""
+    g^{br}) b_r = sign * (g^{bc} u_a - g^{ac} u_b) with u = g^{-1} b; the
+    super family's is the negative (sign -1)."""
     n = metric.dim
     G = metric.g_inv.data
-    j3 = nested_zeros(n, 3)
-    for a in range(n):
-        for b_ in range(n):
-            for c in range(n):
-                acc = ZERO
-                for r in range(n):
-                    acc = acc + (G[a][r] * G[b_][c] - G[a][c] * G[b_][r]) * b[r]
-                j3[a][b_][c] = sign * acc
-    return freeze(j3)
+    u = [sum((G[a][r] * b[r] for r in range(n)), ZERO) for a in range(n)]
+    return tuple(
+        tuple(tuple(sign * (G[b_][c] * u[a] - G[a][c] * u[b_]) for c in range(n)) for b_ in range(n))
+        for a in range(n)
+    )
 
 
 def current_from_parameters(p: CurrentParameters, metric: Metric) -> Current:

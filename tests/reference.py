@@ -3,9 +3,17 @@
 Textbook Gauss-Jordan elimination over ``fractions.Fraction`` on dense
 rows: it shares no code with ``pbwforge.linalg``, so comparisons against
 it check the library's fraction-free engine from outside.
+
+The ideal references at the end are the all-products loops that the
+level-by-level ideal builders replace: every spanning product, placed
+word by word, goes through ``SparseEchelon.insert``.  They share the
+elimination with the library and check how the spans are built.
 """
 
 from fractions import Fraction
+
+from pbwforge.linalg import SparseEchelon
+from pbwforge.tensors import word_index, words
 
 
 def eliminate(rows, col_limit=None):
@@ -110,3 +118,42 @@ def inverse(rows):
     if len(pivots) < n:
         return None
     return [row[n:] for row in aug]
+
+
+def ideal_span_dims(relations, dim_v, cutoff):
+    """(dim of the span intersect F^n for n = 0..cutoff, rank) of the span
+    of every product a p b with |a| + N + |b| <= cutoff, keyed as in
+    ``pbwforge.pbw.IdealSpan``: by decreasing degree, then lexicographically."""
+    degree = max(p.max_degree for p in relations)
+    start = [sum(dim_v**e for e in range(d + 1, cutoff + 1)) for d in range(cutoff + 1)]
+    echelon = SparseEchelon()
+    for total in range(cutoff - degree + 1):
+        for i in range(total + 1):
+            for left in words(dim_v, i):
+                for right in words(dim_v, total - i):
+                    for p in relations:
+                        echelon.insert(
+                            {
+                                start[len(w) + total] + word_index(left + w + right, dim_v): c
+                                for w, c in p.terms.items()
+                            }
+                        )
+    dims = [sum(1 for k in echelon.rows if k >= start[n]) for n in range(cutoff + 1)]
+    return dims, echelon.rank
+
+
+def graded_dims(a, n_max):
+    """dim V^n - dim I_n for n = 0..n_max, each I_n the rank of every
+    product u r v with |u| + N + |v| = n."""
+    dims = []
+    for n in range(n_max + 1):
+        echelon = SparseEchelon()
+        for i in range(n - a.degree + 1):
+            for left in words(a.dim_v, i):
+                for right in words(a.dim_v, n - a.degree - i):
+                    for r in a.relation_basis:
+                        echelon.insert(
+                            {word_index(left + w + right, a.dim_v): c for w, c in r.terms.items()}
+                        )
+        dims.append(a.dim_v**n - echelon.rank)
+    return dims
