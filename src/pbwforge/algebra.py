@@ -6,7 +6,16 @@ Graded dimensions are exact quotient dimensions dim V^n - dim I_n, with
 the ideal component built degree by degree from the recurrence
 I_n = V tensor I_(n-1) + R tensor V^(n-N): the left shifts of the echelon
 rows of I_(n-1) are kept as they are, and only the rows r b are
-eliminated.  No Hilbert-series assumption ever enters the computation.
+eliminated.  A row r b whose right word b = u lt u'' contains a leading
+word lt, a pivot word of I_N, is never built.  With q the echelon row of
+pivot lt, q = c lt + q' and c r b = r u q u'' - r u q' u'': the first
+term lies in V tensor I_(n-1), and the second is a combination of rows
+r b' with b' lexicographically later, so induction on b puts r b in the
+span of the rows kept (Bergman's normal words, *Adv. Math.* 29 (1978)).
+:func:`reducible_words` marks those right words.  The filtered ideal
+span (``pbw.IdealSpan``) skips the same rows, and also the rows it found
+dependent one level lower.  No Hilbert-series assumption ever enters the
+computation.
 """
 
 from __future__ import annotations
@@ -117,9 +126,32 @@ def left_shifts(rows: dict, dim_v: int, place) -> dict:
     return out
 
 
+def reducible_words(leading, dim_v: int, k_max: int) -> list:
+    """red[k][b] for k = 0..k_max: whether the word of length k and index
+    b contains one of the ``leading`` words as a factor.
+
+    ``leading`` holds (length, word index) pairs with length >= 1.  A
+    factor is a suffix of a prefix, and the prefix of length k-1 of b has
+    index b // dim, so red[k][b] = red[k-1][b // dim] or (b mod dim^L) is
+    a leading word of length L <= k.
+    """
+    by_length = {}
+    for length, index in leading:
+        by_length.setdefault(length, set()).add(index)
+    red = [[False]]
+    for k in range(1, k_max + 1):
+        prev = red[-1]
+        tests = [(dim_v**length, words) for length, words in by_length.items() if length <= k]
+        red.append(
+            [prev[b // dim_v] or any(b % size in words for size, words in tests) for b in range(dim_v**k)]
+        )
+    return red
+
+
 def _ideal_component_rows(a: AlgebraPresentation, n: int) -> dict:
     """Echelon rows of I_n, keyed by word index, from
-    I_m = V tensor I_(m-1) + R tensor V^(m-N), one degree m at a time."""
+    I_m = V tensor I_(m-1) + R tensor V^(m-N), one degree m at a time,
+    skipping every r b whose right word b contains a pivot word of I_N."""
     levels = a.ideal_rows
     while len(levels) <= n:
         m = len(levels)
@@ -127,10 +159,14 @@ def _ideal_component_rows(a: AlgebraPresentation, n: int) -> dict:
         echelon = SparseEchelon()
         echelon.rows = left_shifts(levels[-1], a.dim_v, lambda k: (k, size))
         if m >= a.degree:
-            right = a.dim_v ** (m - a.degree)
+            k = m - a.degree
+            right = a.dim_v**k
+            leading = [(a.degree, w) for w in levels[a.degree]] if k else []
+            skip = reducible_words(leading, a.dim_v, k)[k]
             for terms in map(primitive_terms, a.relation_basis):
                 for b in range(right):
-                    echelon.insert({wi * right + b: c for _, wi, c in terms})
+                    if not skip[b]:
+                        echelon.insert({wi * right + b: c for _, wi, c in terms})
         levels.append(echelon.rows)
     return levels[n]
 

@@ -18,7 +18,13 @@ The brute-force oracle is fully independent: it spans the filtered ideal
 by explicit products up to a degree cutoff and compares quotient
 dimensions against the graded algebra.  It can refute the PBW property
 definitively at a finite cutoff, but can only ever report bounded
-consistency in the positive direction.
+consistency in the positive direction.  Its span (:class:`IdealSpan`)
+never builds two kinds of product that provably lie in the span
+already: a row p b whose right word b = u lt u'' contains a leading word
+lt of the relations at least as long as p (induction on b, Bergman's
+normal-word argument, *Adv. Math.* 29 (1978)), and a row p b found
+dependent one level lower.  Both skips read only the relations, never W
+or the brackets.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .algebra import AlgebraPresentation, graded_dim, left_shifts, primitive_terms
+from .algebra import AlgebraPresentation, graded_dim, left_shifts, primitive_terms, reducible_words
 from .linalg import SparseEchelon, Subspace
 from .tensors import (
     GradedMap,
@@ -175,11 +181,41 @@ class IdealSpan:
     stand (:func:`~pbwforge.algebra.left_shifts`); each level seeds the
     echelon with them and eliminates only the rows p b, each relation a
     primitive integer row placed by index arithmetic.
+
+    Two kinds of row p b are never built; every pivot is unchanged.
+
+    (a) Leading words.  The pivot words of J_0, the span of the
+    relations, are the leading words lt(q) of its echelon rows q.  Row
+    p b is skipped when b = u lt(q) u'' with |lt(q)| >= max(deg p, 1).
+    Write q = c lt(q) + q', every word of q' after lt(q) in the key
+    order (shorter, or as long and lexicographically later).  Then
+    c p b = p u q u'' - p u q' u''.  The first term is a combination of
+    rows w u p_i u'' over the words w of p and relations p_i; as
+    |w| <= |lt(q)|, |w u| + |u''| <= |b| <= t, so each lies in
+    V tensor J_(t-1), or is p_i u'' with a shorter right word when w u
+    is empty.  The second term is a combination of rows p b' with b'
+    shorter than b, or as long and lexicographically later.  Induction on
+    b in that well-founded order puts p b in the span of the rows kept:
+    Bergman's normal words (*Adv. Math.* 29 (1978)), used as a product
+    criterion.  The length bound matters: without it the first term can
+    leave J_t, and the span of x y x + 2 y and (1/3) y y + x + 5 over two
+    letters would lose 5 dimensions at cutoff 6.
+
+    (b) Dependent rows.  A row p b found dependent at level t-1 lies in
+    the span of V tensor J_(t-2) and the rows inserted before it.  At
+    level t the seed V tensor J_(t-1) contains the former, and each of
+    those rows that was independent is inserted again (neither skip
+    removes it: the leading-word test does not depend on t), so p b is
+    skipped on every later level.
+
+    Both skips read only the relations.
     """
 
     def __init__(self, relations: Sequence[TensorElement], dim_v: int, cutoff: int):
         if not relations:
             raise ValueError("need at least one relation")
+        if any(p.dim_v != dim_v for p in relations):
+            raise ValueError("relation over the wrong generator space")
         degree = max(r.max_degree for r in relations)
         if cutoff < degree:
             raise ValueError("cutoff below the relation degree")
@@ -190,13 +226,20 @@ class IdealSpan:
         for d in range(cutoff - 1, -1, -1):
             start[d] = start[d + 1] + dim_v ** (d + 1)
 
+        def word(k):
+            # (degree, word index) of the word with key k
+            d = next(d for d in range(cutoff + 1) if start[d] <= k)
+            return d, k - start[d]
+
         def place(k):
             # key(x w) = start[d + 1] + x dim^d + index(w) for w of degree d
-            d = next(d for d in range(cutoff + 1) if start[d] <= k)
-            return k - dim_v ** (d + 1), dim_v**d
+            d, i = word(k)
+            return start[d + 1] + i, dim_v**d
 
         rows = [primitive_terms(p) for p in relations]
         self.echelon = SparseEchelon()
+        dependent = set()  # (|b|, index(b), relation) of the p b rows found dependent
+        skip = [[[False]]] * len(rows)  # level 0 has only the empty right word
         for t in range(cutoff - degree + 1):
             self.echelon.rows = left_shifts(self.echelon.rows, dim_v, place)
             for k in range(t + 1):
@@ -204,8 +247,20 @@ class IdealSpan:
                 # key of w b = start[|w| + k] + index(w) dim^k + index(b)
                 placed = [[(start[m + k] + wi * right_size, c) for m, wi, c in terms] for terms in rows]
                 for right in range(right_size):
-                    for terms in placed:
-                        self.echelon.insert({base + right: c for base, c in terms})
+                    for j, terms in enumerate(placed):
+                        if skip[j][k][right] or (k, right, j) in dependent:
+                            continue
+                        if not self.echelon.insert({base + right: c for base, c in terms}):
+                            dependent.add((k, right, j))
+            if t == 0:
+                # the leading words are the pivots of J_0; relation j skips only
+                # those at least as long as itself (and never the empty word)
+                leading = [word(k) for k in self.echelon.rows]
+                masks = {
+                    n: reducible_words([w for w in leading if w[0] >= max(n, 1)], dim_v, cutoff - degree)
+                    for n in {p.max_degree for p in relations}
+                }
+                skip = [masks[p.max_degree] for p in relations]
 
     def intersection_dim(self, n: int) -> int:
         """dim of span intersect F^n."""

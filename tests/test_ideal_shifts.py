@@ -5,13 +5,17 @@ import random
 
 import pytest
 import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbwforge.pbw
-from pbwforge.algebra import build_antisymmetrizer_relations, graded_dim, ideal_component
+from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations, graded_dim, ideal_component
 from pbwforge.linalg import SparseEchelon
 from pbwforge.pbw import IdealSpan, ResourceGuardError, brute_force_oracle
+from pbwforge.rationals import Q
 from pbwforge.sampling import random_metric, sample_current_parameters, sample_super_parameters
 from pbwforge.super_ym import build_sym, super_current_from_parameters, super_current_to_deformation
+from pbwforge.tensors import TensorElement
 from pbwforge.yang_mills import (
     Current,
     Metric,
@@ -47,28 +51,165 @@ def sym_deformation(category, seed=9):
     return super_current_to_deformation(c, build_sym(2, metric))
 
 
+def deformed(make):
+    """The deformed relations and generator count of a deformation."""
+
+    def relations():
+        d = make()
+        return d.deformed_relations(), d.algebra.dim_v
+
+    return relations
+
+
+def relations_over(dim_v, *terms):
+    """Relations given as {word: coefficient} dicts over ``dim_v`` letters."""
+    return lambda: (tuple(TensorElement.from_terms(dim_v, t) for t in terms), dim_v)
+
+
+X, Y, Z = 0, 1, 2
+
 SPAN_CASES = {
     **{
-        f"ym-{kind}-{category}": (lambda kind=kind, category=category: ym_deformation(kind, category), 6)
+        f"ym-{kind}-{category}": (deformed(lambda kind=kind, category=category: ym_deformation(kind, category)), 6)
         for kind in METRICS
         for category in ("ok", "s3", "s2", "s1")
     },
-    **{f"sym-{category}": (lambda category=category: sym_deformation(category), 6) for category in ("ok", "j2", "j1")},
-    "so3": (so3_deformation, 7),
-    "so3-broken": (lambda: so3_deformation(broken=True), 7),
-    "custom-quadratic": (lambda: _custom_quadratic_deformation(11), 5),
+    **{
+        f"sym-{category}": (deformed(lambda category=category: sym_deformation(category)), 6)
+        for category in ("ok", "j2", "j1")
+    },
+    "so3": (deformed(so3_deformation), 7),
+    "so3-broken": (deformed(lambda: so3_deformation(broken=True)), 7),
+    "custom-quadratic": (deformed(lambda: _custom_quadratic_deformation(11)), 5),
+    # the dense quadratic at the cutoff where most of its p b rows are dependent
+    "custom-quadratic-6": (deformed(lambda: _custom_quadratic_deformation(11)), 6),
+    # relations of degrees 3 and 2: the leading word y y is shorter than x y x + 2 y
+    "mixed-degree": (
+        relations_over(2, {(X, Y, X): 1, (Y,): 2}, {(Y, Y): Q(1, 3), (X,): 1, (): 5}),
+        6,
+    ),
+    # x y leads two relations, so J_0 has a pivot that leads neither
+    "shared-leading-word": (
+        relations_over(
+            3,
+            {(X, Y): 1, (Y, X): -1, (Z,): -1},
+            {(X, Y): 2, (Y, Z): Q(1, 2), (X,): -2, (): Q(1, 3)},
+            {(X, Z): 1, (Z, Y): -1, (Y,): 1},
+        ),
+        6,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SPAN_CASES))
 def test_ideal_span_matches_all_products_loop(case):
     make, cutoff = SPAN_CASES[case]
-    d = make()
-    relations = d.deformed_relations()
-    span = IdealSpan(relations, d.algebra.dim_v, cutoff)
-    dims, rank = reference.ideal_span_dims(relations, d.algebra.dim_v, cutoff)
+    relations, dim_v = make()
+    span = IdealSpan(relations, dim_v, cutoff)
+    dims, rank = reference.ideal_span_dims(relations, dim_v, cutoff)
     assert [span.intersection_dim(n) for n in range(cutoff + 1)] == dims
     assert span.echelon.rank == rank
+
+
+@st.composite
+def small_presentations(draw):
+    """(dim_v, degree, homogeneous tops, relations): 2-3 letters, tops of
+    degree 2-3 over a small pool of words (so leading words repeat), each
+    relation its top plus an optional tail of lower degree with a constant
+    term, and sometimes one more relation of lower degree."""
+    dim_v = draw(st.integers(2, 3))
+    degree = draw(st.integers(2, 3))
+    coeff = st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+    def words_of(lengths):
+        return st.lists(st.integers(0, dim_v - 1), min_size=lengths[0], max_size=lengths[1]).map(tuple)
+
+    pool = draw(st.lists(words_of((degree, degree)), min_size=2, max_size=3, unique=True))
+    tops, relations = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.dictionaries(st.sampled_from(pool), coeff, min_size=1, max_size=len(pool)))
+        tail = draw(st.dictionaries(words_of((0, degree - 1)), coeff, max_size=2))
+        tops.append(TensorElement.from_terms(dim_v, top))
+        relations.append(TensorElement.from_terms(dim_v, {**tail, **top}))
+    if draw(st.booleans()):
+        low = draw(st.dictionaries(words_of((0, degree - 1)), coeff, min_size=1, max_size=3))
+        relations.append(TensorElement.from_terms(dim_v, low))
+    return dim_v, degree, tops, relations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_presentations())
+def test_ideal_builders_match_all_products_loops(presentation):
+    dim_v, degree, tops, relations = presentation
+    cutoff = degree + (2 if dim_v == 3 else 3)
+    span = IdealSpan(relations, dim_v, cutoff)
+    dims, rank = reference.ideal_span_dims(relations, dim_v, cutoff)
+    assert [span.intersection_dim(n) for n in range(cutoff + 1)] == dims
+    assert span.echelon.rank == rank
+    try:
+        a = AlgebraPresentation(dim_v, degree, tuple(tops))
+    except ValueError:  # the drawn tops are linearly dependent
+        return
+    assert [graded_dim(a, n) for n in range(cutoff + 1)] == reference.graded_dims(a, cutoff)
+
+
+def test_ideal_span_rejects_relations_over_the_wrong_generator_space():
+    r = TensorElement.from_terms(2, {(X, Y): 1, (Y, X): -1})
+    with pytest.raises(ValueError, match="relation over the wrong generator space"):
+        IdealSpan([r], 3, 4)
+    with pytest.raises(ValueError, match="relation over the wrong generator space"):
+        IdealSpan([TensorElement.from_terms(3, {(X, Y): 1}), r], 3, 4)
+
+
+def test_zero_relation_contributes_nothing():
+    relations, dim_v = SPAN_CASES["shared-leading-word"][0]()
+    plain = IdealSpan(relations, dim_v, 5)
+    for extra in ([TensorElement.zero(dim_v)] + list(relations), list(relations) + [TensorElement.zero(dim_v)]):
+        span = IdealSpan(extra, dim_v, 5)
+        assert span.echelon.rows == plain.echelon.rows
+    with pytest.raises(ValueError, match="relation over the wrong generator space"):
+        IdealSpan([TensorElement.zero(2)] + list(relations), dim_v, 5)
+
+
+def spy_inserts(monkeypatch):
+    """Count ``SparseEchelon.insert`` calls and the dependent ones."""
+    counts = {"inserts": 0, "dependent": 0}
+    original_insert = SparseEchelon.insert
+
+    def insert(self, vec):
+        grew = original_insert(self, vec)
+        counts["inserts"] += 1
+        counts["dependent"] += not grew
+        return grew
+
+    monkeypatch.setattr(SparseEchelon, "insert", insert)
+    return counts
+
+
+# (case, cutoff, most inserts, most dependent inserts, the reference loop's rank)
+INSERT_PINS = [
+    ("ym-euclidean-ok", 6, 160, 13, 383),
+    ("custom-quadratic-6", 6, 240, 69, 1077),
+]
+
+
+@pytest.mark.parametrize("case, cutoff, inserts, dependent, rank", INSERT_PINS)
+def test_ideal_span_skips_rows_reduced_to_zero(monkeypatch, case, cutoff, inserts, dependent, rank):
+    relations, dim_v = SPAN_CASES[case][0]()
+    counts = spy_inserts(monkeypatch)
+    span = IdealSpan(relations, dim_v, cutoff)
+    assert span.echelon.rank == rank
+    assert counts["inserts"] <= inserts
+    assert counts["dependent"] <= dependent
+
+
+def test_graded_builder_skips_rows_with_a_leading_word(monkeypatch):
+    a = build_ym(2, Metric.euclidean(3))
+    counts = spy_inserts(monkeypatch)
+    dims = [graded_dim(a, n) for n in range(7)]
+    # all 3 (1 + 3 + 9 + 27) = 120 rows r b, 22 of them dependent, without the skip
+    assert counts == {"inserts": 111, "dependent": 13}
+    assert dims == reference.graded_dims(a, 6)
 
 
 PRESENTATIONS = {
