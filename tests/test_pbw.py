@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 import reference
+from test_overlap_core import _perturbed, pinned_metrics
 
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations
 from pbwforge.linalg import Matrix, inverse
@@ -17,7 +19,7 @@ from pbwforge.pbw import (
     deformation_from_tails,
     pbw_verdict,
 )
-from pbwforge.rationals import Q, rational
+from pbwforge.rationals import Q, format_rational, rational
 from pbwforge.sampling import sample_current_parameters
 from pbwforge.tensors import TensorElement, filtered_offset, words
 from pbwforge.yang_mills import (
@@ -296,3 +298,27 @@ def test_deformation_tail_shape_checked():
         for build in (deformation_from_tails, DeformationMap):
             with pytest.raises(ValueError, match=message):
                 build(a, tails)
+
+
+def test_conservation_residuals_match_pinned_hash():
+    # 108 seeded YM currents at s=1..3 over three metrics, two rounds of:
+    # admissible, each side condition broken, a perturbed top and j2 block
+    h = hashlib.sha256()
+    tally: dict = {}
+    for s in (1, 2, 3):
+        for name, metric in pinned_metrics(s).items():
+            rng = random.Random(f"conservation-{s}-{name}")
+            a = build_ym(s, metric)
+            for _ in range(2):
+                currents = [
+                    current_from_parameters(sample_current_parameters(rng, metric, violate=v), metric)
+                    for v in (None, "s3", "s2", "s1")
+                ]
+                currents += [_perturbed(currents[0], rng, "top"), _perturbed(currents[0], rng, "j2")]
+                for current in currents:
+                    res = conservation_residual(current_to_deformation(current, a))
+                    terms = sorted((w, format_rational(c)) for w, c in res.residual.terms.items())
+                    h.update(repr((res.conserved, terms)).encode())
+                    tally[res.conserved] = tally.get(res.conserved, 0) + 1
+    assert tally == {False: 86, True: 22}
+    assert h.hexdigest() == "03f9460846d8b76d499643f06aa7729c5eca9ef61653079029945533ed8abb89"
