@@ -60,30 +60,39 @@ class AlgebraPresentation:
                 raise ValueError("relation with mismatched generator count")
             if not r.is_homogeneous(self.degree) or r.is_zero():
                 raise ValueError("relations must be nonzero and homogeneous of degree N")
-        self.relation_space  # raises ValueError when the basis is linearly dependent
+        self.relation_frame  # raises ValueError when the basis is linearly dependent
+
+    @cached_property
+    def relation_frame(self) -> BasisCoordinates:
+        """R eliminated once: its sparse RREF rows keyed by word, and relation coordinates."""
+        return BasisCoordinates([r.terms for r in self.relation_basis])
 
     @cached_property
     def relation_space(self) -> Subspace:
-        return self._relation_coordinates.span
-
-    @cached_property
-    def _relation_coordinates(self) -> BasisCoordinates:
-        return BasisCoordinates(
-            [r.to_degree_vector(self.degree) for r in self.relation_basis],
-            self.dim_v**self.degree,
-        )
+        rows = ({word_index(w, self.dim_v): c for w, c in r.terms.items()} for r in self.relation_basis)
+        return Subspace.from_sparse(rows, self.dim_v**self.degree)
 
     def relation_coords(self, x: TensorElement):
         """Coordinates of x in the distinguished relation basis.
 
-        The relation basis is eliminated once per presentation; a call is
-        a membership test and a substitution.  Raises ValueError when x
-        is not in R.
+        A call is one sparse reduction modulo R and a substitution.
+        Raises ValueError when x is not in R.
         """
-        coords = self._relation_coordinates.coordinates(x.to_degree_vector(self.degree))
+        coords = self.relation_frame.coordinates(x.terms)
         if coords is None:
             raise ValueError("element is not in the relation space")
         return coords
+
+    @cached_property
+    def two_sided_identity(self) -> bool:
+        """Whether sum e_rho (x) r_rho = sum r_rho (x) e_rho for a relation
+        basis with one relation r_rho per generator e_rho."""
+        total: dict = {}
+        for rho, r in enumerate(self.relation_basis):
+            for w, c in r.terms.items():
+                total[(rho,) + w] = total.get((rho,) + w, ZERO) + c
+                total[w + (rho,)] = total.get(w + (rho,), ZERO) - c
+        return len(self.relation_basis) == self.dim_v and not any(total.values())
 
     @cached_property
     def ideal_rows(self) -> list:
@@ -231,23 +240,29 @@ class OverlapData:
         )
         self.right = tuple(side_decompose(x, a.relation_basis, "right") for x in self.vectors)
         self.left = tuple(side_decompose(x, a.relation_basis, "left") for x in self.vectors)
+        # per overlap vector, (k, prefix, suffix, c) for each nonzero entry: r_k (x) e_lam
+        # on the right has suffix (lam,), e_lam (x) r_k on the left prefix (lam,), c negated
+        self._entries = tuple(
+            [(k, (), (lam,), c) for k, row in enumerate(r.data) for lam, c in enumerate(row) if c]
+            + [(k, (lam,), (), -c) for k, row in enumerate(l.data) for lam, c in enumerate(row) if c]
+            for r, l in zip(self.right, self.left)
+        )
 
     def brackets(self, phi: GradedMap) -> tuple:
         """(phi tensor I - I tensor phi)(x_i) for every overlap vector x_i:
         the sum over k, lam of right[k][lam] phi(r_k) (x) e_lam minus
-        left[k][lam] e_lam (x) phi(r_k)."""
+        left[k][lam] e_lam (x) phi(r_k), over the nonzero entries only."""
         if len(phi.images) != self.source_dim:
             raise ValueError(f"{len(phi.images)} images against {self.source_dim} relations")
+        images = [image.terms.items() for image in phi.images]
         out = []
-        for cr, cl in zip(self.right, self.left):
+        for entries in self._entries:
             terms: dict = {}
-            for image, rrow, lrow in zip(phi.images, cr.data, cl.data):
-                for w, c in image.terms.items():
-                    for lam in range(self.dim_v):
-                        if rrow[lam]:
-                            terms[w + (lam,)] = terms.get(w + (lam,), ZERO) + rrow[lam] * c
-                        if lrow[lam]:
-                            terms[(lam,) + w] = terms.get((lam,) + w, ZERO) - lrow[lam] * c
+            for k, prefix, suffix, c in entries:
+                for w, x in images[k]:
+                    key = prefix + w + suffix
+                    old = terms.get(key)
+                    terms[key] = c * x if old is None else old + c * x
             out.append(TensorElement(self.dim_v, {w: c for w, c in terms.items() if c}))
         return tuple(out)
 

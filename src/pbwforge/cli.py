@@ -177,9 +177,12 @@ def _parse_metric(spec, dim: int) -> Metric:
             return Metric.euclidean(dim)
         if spec == "minkowski":
             return Metric.minkowski(dim)
-        return Metric.from_rows(spec)
+        metric = Metric.from_rows(spec)
     except ValueError as e:
         raise ProblemError(f"invalid metric: {e}") from e
+    if metric.dim != dim:
+        raise ProblemError(f"invalid metric: dimension {metric.dim}, not s + 1 = {dim}")
+    return metric
 
 
 def _parse_tensor(entries, dim_v: int) -> TensorElement:

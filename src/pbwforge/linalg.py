@@ -55,12 +55,12 @@ class Matrix:
         return cls(tuple(vector(row) for row in rows))
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(tuple((ZERO,) * cols for _ in range(rows)))
+
+    @classmethod
+    def identity(cls, n: int) -> "Matrix":
+        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
 
     @property
     def rows(self) -> int:
@@ -96,11 +96,11 @@ def _dense(row: dict, n: int) -> Vector:
 
 def rref(m: Matrix) -> Matrix:
     """Unique reduced row-echelon form of ``m``, zero rows dropped."""
-    return Matrix(tuple(_dense(row, m.cols) for _, row in _rref(map(_sparse, m.data))))
+    return Matrix(tuple(_dense(row, m.cols) for _, row in rref_rows(map(_sparse, m.data))))
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(map(_sparse, m.data)))
+    return len(rref_rows(map(_sparse, m.data)))
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class Subspace:
     @classmethod
     def from_sparse(cls, rows: Iterable[dict], ambient_dim: int) -> "Subspace":
         """Span of sparse rows {column index < ambient_dim: rational}."""
-        return cls(ambient_dim, Matrix(tuple(_dense(row, ambient_dim) for _, row in _rref(rows))))
+        return cls(ambient_dim, Matrix(tuple(_dense(row, ambient_dim) for _, row in rref_rows(rows))))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -157,21 +157,12 @@ class Subspace:
         """
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        res = list(v)
-        for p, support in self._sparse_rows:
-            f = res[p]
-            if f != 0:
-                for j, y in support:
-                    res[j] -= f * y
-        return tuple(res)
+        return _dense(reduce_rows(self._rows, _sparse(v)), self.ambient_dim)
 
     @cached_property
-    def _sparse_rows(self) -> tuple:
-        """(pivot, nonzero (index, entry) pairs) of each basis row."""
-        return tuple(
-            (p, tuple((j, y) for j, y in enumerate(row) if y))
-            for row, p in zip(self.basis.data, self.pivot_columns())
-        )
+    def _rows(self) -> tuple:
+        """The (pivot, nonzero entries) pairs of the basis rows."""
+        return tuple(zip(self.pivot_columns(), map(_sparse, self.basis.data)))
 
     def contains(self, v: Sequence) -> bool:
         return all(x == 0 for x in self.reduce(v))
@@ -198,9 +189,9 @@ class Subspace:
         combos = []
         for coeffs in kernel(Matrix(rows)).basis.data:
             v = [ZERO] * self.ambient_dim
-            for c, (_, support) in zip(coeffs, self._sparse_rows):
+            for c, (_, row) in zip(coeffs, self._rows):
                 if c:
-                    for j, y in support:
+                    for j, y in row.items():
                         v[j] += c * y
             combos.append(v)
         return Subspace.from_spanning(combos, self.ambient_dim)
@@ -217,7 +208,7 @@ def kernel(m: Matrix) -> Subspace:
     n = m.cols
     if m.rows == 0 or n == 0:
         return Subspace.full(n) if n else Subspace.zero(0)
-    return _null_space(_rref(map(_sparse, m.data)), n)
+    return _null_space(rref_rows(map(_sparse, m.data)), n)
 
 
 def _null_space(reduced: list, n: int) -> Subspace:
@@ -242,7 +233,7 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     if n != m.cols:
         raise ValueError("inverse of a non-square matrix")
     # RREF of [M | I]: M is singular iff fewer than n pivots lie below column n
-    reduced = _rref({**_sparse(row), n + i: ONE} for i, row in enumerate(m.data))
+    reduced = rref_rows({**_sparse(row), n + i: ONE} for i, row in enumerate(m.data))
     if sum(p < n for p, _ in reduced) < n:
         return None
     return Matrix(tuple(tuple(row.get(n + j, ZERO) for j in range(n)) for _, row in reduced))
@@ -258,7 +249,7 @@ def solve_affine(m: Matrix, rhs: Sequence) -> Optional[AffineSolution]:
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     n = m.cols
-    reduced = _rref(_sparse((*row, rational(b))) for row, b in zip(m.data, rhs))
+    reduced = rref_rows(_sparse((*row, rational(b))) for row, b in zip(m.data, rhs))
     # RREF of [M | rhs]: infeasible iff the rhs column n is a pivot
     if reduced and reduced[-1][0] == n:
         return None
@@ -269,28 +260,40 @@ def solve_affine(m: Matrix, rhs: Sequence) -> Optional[AffineSolution]:
 
 
 class BasisCoordinates:
-    """Coordinates in a fixed ordered basis of independent vectors.
+    """Coordinates in a fixed ordered basis of independent sparse vectors.
 
-    The basis is eliminated once, on construction: ``span`` is the
-    canonical subspace it spans.  With P the pivot columns of ``span``,
-    v = sum c_i b_i restricts to v_P = S c, where S[j][i] is entry P_j of
-    b_i, and S is invertible; so each ``coordinates`` call is a
-    membership test and one k x k product, with no elimination.
+    The basis is eliminated once, on construction: ``rows`` are the
+    canonical RREF pairs of its span (:func:`rref_rows`).  With P their
+    pivots, v = sum c_i b_i restricts to v_P = S c, where S[j][i] is entry
+    P_j of b_i, and S is invertible; so each ``coordinates`` call is one
+    sparse reduction (:func:`reduce_rows`) and one k x k product.
     """
 
-    def __init__(self, vectors: Sequence[Sequence], ambient_dim: int):
-        self.span = Subspace.from_spanning(vectors, ambient_dim)
-        if self.span.dim != len(vectors):
+    def __init__(self, vectors: Sequence[dict]):
+        self.rows = rref_rows(vectors)
+        if len(self.rows) != len(vectors):
             raise ValueError("basis vectors are linearly dependent")
-        self._pivots = self.span.pivot_columns()
-        restricted = Matrix.from_rows([[v[p] for v in vectors] for p in self._pivots])
-        self._inverse = inverse(restricted)
+        self._inverse = inverse(Matrix.from_rows([[v.get(p, ZERO) for v in vectors] for p, _ in self.rows]))
 
-    def coordinates(self, v: Sequence) -> Optional[Vector]:
+    def coordinates(self, v: dict) -> Optional[Vector]:
         """The unique c with sum c_i b_i = v, or ``None`` when v is outside the span."""
-        if not self.span.contains(v):
+        if reduce_rows(self.rows, v):
             return None
-        return self._inverse.mat_vec(tuple(v[p] for p in self._pivots))
+        return self._inverse.mat_vec(tuple(v.get(p, ZERO) for p, _ in self.rows))
+
+
+def reduce_rows(rows: Sequence, vec: dict) -> dict:
+    """The canonical residual of the sparse ``vec`` modulo the span of the
+    RREF (pivot, row) pairs ``rows``: no row has an entry at another's
+    pivot, so one pass clears every pivot.  Empty iff ``vec`` is in the span.
+    """
+    res = dict(vec)
+    for p, row in rows:
+        f = res.get(p)
+        if f:
+            for k, y in row.items():
+                res[k] = res.get(k, ZERO) - f * y
+    return {k: x for k, x in res.items() if x}
 
 
 class SparseEchelon:
@@ -401,10 +404,10 @@ def _store(rows: dict, v: dict, p) -> None:
     rows[p] = {k: c // content for k, c in v.items()} if content != 1 else v
 
 
-def _rref(vectors: Iterable[dict]) -> list:
-    """Reduced row-echelon form of the span of sparse rows with int keys,
-    as (pivot, row) pairs in increasing pivot order: each row is a dict of
-    rationals with entry 1 at its pivot and no entry at any other pivot.
+def rref_rows(vectors: Iterable[dict]) -> list:
+    """Reduced row-echelon form of the span of sparse rows (keys under one
+    total order), as (pivot, row) pairs in increasing pivot order: each row
+    is a dict of rationals with entry 1 at its pivot and none at another.
 
     The rows are head-reduced into a local pivot dict, then
     back-substituted in decreasing pivot order, so each row is reduced

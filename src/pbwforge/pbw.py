@@ -10,9 +10,14 @@ tails read off the presentation's overlap core
 computed once per presentation, not once per deformation.  The lower
 conditions are written once, as :func:`level_residuals`: the checker
 tests that they vanish, and the classifier solves them for the unknown
-lower blocks.  Because the
-deformed relations are graphs {x - phi(x)}, the ideal meets F^(N-1)
-trivially by construction; that condition needs no computation.
+lower blocks.  Because the deformed relations are graphs {x - phi(x)},
+the ideal meets F^(N-1) trivially by construction; that condition needs
+no computation.  The chain and the conservation law work on sparse rows,
+never on dense vectors: each top bracket is reduced once against the
+sparse RREF rows of R (``AlgebraPresentation.relation_frame``), and the
+divergence of the current against those of the deformed relations, keyed
+(degree, word) in the filtered order.  The conservation law reads
+neither W nor the brackets, so it stays an independent certificate.
 
 The brute-force oracle is fully independent: it spans the filtered ideal
 by explicit products up to a degree cutoff and compares quotient
@@ -34,12 +39,13 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import AlgebraPresentation, graded_dim, left_shifts, primitive_terms, reducible_words
-from .linalg import SparseEchelon, Subspace
+from .linalg import SparseEchelon, reduce_rows, rref_rows
 from .tensors import (
     GradedMap,
     ResourceGuardError,  # noqa: F401  (re-exported for callers of the oracle)
     TensorElement,
     filtered_dim,
+    filtered_terms,
     guard_tensor_dim,
 )
 
@@ -75,10 +81,18 @@ class DeformationMap:
         return a.overlap.brackets(graded_part(a.dim_v, self.tails, a.degree - 1))
 
     @cached_property
+    def _top_coords(self) -> tuple:
+        """Relation coordinates of each top bracket (None outside R): one reduction each."""
+        frame = self.algebra.relation_frame
+        return tuple(frame.coordinates(inner.terms) for inner in self.top_brackets)
+
+    @property
     def inner_coords(self) -> tuple:
         """Relation coordinates of each top bracket, in overlap basis order;
         raises ValueError when some top bracket is not in R."""
-        return tuple(self.algebra.relation_coords(inner) for inner in self.top_brackets)
+        if None in self._top_coords:
+            raise ValueError("element is not in the relation space")
+        return self._top_coords
 
     def deformed_relations(self) -> tuple:
         """The relations r_k - tails[k], in relation basis order."""
@@ -120,9 +134,8 @@ def check_j1(d: DeformationMap) -> tuple[bool, Optional[TensorElement]]:
 
     Returns (holds, witness); the witness is an offending image vector.
     """
-    r = d.algebra.relation_space
-    for image in d.top_brackets:
-        if not r.contains(image.to_degree_vector(d.algebra.degree)):
+    for image, coords in zip(d.top_brackets, d._top_coords):
+        if coords is None:
             return False, image
     return True, None
 
@@ -212,11 +225,10 @@ class IdealSpan:
     """
 
     def __init__(self, relations: Sequence[TensorElement], dim_v: int, cutoff: int):
-        if not relations:
-            raise ValueError("need at least one relation")
         if any(p.dim_v != dim_v for p in relations):
             raise ValueError("relation over the wrong generator space")
-        degree = max(r.max_degree for r in relations)
+        # no relations span the zero ideal: every level is empty
+        degree = max((r.max_degree for r in relations), default=0)
         if cutoff < degree:
             raise ValueError("cutoff below the relation degree")
         guard_tensor_dim(dim_v, cutoff)
@@ -330,26 +342,14 @@ def conservation_residual(d: DeformationMap) -> ConservationResult:
     zero iff the deformation satisfies the PBW conditions.
     """
     a = d.algebra
-    k = len(a.relation_basis)
-    if k != a.dim_v:
-        raise ValueError("conservation requires one relation per generator")
-    two_sided = TensorElement.zero(a.dim_v)
-    for rho, r in enumerate(a.relation_basis):
-        e = TensorElement.generator(a.dim_v, rho)
-        two_sided = two_sided + e.tensor(r) - r.tensor(e)
-    if not two_sided.is_zero():
-        raise ValueError("relation basis lacks the two-sided overlap identity")
-
-    divergence = TensorElement.zero(a.dim_v)
+    if not a.two_sided_identity:
+        raise ValueError("conservation requires one relation per generator and the two-sided identity")
+    divergence: dict = {}
     for rho, current in enumerate(d.tails):
-        e = TensorElement.generator(a.dim_v, rho)
-        divergence = divergence + e.tensor(current) - current.tensor(e)
-
-    n = a.degree
-    relations = Subspace.from_spanning(
-        [p.to_filtered_vector(n) for p in d.deformed_relations()],
-        filtered_dim(a.dim_v, n),
-    )
-    residual_vec = relations.reduce(divergence.to_filtered_vector(n))
-    residual = TensorElement.from_filtered_vector(a.dim_v, n, residual_vec)
-    return ConservationResult(residual, residual.is_zero())
+        for w, c in current.terms.items():
+            left, right = (len(w) + 1, (rho,) + w), (len(w) + 1, w + (rho,))
+            divergence[left] = divergence.get(left, 0) + c
+            divergence[right] = divergence.get(right, 0) - c
+    relations = rref_rows(filtered_terms(p) for p in d.deformed_relations())
+    residual = reduce_rows(relations, {k: c for k, c in divergence.items() if c})
+    return ConservationResult(TensorElement(a.dim_v, {w: c for (_, w), c in residual.items()}), not residual)

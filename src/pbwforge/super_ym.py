@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import AlgebraPresentation, ideal_component
-from .linalg import Subspace
+from .linalg import Subspace, rref_rows
 from .rationals import HALF, ONE, ZERO, rational
-from .tensors import TensorElement, anticommutator, commutator, filtered_dim, words
+from .tensors import TensorElement, anticommutator, commutator, filtered_terms, words
 from .yang_mills import (
     Current,
     Metric,
@@ -191,10 +191,8 @@ def shifted_generator_check(
     a = build_sym(n - 1, metric)
     current = super_current_from_parameters(b, omega2, metric)
     d = super_current_to_deformation(current, a)
-    ambient = filtered_dim(n, 3)
-    p_span = Subspace.from_spanning(
-        [p.to_filtered_vector(3) for p in d.deformed_relations()], ambient
-    )
+    # each span as its canonical sparse RREF, keyed in the filtered order
+    p_span = rref_rows(map(filtered_terms, d.deformed_relations()))
 
     q = quadratic_casimir(metric)
     gens = [TensorElement.generator(n, i) for i in range(n)]
@@ -216,8 +214,8 @@ def shifted_generator_check(
                 c = rational(omega2[lam][rho]) * g[rho][nu]
                 if c != 0:
                     rel = rel + (gens[lam] - unit.scale(HALF * b[lam])).scale(c)
-        first.append(rel.to_filtered_vector(3))
-    first_span = Subspace.from_spanning(first, ambient)
+        first.append(filtered_terms(rel))
+    first_span = rref_rows(first)
 
     # second rewriting in the shifted generators
     shifted = [gens[lam] - unit.scale(shift * b[lam]) for lam in range(n)]
@@ -234,7 +232,7 @@ def shifted_generator_check(
                 c = rational(omega2[tau][rho]) * g[rho][nu]
                 if c != 0:
                     rel = rel + shifted[tau].scale(c)
-        second.append(rel.to_filtered_vector(3))
-    second_span = Subspace.from_spanning(second, ambient)
+        second.append(filtered_terms(rel))
+    second_span = rref_rows(second)
 
     return ShiftReport(first_span == p_span, second_span == p_span)

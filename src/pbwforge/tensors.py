@@ -3,8 +3,9 @@
 A word is a tuple of generator indices; the words of degree n enumerate
 the canonical basis of V^(tensor n) in lexicographic order, fixed once
 and used globally so canonical subspace forms are comparable across
-modules.  Filtered coordinates list degrees in increasing order (degree 0
-first), lexicographic within each degree.
+modules.  Elements of F^n are keyed (degree, word) where an order is
+needed (:func:`filtered_terms`): lowest degree first, lexicographic
+within each degree.
 """
 
 from __future__ import annotations
@@ -77,13 +78,9 @@ def filtered_dim(dim_v: int, max_degree: int) -> int:
     return sum(dim_v**i for i in range(max_degree + 1))
 
 
-def filtered_offset(dim_v: int, degree: int) -> int:
-    """Offset of the degree block inside filtered coordinates."""
-    return sum(dim_v**i for i in range(degree))
-
-
-def filtered_index(word: Word, dim_v: int) -> int:
-    return filtered_offset(dim_v, len(word)) + word_index(word, dim_v)
+def filtered_terms(x: "TensorElement") -> dict:
+    """The terms of ``x`` keyed (degree, word), in the filtered coordinates' order."""
+    return {(len(w), w): c for w, c in x.terms.items()}
 
 
 @dataclass(frozen=True)
@@ -143,11 +140,12 @@ class TensorElement:
         self._check(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            nc = terms.get(w, ZERO) + c
+            old = terms.get(w)
+            nc = c if old is None else old + c
             if nc:
                 terms[w] = nc
             else:
-                terms.pop(w, None)
+                del terms[w]
         return TensorElement(self.dim_v, terms)
 
     def __neg__(self) -> "TensorElement":
@@ -186,14 +184,6 @@ class TensorElement:
             vec[word_index(w, self.dim_v)] = c
         return tuple(vec)
 
-    def to_filtered_vector(self, max_degree: int) -> Vector:
-        if self.max_degree > max_degree:
-            raise ValueError("element exceeds the requested filtration level")
-        vec = [ZERO] * filtered_dim(self.dim_v, max_degree)
-        for w, c in self.terms.items():
-            vec[filtered_index(w, self.dim_v)] = c
-        return tuple(vec)
-
     @classmethod
     def from_degree_vector(cls, dim_v: int, degree: int, vec: Sequence) -> "TensorElement":
         terms = {}
@@ -201,17 +191,6 @@ class TensorElement:
             c = rational(vec[word_index(w, dim_v)])
             if c != 0:
                 terms[w] = c
-        return cls(dim_v, terms)
-
-    @classmethod
-    def from_filtered_vector(cls, dim_v: int, max_degree: int, vec: Sequence) -> "TensorElement":
-        terms = {}
-        for deg in range(max_degree + 1):
-            off = filtered_offset(dim_v, deg)
-            for w in words(dim_v, deg):
-                c = rational(vec[off + word_index(w, dim_v)])
-                if c != 0:
-                    terms[w] = c
         return cls(dim_v, terms)
 
     def _check(self, other: "TensorElement") -> None:
@@ -291,7 +270,8 @@ class GradedMap:
         for c, img in zip(coords, self.images):
             if c:
                 for w, x in img.terms.items():
-                    terms[w] = terms.get(w, ZERO) + c * x
+                    old = terms.get(w)
+                    terms[w] = c * x if old is None else old + c * x
         return TensorElement(self.dim_v, {w: x for w, x in terms.items() if x})
 
 
@@ -333,7 +313,7 @@ def side_decompose(
     the relation coordinates of the slice of x on the words that end
     (right) or start (left) with lam, so the relation basis (which must
     be linearly independent) is eliminated once and each letter is a
-    substitution.
+    sparse reduction and a substitution.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -341,15 +321,16 @@ def side_decompose(
         if x.is_zero():
             return Matrix(())
         raise ValueError("nonzero element against an empty relation basis")
-    dim_v = x.dim_v
     degree = relation_basis[0].max_degree
-    size = dim_v**degree
-    relations = BasisCoordinates([r.to_degree_vector(degree) for r in relation_basis], size)
-    vec = x.to_degree_vector(degree + 1)
+    relations = BasisCoordinates([r.terms for r in relation_basis])
+    parts: list = [{} for _ in range(x.dim_v)]
+    for w, c in x.terms.items():
+        if len(w) != degree + 1:
+            raise ValueError("element is not homogeneous of the requested degree")
+        lam, rest = (w[-1], w[:-1]) if side == "right" else (w[0], w[1:])
+        parts[lam][rest] = c
     columns = []
-    for lam in range(dim_v):
-        # the words ending (right) or starting (left) with the letter lam
-        part = vec[lam::dim_v] if side == "right" else vec[lam * size : (lam + 1) * size]
+    for part in parts:
         coords = relations.coordinates(part)
         if coords is None:
             raise ValueError(f"element is not in the {side}-side relation product space")

@@ -4,6 +4,9 @@ Textbook Gauss-Jordan elimination over ``fractions.Fraction`` on dense
 rows: it shares no code with ``pbwforge.linalg``, so comparisons against
 it check the library's fraction-free engine from outside.
 
+The filtered converters lay an element of F^n out as a dense vector,
+degree blocks in increasing order and words lexicographically in each.
+
 The ideal references at the end are the all-products loops that the
 level-by-level ideal builders replace: every spanning product, placed
 word by word, goes through ``SparseEchelon.insert``.  They share the
@@ -13,7 +16,8 @@ elimination with the library and check how the spans are built.
 from fractions import Fraction
 
 from pbwforge.linalg import SparseEchelon
-from pbwforge.tensors import word_index, words
+from pbwforge.rationals import ZERO, rational
+from pbwforge.tensors import TensorElement, filtered_dim, word_index, words
 
 
 def eliminate(rows, col_limit=None):
@@ -118,6 +122,36 @@ def inverse(rows):
     if len(pivots) < n:
         return None
     return [row[n:] for row in aug]
+
+
+def filtered_offset(dim_v, degree):
+    """Offset of the degree block inside filtered coordinates."""
+    return sum(dim_v**i for i in range(degree))
+
+
+def filtered_index(word, dim_v):
+    return filtered_offset(dim_v, len(word)) + word_index(word, dim_v)
+
+
+def to_filtered_vector(x, max_degree):
+    """The dense filtered coordinates of ``x`` in F^max_degree."""
+    if x.max_degree > max_degree:
+        raise ValueError("element exceeds the requested filtration level")
+    vec = [ZERO] * filtered_dim(x.dim_v, max_degree)
+    for w, c in x.terms.items():
+        vec[filtered_index(w, x.dim_v)] = c
+    return tuple(vec)
+
+
+def from_filtered_vector(dim_v, max_degree, vec):
+    terms = {}
+    for deg in range(max_degree + 1):
+        off = filtered_offset(dim_v, deg)
+        for w in words(dim_v, deg):
+            c = rational(vec[off + word_index(w, dim_v)])
+            if c != 0:
+                terms[w] = c
+    return TensorElement(dim_v, terms)
 
 
 def ideal_span_dims(relations, dim_v, cutoff):

@@ -120,6 +120,41 @@ def test_degenerate_metric_rejected(tmp_path):
     doc["algebra"]["s"] = 1
     path = write(tmp_path, "p.json", doc)
     assert main(["run", "--input", path]) == 2
+@pytest.mark.parametrize("family", ["yang-mills", "super-yang-mills"])
+@pytest.mark.parametrize("size", [2, 4])
+def test_metric_of_the_wrong_size_is_invalid_input(tmp_path, capsys, family, size):
+    # s = 2 needs a 3 x 3 metric: any other size is a bad problem file,
+    # not a failed check, so exit 2 with one error line and no report
+    doc = ym_problem()
+    doc["algebra"] = {"family": family, "s": 2, "metric": [[int(i == j) for j in range(size)] for i in range(size)]}
+    path = write(tmp_path, "p.json", doc)
+    assert main(["run", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: invalid metric: dimension {size}, not s + 1 = 3\n"
+    assert captured.out == ""
+
+
+def test_wrong_size_metric_problem_file(capsys):
+    assert main(["run", "--input", str(DATA / "ym_wrong_size_metric.problem.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid metric: ")
+    assert captured.out == ""
+
+
+def test_oracle_on_the_free_algebra(tmp_path, capsys):
+    # three letters antisymmetrized over two generators: no relation at
+    # all, so the ideal is zero and every quotient is the whole of F^n
+    doc = ym_problem(
+        algebra={"family": "antisymmetrizer", "s": 1, "N": 3},
+        tasks=[{"task": "oracle"}, {"task": "check"}],
+    )
+    path = write(tmp_path, "p.json", doc)
+    assert main(["run", "--input", path]) == 0
+    oracle = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert oracle["verdict"] == "CONSISTENT"
+    assert oracle["quotient_dims"] == oracle["expected_dims"] == [1, 3, 7, 15, 31]
+
+
 def test_resource_guard_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("PBWFORGE_MAX_TENSOR_DIM", "10")
     doc = ym_problem(tasks=[{"task": "oracle", "n_max": 4}])

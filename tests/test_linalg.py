@@ -15,11 +15,17 @@ from pbwforge.linalg import (
     inverse,
     kernel,
     rank,
+    reduce_rows,
     rref,
+    rref_rows,
     solve_affine,
     vector,
 )
 from pbwforge.rationals import ONE, ZERO, rational
+
+
+def _sparse(v):
+    return {j: x for j, x in enumerate(v) if x}
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=20
@@ -193,20 +199,43 @@ def test_basis_coordinates_round_trip(seed):
         basis = [[rational(rng.randint(-9, 9)) / rational(rng.randint(1, 5)) for _ in range(n)] for _ in range(k)]
         if Subspace.from_spanning(basis, n).dim == k:
             break
-    coords = BasisCoordinates(basis, n)
+    coords = BasisCoordinates([_sparse(b) for b in basis])
     c = [rational(rng.randint(-9, 9)) / rational(rng.randint(1, 5)) for _ in range(k)]
     v = [sum((ci * b[j] for ci, b in zip(c, basis)), ZERO) for j in range(n)]
-    assert coords.coordinates(v) == tuple(c)
+    assert coords.coordinates(_sparse(v)) == tuple(c)
     if k < n:
-        outside = next(
-            e for e in Matrix.identity(n) if not coords.span.contains(e)
-        )
-        assert coords.coordinates(outside) is None
+        span = Subspace.from_spanning(basis, n)
+        outside = next(e for e in Matrix.identity(n) if not span.contains(e))
+        assert coords.coordinates(_sparse(outside)) is None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reduce_rows_is_the_reference_residual(seed):
+    # the canonical residual under int keys, and under tuple keys that
+    # order the columns differently, against textbook Gauss-Jordan on
+    # dense rows with the columns in the same order
+    rng = random.Random(700 + seed)
+    n = rng.randint(1, 8)
+
+    def entry():
+        return rng.choice([0, 0, rational(rng.randint(-9, 9)) / rng.randint(1, 4)])
+
+    rows = [[entry() for _ in range(n)] for _ in range(rng.randint(1, 6))]
+    order = sorted(range(n), key=lambda j: (j % 3, j))  # column order of the tuple keys
+    for columns, key in ((list(range(n)), lambda j: j), (order, lambda j: (j % 3, j))):
+        dense = [[row[j] for j in columns] for row in rows]
+        reduced, pivots = reference.rref(dense)
+        echelon = rref_rows({key(j): x for j, x in enumerate(row) if x} for row in rows)
+        for _ in range(4):
+            v = [entry() for _ in range(n)]
+            want = reference.residual(reduced, pivots, [v[j] for j in columns])
+            got = reduce_rows(echelon, {key(j): x for j, x in enumerate(v) if x})
+            assert got == {key(j): x for j, x in zip(columns, want) if x}
 
 
 def test_basis_coordinates_rejects_dependent_basis():
     with pytest.raises(ValueError):
-        BasisCoordinates([[1, 2, 0], [2, 4, 0]], 3)
+        BasisCoordinates([{0: 1, 1: 2}, {0: 2, 1: 4}])
 
 
 def test_solve_affine_identity():

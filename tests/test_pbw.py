@@ -3,10 +3,13 @@ import random
 
 import pytest
 import reference
+
+import pbwforge.linalg as linalg
+import pbwforge.pbw as pbw
 from test_overlap_core import _perturbed, pinned_metrics
 
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations
-from pbwforge.linalg import Matrix, inverse
+from pbwforge.linalg import Matrix, Subspace, inverse
 from pbwforge.pbw import (
     DeformationMap,
     IdealSpan,
@@ -21,7 +24,7 @@ from pbwforge.pbw import (
 )
 from pbwforge.rationals import Q, format_rational, rational
 from pbwforge.sampling import sample_current_parameters
-from pbwforge.tensors import TensorElement, filtered_offset, words
+from pbwforge.tensors import TensorElement, words
 from pbwforge.yang_mills import (
     Current,
     CurrentParameters,
@@ -197,6 +200,20 @@ def test_conservation_zero_current():
     assert res.residual.is_zero()
 
 
+def test_conservation_requires_the_two_sided_identity():
+    # YM has sum e_rho (x) r_rho = sum r_rho (x) e_rho; SYM has it with a
+    # minus sign, so3 has none, and six relations over four letters are
+    # not one per generator
+    from pbwforge.super_ym import build_sym
+
+    assert build_ym(2, Metric.minkowski(3)).two_sided_identity
+    for a in (build_sym(2, Metric.minkowski(3)), build_antisymmetrizer_relations(3, 2), build_antisymmetrizer_relations(4, 2)):
+        assert not a.two_sided_identity
+        d = deformation_from_tails(a, tuple(TensorElement.zero(a.dim_v) for _ in a.relation_basis))
+        with pytest.raises(ValueError, match="two-sided identity"):
+            conservation_residual(d)
+
+
 def test_conservation_matches_verdict_on_samples():
     rng = random.Random(23)
     metric = Metric.minkowski(3)
@@ -213,6 +230,16 @@ def test_resource_guard(monkeypatch):
     d = deformation_from_tails(a, tuple(TensorElement.zero(3) for _ in range(3)))
     with pytest.raises(ResourceGuardError):
         brute_force_oracle(d, 4, 5)
+
+
+def test_oracle_on_an_empty_relation_space():
+    # N > dim_v antisymmetrizes nothing: the free algebra, whose ideal is zero
+    a = build_antisymmetrizer_relations(2, 3)
+    assert a.relation_basis == ()
+    res = brute_force_oracle(deformation_from_tails(a, ()), 4, 6)
+    assert res.verdict == "CONSISTENT"
+    assert res.quotient_dims == res.expected_dims == (1, 3, 7, 15, 31)
+    assert IdealSpan([], 2, 4).intersection_dim(4) == 0
 
 
 def test_oracle_cutoff_below_nmax_rejected():
@@ -233,11 +260,11 @@ def _dense_intersection_dims(relations, dim_v, cutoff):
                 for right in words(dim_v, k):
                     a = TensorElement.from_terms(dim_v, {left: 1})
                     b = TensorElement.from_terms(dim_v, {right: 1})
-                    products += [a.tensor(p).tensor(b).to_filtered_vector(cutoff) for p in relations]
+                    products += [reference.to_filtered_vector(a.tensor(p).tensor(b), cutoff) for p in relations]
     total = reference.rank(products)
     # a vector of the span lies in F^n iff it vanishes on every coordinate after F^n
     return [
-        total - reference.rank([v[filtered_offset(dim_v, n + 1):] for v in products])
+        total - reference.rank([v[reference.filtered_offset(dim_v, n + 1):] for v in products])
         for n in range(cutoff + 1)
     ]
 
@@ -322,3 +349,50 @@ def test_conservation_residuals_match_pinned_hash():
                     tally[res.conserved] = tally.get(res.conserved, 0) + 1
     assert tally == {False: 86, True: 22}
     assert h.hexdigest() == "03f9460846d8b76d499643f06aa7729c5eca9ef61653079029945533ed8abb89"
+
+
+def test_chain_and_conservation_run_on_sparse_rows(monkeypatch):
+    # on a warmed presentation, a verdict and a conservation check build
+    # no dense vector and no dense subspace, and reduce each top bracket
+    # modulo R exactly once
+    metric = Metric.minkowski(4)
+    a = build_ym(3, metric)
+    rng = random.Random(41)
+    currents = [
+        current_from_parameters(sample_current_parameters(rng, metric, violate=v), metric)
+        for v in (None, "s3", "s2", "s1")
+    ]
+    currents.append(_perturbed(currents[0], rng, "top"))
+    warm = current_to_deformation(currents[0], a)
+    pbw_verdict(warm)
+    conservation_residual(warm)
+
+    dense = []
+    for owner, name in (
+        (TensorElement, "to_degree_vector"),
+        (TensorElement, "from_degree_vector"),
+        (Subspace, "from_spanning"),
+        (Subspace, "from_sparse"),
+        (Subspace, "reduce"),
+    ):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: dense.append(name))
+    reductions = []
+    real = linalg.reduce_rows
+
+    def counting(rows, vec):
+        reductions.append(rows is a.relation_frame.rows)
+        return real(rows, vec)
+
+    for module in (linalg, pbw):
+        monkeypatch.setattr(module, "reduce_rows", counting)
+    verdicts = []
+    for current in currents:
+        reductions.clear()
+        d = current_to_deformation(current, a)
+        verdicts.append(pbw_verdict(d).j1_holds)
+        conservation_residual(d)
+        # one reduction modulo R per top bracket, one for the divergence
+        assert sorted(reductions) == [False] + [True] * len(d.top_brackets)
+    assert dense == []
+    assert verdicts == [True, True, True, True, False]
+    assert not hasattr(TensorElement, "to_filtered_vector")

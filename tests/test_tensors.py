@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import reference
 
 from pbwforge.linalg import Subspace
 from pbwforge.rationals import ONE, rational
@@ -9,6 +10,7 @@ from pbwforge.tensors import (
     TensorElement,
     anticommutator,
     commutator,
+    filtered_terms,
     index_word,
     side_decompose,
     side_tensor,
@@ -60,8 +62,16 @@ def test_zero_coefficients_dropped():
 
 def test_mixed_degree_round_trip():
     a = TensorElement.from_terms(2, {(): "1/2", (0,): 1, (1, 0): "-2/3"})
-    vec = a.to_filtered_vector(3)
-    assert TensorElement.from_filtered_vector(2, 3, vec) == a
+    vec = reference.to_filtered_vector(a, 3)
+    assert reference.from_filtered_vector(2, 3, vec) == a
+
+
+def test_filtered_keys_sort_as_filtered_coordinates():
+    # the (degree, word) keys order F^3 over three letters exactly as the
+    # dense filtered layout does, so a canonical RREF is the same under both
+    every = TensorElement.from_terms(3, {w: 1 for d in range(4) for w in words(3, d)})
+    keys = sorted(filtered_terms(every))
+    assert [reference.filtered_index(w, 3) for _, w in keys] == list(range(len(keys)))
 
 
 def test_degree_vector_requires_homogeneous():
