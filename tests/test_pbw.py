@@ -24,6 +24,7 @@ from pbwforge.pbw import (
 )
 from pbwforge.rationals import Q, format_rational, rational
 from pbwforge.sampling import sample_current_parameters
+from pbwforge.super_ym import build_sym
 from pbwforge.tensors import TensorElement, words
 from pbwforge.yang_mills import (
     Current,
@@ -204,10 +205,9 @@ def test_conservation_requires_the_two_sided_identity():
     # YM has sum e_rho (x) r_rho = sum r_rho (x) e_rho; SYM has it with a
     # minus sign, so3 has none, and six relations over four letters are
     # not one per generator
-    from pbwforge.super_ym import build_sym
-
     assert build_ym(2, Metric.minkowski(3)).two_sided_identity
-    for a in (build_sym(2, Metric.minkowski(3)), build_antisymmetrizer_relations(3, 2), build_antisymmetrizer_relations(4, 2)):
+    others = (build_sym(2, Metric.minkowski(3)), build_antisymmetrizer_relations(3, 2), build_antisymmetrizer_relations(4, 2))
+    for a in others:
         assert not a.two_sided_identity
         d = deformation_from_tails(a, tuple(TensorElement.zero(a.dim_v) for _ in a.relation_basis))
         with pytest.raises(ValueError, match="two-sided identity"):
@@ -375,7 +375,12 @@ def test_chain_and_conservation_run_on_sparse_rows(monkeypatch):
         (Subspace, "from_sparse"),
         (Subspace, "reduce"),
     ):
-        monkeypatch.setattr(owner, name, lambda *args, name=name: dense.append(name))
+
+        def spy(*args, real=getattr(owner, name), name=name):
+            dense.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
     reductions = []
     real = linalg.reduce_rows
 
