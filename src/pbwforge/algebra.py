@@ -27,7 +27,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import BasisCoordinates, SparseEchelon, Subspace
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, times
 from .tensors import (
     GradedMap,
     TensorElement,
@@ -110,7 +110,7 @@ def primitive_terms(p: TensorElement) -> list:
     """(degree, word index, coefficient) of each term of ``p``, with the
     denominators cleared and the content removed: a primitive integer row."""
     den = lcm(*(int(c.denominator) for c in p.terms.values()))
-    ints = {w: int(c.numerator) * (den // int(c.denominator)) for w, c in p.terms.items()}
+    ints = {w: times(c, den) for w, c in p.terms.items()}
     content = gcd(*ints.values())
     return [(len(w), word_index(w, p.dim_v), c // content) for w, c in ints.items()]
 
@@ -241,12 +241,14 @@ class OverlapData:
         self.right = tuple(side_decompose(x, a.relation_basis, "right") for x in self.vectors)
         self.left = tuple(side_decompose(x, a.relation_basis, "left") for x in self.vectors)
         # per overlap vector, (k, prefix, suffix, c) for each nonzero entry: r_k (x) e_lam
-        # on the right has suffix (lam,), e_lam (x) r_k on the left prefix (lam,), c negated
-        self._entries = tuple(
-            [(k, (), (lam,), c) for k, row in enumerate(r.data) for lam, c in enumerate(row) if c]
-            + [(k, (lam,), (), -c) for k, row in enumerate(l.data) for lam, c in enumerate(row) if c]
-            for r, l in zip(self.right, self.left)
-        )
+        # on the right has suffix (lam,), e_lam (x) r_k on the left prefix (lam,), c negated,
+        # each kept as an int over the vector's common denominator den: (den, entries)
+        self._entries = []
+        for r, l in zip(self.right, self.left):
+            entries = [(k, (), (lam,), c) for k, row in enumerate(r.data) for lam, c in enumerate(row) if c]
+            entries += [(k, (lam,), (), -c) for k, row in enumerate(l.data) for lam, c in enumerate(row) if c]
+            den = lcm(*(int(e[3].denominator) for e in entries))
+            self._entries.append((den, [(k, pre, suf, times(c, den)) for k, pre, suf, c in entries]))
 
     def brackets(self, phi: GradedMap) -> tuple:
         """(phi tensor I - I tensor phi)(x_i) for every overlap vector x_i:
@@ -254,17 +256,7 @@ class OverlapData:
         left[k][lam] e_lam (x) phi(r_k), over the nonzero entries only."""
         if len(phi.images) != self.source_dim:
             raise ValueError(f"{len(phi.images)} images against {self.source_dim} relations")
-        images = [image.terms.items() for image in phi.images]
-        out = []
-        for entries in self._entries:
-            terms: dict = {}
-            for k, prefix, suffix, c in entries:
-                for w, x in images[k]:
-                    key = prefix + w + suffix
-                    old = terms.get(key)
-                    terms[key] = c * x if old is None else old + c * x
-            out.append(TensorElement(self.dim_v, {w: c for w, c in terms.items() if c}))
-        return tuple(out)
+        return tuple(phi.combine(entries, den) for den, entries in self._entries)
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

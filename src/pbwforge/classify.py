@@ -101,7 +101,8 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     units = [unit for j in range(n - 1) for unit in _unit_blocks(a, j)]
 
     def residual_coords(tails, j: int) -> list:
-        return [c for res in level_residuals(a, inner_coords, tails, j) for c in res.to_degree_vector(j)]
+        parts = {i: graded_part(a.dim_v, tails, i) for i in (j - 1, j) if i >= 0}
+        return [c for res in level_residuals(a, inner_coords, parts, j) for c in res.to_degree_vector(j)]
 
     eq_rows: list = []
     rhs: list = []

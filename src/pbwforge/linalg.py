@@ -9,9 +9,9 @@ free key, the pivot, and the tail only by rows whose pivot entry is 1.
 The canonical RREF behind ``Subspace``, ``kernel``, ``solve_affine`` and
 ``inverse`` comes from back-substitution of those head-reduced rows in
 decreasing pivot order, then one division of each row by its pivot
-entry.  An intersection eliminates a kernel with one column per basis
-vector of the first subspace, never a block over twice the ambient
-dimension.
+entry; ``residual`` needs no RREF, only the loop's scale.  An
+intersection eliminates a kernel with one column per basis vector of the
+first subspace, never a block over twice the ambient dimension.
 
 Everything is exact: a rank, a membership bit, or a solution vector is a
 theorem, not an approximation.  All values are immutable after
@@ -55,10 +55,6 @@ class Matrix:
         return cls(tuple(vector(row) for row in rows))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(tuple((ZERO,) * cols for _ in range(rows)))
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
 
@@ -69,9 +65,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return len(self.data[0]) if self.data else 0
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.data))) if self.data else Matrix(())
 
     def mat_vec(self, v: Sequence) -> Vector:
         if self.data and len(v) != self.cols:
@@ -330,7 +323,7 @@ class SparseEchelon:
 
         The residual is an integer dict equal to the rational residual
         (``vec`` minus its combination of stored rows) up to a nonzero
-        scalar factor; it is empty iff ``vec`` lies in the span.
+        scalar (:func:`residual` tracks it); empty iff ``vec`` is in the span.
         """
         v = _integer_row(vec)
         _eliminate_pivots(self.rows, v, full=True)
@@ -344,10 +337,6 @@ class SparseEchelon:
             return False
         _store(self.rows, v, p)
         return True
-
-    def extend(self, vectors: Iterable[dict]) -> None:
-        for v in vectors:
-            self.insert(v)
 
 
 def _eliminate_pivots(rows: dict, v: dict, full: bool):
@@ -414,12 +403,7 @@ def rref_rows(vectors: Iterable[dict]) -> list:
     only by rows that are already fully reduced, and last divided by its
     pivot entry.
     """
-    rows: dict = {}
-    for vec in vectors:
-        v = _integer_row(vec)
-        p = _eliminate_pivots(rows, v, full=False)
-        if p is not None:
-            _store(rows, v, p)
+    rows = _head_reduced(vectors)
     reduced = []
     for p in sorted(rows, reverse=True):
         v = rows.pop(p)
@@ -429,6 +413,33 @@ def rref_rows(vectors: Iterable[dict]) -> list:
         reduced.append((p, {k: Q(c, a) for k, c in rows[p].items()}))
     reduced.reverse()
     return reduced
+
+
+def _head_reduced(vectors: Iterable[dict]) -> dict:
+    """Pivot key -> primitive integer row of the head-reduced span of ``vectors``."""
+    rows: dict = {}
+    for vec in vectors:
+        v = _integer_row(vec)
+        p = _eliminate_pivots(rows, v, full=False)
+        if p is not None:
+            _store(rows, v, p)
+    return rows
+
+
+# a key after every other key, so never a pivot: the loop only rescales its entry
+_LAST = type("Last", (), {"__lt__": lambda self, other: False, "__gt__": lambda self, other: True})()
+
+
+def residual(vectors: Iterable[dict], vec: dict, den: int = 1) -> dict:
+    """The canonical residual of vec / den (``vec`` an int dict) modulo
+    the span of the sparse ``vectors``, with no RREF: the loop clears each
+    pivot of the head-reduced vectors, scaling ``vec`` by s (at ``_LAST``),
+    so over s den the result vanishes on every pivot and differs from
+    vec / den by an element of the span, which makes it unique."""
+    v = {k: c for k, c in vec.items() if c} | {_LAST: den}
+    _eliminate_pivots(_head_reduced(vectors), v, full=True)
+    den = v.pop(_LAST)
+    return {k: Q(c, den) for k, c in v.items()}
 
 
 def _integer_row(vec: dict) -> dict:

@@ -12,11 +12,12 @@ conditions are written once, as :func:`level_residuals`: the checker
 tests that they vanish, and the classifier solves them for the unknown
 lower blocks.  Because the deformed relations are graphs {x - phi(x)},
 the ideal meets F^(N-1) trivially by construction; that condition needs
-no computation.  The chain and the conservation law work on sparse rows,
-never on dense vectors: each top bracket is reduced once against the
-sparse RREF rows of R (``AlgebraPresentation.relation_frame``), and the
-divergence of the current against those of the deformed relations, keyed
-(degree, word) in the filtered order.  The conservation law reads
+no computation.  The chain and the conservation law work on sparse rows
+and accumulate Python ints, one division per output term: each top
+bracket is reduced once against the sparse RREF rows of R
+(``AlgebraPresentation.relation_frame``), and the divergence of the
+current exactly against the head-reduced rows of the deformed relations
+(``linalg.residual``), keyed (degree, word).  The conservation law reads
 neither W nor the brackets, so it stays an independent certificate.
 
 The brute-force oracle is fully independent: it spans the filtered ideal
@@ -36,16 +37,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import AlgebraPresentation, graded_dim, left_shifts, primitive_terms, reducible_words
-from .linalg import SparseEchelon, reduce_rows, rref_rows
+from .linalg import SparseEchelon, residual
+from .rationals import times
 from .tensors import (
     GradedMap,
     ResourceGuardError,  # noqa: F401  (re-exported for callers of the oracle)
     TensorElement,
     filtered_dim,
-    filtered_terms,
     guard_tensor_dim,
 )
 
@@ -74,11 +76,15 @@ class DeformationMap:
                 raise ValueError("tails must lie in F^(N-1)")
 
     @cached_property
+    def graded_parts(self) -> tuple:
+        """phi_0, ..., phi_(N-1) (:func:`graded_part`); built once per deformation."""
+        return tuple(graded_part(self.algebra.dim_v, self.tails, j) for j in range(self.algebra.degree))
+
+    @cached_property
     def top_brackets(self) -> tuple:
         """(phi_{N-1} tensor I - I tensor phi_{N-1})(x) for each x in W,
         in overlap basis order; computed once per deformation."""
-        a = self.algebra
-        return a.overlap.brackets(graded_part(a.dim_v, self.tails, a.degree - 1))
+        return self.algebra.overlap.brackets(self.graded_parts[-1])
 
     @cached_property
     def _top_coords(self) -> tuple:
@@ -104,22 +110,18 @@ def graded_part(dim_v: int, tails: Sequence[TensorElement], j: int) -> GradedMap
     return GradedMap(dim_v, j, tuple(t.degree_component(j) for t in tails))
 
 
-def level_residuals(
-    a: AlgebraPresentation, inner_coords: Sequence, tails: Sequence[TensorElement], j: int
-) -> tuple:
+def level_residuals(a: AlgebraPresentation, inner_coords: Sequence, parts, j: int) -> tuple:
     """The level-j residual on each overlap vector x_i, in overlap basis
     order, where c_i = ``inner_coords[i]`` are the relation coordinates of
-    the top bracket of x_i and phi_j is the degree-j part of ``tails``:
+    the top bracket of x_i and ``parts[i]`` is phi_i (:func:`graded_part`):
     phi_j(c_i) + (phi_(j-1) tensor I - I tensor phi_(j-1))(x_i) for j >= 1,
     and phi_0(c_i) for j = 0.  The deformation is PBW at level j iff every
     residual vanishes; for fixed c_i they are linear in the tails.
     """
-    phi_j = graded_part(a.dim_v, tails, j)
-    own = tuple(phi_j.apply_coords(c) for c in inner_coords)
+    own = tuple(parts[j].apply_coords(c) for c in inner_coords)
     if j == 0:
         return own
-    lower = a.overlap.brackets(graded_part(a.dim_v, tails, j - 1))
-    return tuple(x + low for x, low in zip(own, lower))
+    return tuple(x + low for x, low in zip(own, a.overlap.brackets(parts[j - 1])))
 
 
 def deformation_from_tails(
@@ -147,13 +149,13 @@ def check_j2(d: DeformationMap, j: int) -> bool:
     """
     if not 1 <= j <= d.algebra.degree - 1:
         raise ValueError(f"level must be in 1..{d.algebra.degree - 1}")
-    return all(r.is_zero() for r in level_residuals(d.algebra, d.inner_coords, d.tails, j))
+    return all(r.is_zero() for r in level_residuals(d.algebra, d.inner_coords, d.graded_parts, j))
 
 
 def check_j3(d: DeformationMap) -> bool:
     """Scalar condition: phi_0 of the bracket vanishes on the overlap space.
     Requires the top condition, as :func:`check_j2` does."""
-    return all(r.is_zero() for r in level_residuals(d.algebra, d.inner_coords, d.tails, 0))
+    return all(r.is_zero() for r in level_residuals(d.algebra, d.inner_coords, d.graded_parts, 0))
 
 
 @dataclass(frozen=True)
@@ -339,17 +341,21 @@ def conservation_residual(d: DeformationMap) -> ConservationResult:
     Requires a Yang-Mills-form presentation: one relation per generator,
     with the two-sided overlap identity sum(e_rho (x) r^rho) =
     sum(r^rho (x) e_rho) holding exactly.  The divergence then reduces to
-    zero iff the deformation satisfies the PBW conditions.
+    zero iff the deformation satisfies the PBW conditions.  It and the
+    relations are int rows over one denominator (:func:`~pbwforge.linalg.residual`).
     """
     a = d.algebra
     if not a.two_sided_identity:
         raise ValueError("conservation requires one relation per generator and the two-sided identity")
+    den = lcm(*(int(c.denominator) for p in (*a.relation_basis, *d.tails) for c in p.terms.values()))
+    tails = [{(len(w), w): times(c, den) for w, c in t.terms.items()} for t in d.tails]
     divergence: dict = {}
-    for rho, current in enumerate(d.tails):
-        for w, c in current.terms.items():
-            left, right = (len(w) + 1, (rho,) + w), (len(w) + 1, w + (rho,))
+    for rho, current in enumerate(tails):
+        for (n, w), c in current.items():
+            left, right = (n + 1, (rho,) + w), (n + 1, w + (rho,))
             divergence[left] = divergence.get(left, 0) + c
             divergence[right] = divergence.get(right, 0) - c
-    relations = rref_rows(filtered_terms(p) for p in d.deformed_relations())
-    residual = reduce_rows(relations, {k: c for k, c in divergence.items() if c})
-    return ConservationResult(TensorElement(a.dim_v, {w: c for (_, w), c in residual.items()}), not residual)
+    relations = [{(len(w), w): times(c, den) for w, c in r.terms.items()} for r in a.relation_basis]
+    relations = [r | {k: -c for k, c in t.items()} for r, t in zip(relations, tails)]
+    res = residual(relations, divergence, den)
+    return ConservationResult(TensorElement(a.dim_v, {w: c for (_, w), c in res.items()}), not res)

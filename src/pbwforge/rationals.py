@@ -46,6 +46,11 @@ def rational(value: RationalLike) -> Q:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def times(c, den: int) -> int:
+    """c * den as a Python int, for a rational c whose denominator divides den."""
+    return int(c.numerator) * (den // int(c.denominator))
+
+
 def format_rational(value) -> str:
     """Render a rational as ``"p"`` or ``"p/q"`` (lowest terms, q > 0)."""
     q = Q(value)

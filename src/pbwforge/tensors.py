@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import BasisCoordinates, Matrix, Subspace, Vector
-from .rationals import ONE, ZERO, rational
+from .rationals import ONE, ZERO, Q, rational, times
 
 Word = tuple  # tuple of generator indices
 
@@ -60,17 +62,6 @@ def word_index(word: Word, dim_v: int) -> int:
             raise ValueError(f"letter {letter} out of range for dim_v={dim_v}")
         idx = idx * dim_v + letter
     return idx
-
-
-def index_word(degree: int, idx: int, dim_v: int) -> Word:
-    """Inverse of :func:`word_index` at a fixed degree."""
-    if not 0 <= idx < dim_v**degree:
-        raise ValueError(f"index {idx} out of range for degree {degree}")
-    letters = []
-    for _ in range(degree):
-        idx, r = divmod(idx, dim_v)
-        letters.append(r)
-    return tuple(reversed(letters))
 
 
 def filtered_dim(dim_v: int, max_degree: int) -> int:
@@ -262,17 +253,31 @@ class GradedMap:
             if img.dim_v != self.dim_v or not img.is_homogeneous(self.target_degree):
                 raise ValueError(f"image is not in V^(tensor {self.target_degree})")
 
+    @cached_property
+    def integer_images(self) -> tuple:
+        """(den, images): each image's (word, coefficient * den) pairs, ints."""
+        den = lcm(*(int(x.denominator) for img in self.images for x in img.terms.values()))
+        return den, tuple([(w, times(x, den)) for w, x in img.terms.items()] for img in self.images)
+
+    def combine(self, entries, den: int) -> TensorElement:
+        """Sum of c/den prefix images[k] suffix over the (k, prefix, suffix,
+        c) ``entries``, c ints: int products, one division per nonzero term."""
+        image_den, images = self.integer_images
+        terms: dict = {}
+        for k, prefix, suffix, c in entries:
+            for w, x in images[k]:
+                key = prefix + w + suffix
+                old = terms.get(key)
+                terms[key] = c * x if old is None else old + c * x
+        den *= image_den
+        return TensorElement(self.dim_v, {w: Q(x, den) for w, x in terms.items() if x})
+
     def apply_coords(self, coords: Sequence) -> TensorElement:
         """The image of the relation with the given basis coordinates."""
         if len(coords) != len(self.images):
             raise ValueError(f"{len(coords)} coordinates against {len(self.images)} images")
-        terms: dict = {}
-        for c, img in zip(coords, self.images):
-            if c:
-                for w, x in img.terms.items():
-                    old = terms.get(w)
-                    terms[w] = c * x if old is None else old + c * x
-        return TensorElement(self.dim_v, {w: x for w, x in terms.items() if x})
+        den = lcm(*(int(c.denominator) for c in coords))
+        return self.combine([(k, (), (), times(c, den)) for k, c in enumerate(coords) if c], den)
 
 
 def flatten_graded_map(m: GradedMap) -> Vector:

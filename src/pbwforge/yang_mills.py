@@ -252,7 +252,7 @@ class Current:
                 terms[(mu,)] = self.j2[mu][rho]
                 for nu in range(n):
                     terms[(mu, nu)] = self.j3[mu][nu][rho]
-            out.append(TensorElement.from_terms(n, terms))
+            out.append(TensorElement(n, {w: c for w, c in terms.items() if c}))
         return tuple(out)
 
 

@@ -351,10 +351,29 @@ def test_conservation_residuals_match_pinned_hash():
     assert h.hexdigest() == "03f9460846d8b76d499643f06aa7729c5eca9ef61653079029945533ed8abb89"
 
 
+def test_a_verdict_builds_each_graded_part_once(monkeypatch):
+    metric = Metric.minkowski(4)
+    a = build_ym(3, metric)
+    params = sample_current_parameters(random.Random(43), metric)
+    d = current_to_deformation(current_from_parameters(params, metric), a)
+    calls = []
+    real = pbw.graded_part
+
+    def spy(dim_v, tails, j):
+        calls.append(j)
+        return real(dim_v, tails, j)
+
+    monkeypatch.setattr(pbw, "graded_part", spy)
+    verdict = pbw_verdict(d)
+    assert verdict.overall and len(verdict.j2_holds) == a.degree - 1
+    assert sorted(calls) == list(range(a.degree))
+
+
 def test_chain_and_conservation_run_on_sparse_rows(monkeypatch):
     # on a warmed presentation, a verdict and a conservation check build
     # no dense vector and no dense subspace, and reduce each top bracket
-    # modulo R exactly once
+    # modulo R exactly once; the conservation check builds neither an
+    # RREF nor a SparseEchelon
     metric = Metric.minkowski(4)
     a = build_ym(3, metric)
     rng = random.Random(41)
@@ -388,16 +407,31 @@ def test_chain_and_conservation_run_on_sparse_rows(monkeypatch):
         reductions.append(rows is a.relation_frame.rows)
         return real(rows, vec)
 
-    for module in (linalg, pbw):
-        monkeypatch.setattr(module, "reduce_rows", counting)
+    monkeypatch.setattr(linalg, "reduce_rows", counting)
+    assert not hasattr(pbw, "reduce_rows") and not hasattr(pbw, "rref_rows")
+    eliminations = []
+    real_rref = linalg.rref_rows
+    real_init = linalg.SparseEchelon.__init__
+
+    def rref_spy(vectors):
+        eliminations.append("rref_rows")
+        return real_rref(vectors)
+
+    def init_spy(self):
+        eliminations.append("SparseEchelon")
+        real_init(self)
+
+    monkeypatch.setattr(linalg, "rref_rows", rref_spy)
+    monkeypatch.setattr(linalg.SparseEchelon, "__init__", init_spy)
     verdicts = []
     for current in currents:
         reductions.clear()
         d = current_to_deformation(current, a)
         verdicts.append(pbw_verdict(d).j1_holds)
         conservation_residual(d)
-        # one reduction modulo R per top bracket, one for the divergence
-        assert sorted(reductions) == [False] + [True] * len(d.top_brackets)
+        # one reduction modulo R per top bracket, none for the divergence
+        assert reductions == [True] * len(d.top_brackets)
     assert dense == []
+    assert eliminations == []
     assert verdicts == [True, True, True, True, False]
     assert not hasattr(TensorElement, "to_filtered_vector")

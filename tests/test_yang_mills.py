@@ -9,6 +9,7 @@ from pbwforge.sampling import (
     random_antisymmetric3,
     random_metric,
     sample_current_parameters,
+    sample_super_parameters,
 )
 from pbwforge.super_ym import super_current_from_parameters
 from pbwforge.tensors import TensorElement, commutator
@@ -171,6 +172,36 @@ def test_zero_parameters_zero_current():
     c = current_from_parameters(p, metric)
     assert all(x == 0 for x in c.j1)
     assert all(c.j2[i][j] == 0 for i in range(3) for j in range(3))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_tails_equal_the_from_terms_construction(s):
+    # seeded YM and SYM currents, with rational and zero entries: each tail
+    # keeps its nonzero entries as they stand, which is what from_terms
+    # gives after coercing every entry
+    rng = random.Random(f"tails-{s}")
+    n = s + 1
+    metric = random_metric(rng, n)
+    currents = [
+        current_from_parameters(sample_current_parameters(rng, metric, violate=v), metric)
+        for v in (None, "s3", "s1")
+    ]
+    currents.append(super_current_from_parameters(*sample_super_parameters(rng, n), metric))
+    currents.append(current_from_parameters(CurrentParameters((Q(0),) * n, zero3(n), zero3(n), zero2(n), (Q(0),) * n), metric))
+    entries = []
+    for c in currents:
+        want = []
+        for rho in range(n):
+            terms = {(): c.j1[rho]}
+            terms.update({(mu,): c.j2[mu][rho] for mu in range(n)})
+            terms.update({(mu, nu): c.j3[mu][nu][rho] for mu in range(n) for nu in range(n)})
+            entries.extend(terms.values())
+            want.append(TensorElement.from_terms(n, terms))
+        got = c.tails()
+        assert got == tuple(want)
+        assert all(type(x) is type(ONE) and x for t in got for x in t.terms.values())
+    assert 0 in entries and any(x.denominator != 1 for x in entries)
+    assert currents[-1].tails() == (TensorElement.zero(n),) * n
 
 
 def test_theorem_forward_samples():
