@@ -187,7 +187,8 @@ def test_tails_equal_the_from_terms_construction(s):
         for v in (None, "s3", "s1")
     ]
     currents.append(super_current_from_parameters(*sample_super_parameters(rng, n), metric))
-    currents.append(current_from_parameters(CurrentParameters((Q(0),) * n, zero3(n), zero3(n), zero2(n), (Q(0),) * n), metric))
+    zero = CurrentParameters((Q(0),) * n, zero3(n), zero3(n), zero2(n), (Q(0),) * n)
+    currents.append(current_from_parameters(zero, metric))
     entries = []
     for c in currents:
         want = []
