@@ -337,6 +337,7 @@ def test_identities_result_keys(tmp_path, capsys, family, metric):
 
 GOLDEN = (
     (["run", "--input", "ym_minkowski_check_j1_violation.problem.json"], 1, "ym_minkowski_check_j1_violation"),
+    (["run", "--input", "ym_euclidean_check_lower_violation.problem.json"], 1, "ym_euclidean_check_lower_violation"),
     (["run", "--input", "sym_s3_classify.problem.json"], 0, "sym_s3_classify"),
     (["run", "--input", "ym_s2_hilbert.problem.json"], 0, "ym_s2_hilbert"),
     (["demo-lie", "--case", "broken"], 1, "demo_lie_broken"),
