@@ -31,6 +31,7 @@ from .rationals import ONE, ZERO, times
 from .tensors import (
     GradedMap,
     TensorElement,
+    add_images,
     guard_tensor_dim,
     side_decompose,
     side_tensor,
@@ -64,7 +65,7 @@ class AlgebraPresentation:
 
     @cached_property
     def relation_frame(self) -> BasisCoordinates:
-        """R eliminated once: its sparse RREF rows keyed by word, and relation coordinates."""
+        """R's basis as integer rows keyed by word, and relation coordinates in it."""
         return BasisCoordinates([r.terms for r in self.relation_basis])
 
     @cached_property
@@ -75,7 +76,8 @@ class AlgebraPresentation:
     def relation_coords(self, x: TensorElement):
         """Coordinates of x in the distinguished relation basis.
 
-        A call is one sparse reduction modulo R and a substitution.
+        A call is one integer product and one exact sparse comparison
+        (:meth:`~pbwforge.linalg.BasisCoordinates.coordinates`).
         Raises ValueError when x is not in R.
         """
         coords = self.relation_frame.coordinates(x.terms)
@@ -223,11 +225,13 @@ class OverlapData:
     on the presentation alone, so it is computed once here: the canonical
     basis x_i of W (``vectors``) and the coefficient matrices of each x_i
     in R (tensor) V (``right``) and in V (tensor) R (``left``), in the
-    layout of :func:`side_decompose`.  ``brackets(phi)`` evaluates (phi
-    tensor I - I tensor phi)(x_i) from those matrices and the images of
-    phi.  The checker reads it on a deformation's tails; the classifier
-    reads it on unit images, through the same level residuals
-    (:func:`pbwforge.pbw.level_residuals`).
+    layout of :func:`side_decompose`, with their nonzero entries as ints
+    over one denominator per x_i (``entries``, the input of
+    :func:`~pbwforge.tensors.add_images`).  ``brackets(phi)`` evaluates
+    (phi tensor I - I tensor phi)(x_i) from those entries and the images
+    of phi.  The checker reads the entries on a deformation's integer
+    tails; the classifier reads the brackets on unit images, and both
+    read the same level residuals (:func:`pbwforge.pbw.level_numerators`).
     """
 
     def __init__(self, a: AlgebraPresentation):
@@ -243,12 +247,12 @@ class OverlapData:
         # per overlap vector, (k, prefix, suffix, c) for each nonzero entry: r_k (x) e_lam
         # on the right has suffix (lam,), e_lam (x) r_k on the left prefix (lam,), c negated,
         # each kept as an int over the vector's common denominator den: (den, entries)
-        self._entries = []
+        self.entries = []
         for r, l in zip(self.right, self.left):
             entries = [(k, (), (lam,), c) for k, row in enumerate(r.data) for lam, c in enumerate(row) if c]
             entries += [(k, (lam,), (), -c) for k, row in enumerate(l.data) for lam, c in enumerate(row) if c]
             den = lcm(*(int(e[3].denominator) for e in entries))
-            self._entries.append((den, [(k, pre, suf, times(c, den)) for k, pre, suf, c in entries]))
+            self.entries.append((den, [(k, pre, suf, times(c, den)) for k, pre, suf, c in entries]))
 
     def brackets(self, phi: GradedMap) -> tuple:
         """(phi tensor I - I tensor phi)(x_i) for every overlap vector x_i:
@@ -256,7 +260,11 @@ class OverlapData:
         left[k][lam] e_lam (x) phi(r_k), over the nonzero entries only."""
         if len(phi.images) != self.source_dim:
             raise ValueError(f"{len(phi.images)} images against {self.source_dim} relations")
-        return tuple(phi.combine(entries, den) for den, entries in self._entries)
+        image_den, images = phi.integer_images
+        return tuple(
+            TensorElement.from_integers(self.dim_v, add_images({}, images, entries), den * image_den)
+            for den, entries in self.entries
+        )
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

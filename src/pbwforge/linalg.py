@@ -9,7 +9,9 @@ free key, the pivot, and the tail only by rows whose pivot entry is 1.
 The canonical RREF behind ``Subspace``, ``kernel``, ``solve_affine`` and
 ``inverse`` comes from back-substitution of those head-reduced rows in
 decreasing pivot order, then one division of each row by its pivot
-entry; ``residual`` needs no RREF, only the loop's scale.  An
+entry; ``residual`` needs no RREF, only the loop's scale.
+``BasisCoordinates`` eliminates its basis once and then finds each
+vector's coordinates by an integer product and one exact comparison.  An
 intersection eliminates a kernel with one column per basis vector of the
 first subspace, never a block over twice the ambient dimension.
 
@@ -26,7 +28,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .rationals import ONE, ZERO, Q, rational
+from .rationals import ONE, ZERO, Q, rational, times
 
 Vector = tuple  # tuple of rationals
 
@@ -253,26 +255,51 @@ def solve_affine(m: Matrix, rhs: Sequence) -> Optional[AffineSolution]:
 
 
 class BasisCoordinates:
-    """Coordinates in a fixed ordered basis of independent sparse vectors.
+    """Coordinates in a fixed ordered basis of independent sparse vectors,
+    computed in integers.
 
-    The basis is eliminated once, on construction: ``rows`` are the
-    canonical RREF pairs of its span (:func:`rref_rows`).  With P their
-    pivots, v = sum c_i b_i restricts to v_P = S c, where S[j][i] is entry
-    P_j of b_i, and S is invertible; so each ``coordinates`` call is one
-    sparse reduction (:func:`reduce_rows`) and one k x k product.
+    On construction the basis b_k is cleared to integer rows B_k = L b_k
+    over one lcm L (``rows``, ``lcm``).  With P the pivots of its span
+    (those of any echelon form), v = sum c_k b_k restricts to v_P = S c,
+    where S[j][k] is entry P_j of b_k, and S is invertible; its inverse is
+    computed once and cleared to integers T = D S^-1 over one lcm D
+    (``den``).  So for an integer vector v the only candidate coordinates
+    are c = T v_P over D, and v = sum (c_k / D) b_k iff L D v = sum c_k
+    B_k, one exact comparison on sparse ints (:meth:`integer_coordinates`).
+    The rational :meth:`coordinates` divides that same result.
     """
 
     def __init__(self, vectors: Sequence[dict]):
-        self.rows = rref_rows(vectors)
-        if len(self.rows) != len(vectors):
+        pivots = sorted(_head_reduced(vectors))
+        if len(pivots) != len(vectors):
             raise ValueError("basis vectors are linearly dependent")
-        self._inverse = inverse(Matrix.from_rows([[v.get(p, ZERO) for v in vectors] for p, _ in self.rows]))
+        self.lcm = lcm(*(int(c.denominator) for v in vectors for c in v.values()))
+        self.rows = tuple({k: times(c, self.lcm) for k, c in v.items() if c} for v in vectors)
+        inv = inverse(Matrix.from_rows([[v.get(p, ZERO) for v in vectors] for p in pivots])).data
+        self.den = lcm(*(int(c.denominator) for row in inv for c in row))
+        self._inverse_ints = tuple([(p, times(c, self.den)) for p, c in zip(pivots, row) if c] for row in inv)
+
+    def integer_coordinates(self, v: dict) -> Optional[list]:
+        """The ints c with sum (c_k / ``den``) b_k = v for the int dict v,
+        or ``None`` when v is outside the span."""
+        c = [sum(t * v.get(p, 0) for p, t in row) for row in self._inverse_ints]
+        scale = self.lcm * self.den
+        rest = {k: scale * x for k, x in v.items() if x}
+        for ck, row in zip(c, self.rows):
+            if ck:
+                for k, x in row.items():
+                    y = rest.get(k, 0) - ck * x
+                    if y:
+                        rest[k] = y
+                    else:
+                        del rest[k]
+        return None if rest else c
 
     def coordinates(self, v: dict) -> Optional[Vector]:
         """The unique c with sum c_i b_i = v, or ``None`` when v is outside the span."""
-        if reduce_rows(self.rows, v):
-            return None
-        return self._inverse.mat_vec(tuple(v.get(p, ZERO) for p, _ in self.rows))
+        den = lcm(*(int(x.denominator) for x in v.values() if x))
+        c = self.integer_coordinates({k: times(x, den) for k, x in v.items() if x})
+        return None if c is None else tuple(Q(x, den * self.den) for x in c)
 
 
 def reduce_rows(rows: Sequence, vec: dict) -> dict:

@@ -8,17 +8,25 @@ relation basis vector, and every bracket is one sparse combination of
 tails read off the presentation's overlap core
 (``AlgebraPresentation.overlap``), so W and its side decompositions are
 computed once per presentation, not once per deformation.  The lower
-conditions are written once, as :func:`level_residuals`: the checker
-tests that they vanish, and the classifier solves them for the unknown
-lower blocks.  Because the deformed relations are graphs {x - phi(x)},
+conditions are written once, as :func:`level_numerators`: the checker
+tests that its integers vanish, and the classifier solves the residuals
+that :func:`level_residuals` divides out of them for the unknown lower
+blocks.  Because the deformed relations are graphs {x - phi(x)},
 the ideal meets F^(N-1) trivially by construction; that condition needs
-no computation.  The chain and the conservation law work on sparse rows
-and accumulate Python ints, one division per output term: each top
-bracket is reduced once against the sparse RREF rows of R
-(``AlgebraPresentation.relation_frame``), and the divergence of the
-current exactly against the head-reduced rows of the deformed relations
-(``linalg.residual``), keyed (degree, word).  The conservation law reads
-neither W nor the brackets, so it stays an independent certificate.
+no computation.
+
+The chain and the conservation law run on integers.  A deformation
+clears its tails' denominators once, with one lcm, and splits them by
+degree (``DeformationMap.integer_parts``).  The top brackets, their
+relation coordinates (``AlgebraPresentation.relation_frame``, an integer
+product and one exact comparison each), the level residuals and the
+conservation check all read those ints, and a rational is built only for
+an output: a j1 witness, a nonzero conservation residual, or the
+residuals :func:`level_residuals` hands the classifier.  The
+conservation law decides from the degree-N part of the divergence, whose
+coefficients the relations force; only a current that is not conserved
+pays for the canonical residual (``linalg.residual``).  It reads neither
+W nor the brackets, so it stays an independent certificate.
 
 The brute-force oracle is fully independent: it spans the filtered ideal
 by explicit products up to a degree cutoff and compares quotient
@@ -47,6 +55,7 @@ from .tensors import (
     GradedMap,
     ResourceGuardError,  # noqa: F401  (re-exported for callers of the oracle)
     TensorElement,
+    add_images,
     filtered_dim,
     guard_tensor_dim,
 )
@@ -76,29 +85,44 @@ class DeformationMap:
                 raise ValueError("tails must lie in F^(N-1)")
 
     @cached_property
-    def graded_parts(self) -> tuple:
-        """phi_0, ..., phi_(N-1) (:func:`graded_part`); built once per deformation."""
-        return tuple(graded_part(self.algebra.dim_v, self.tails, j) for j in range(self.algebra.degree))
+    def integer_parts(self) -> tuple:
+        """(den, images) for phi_0, ..., phi_(N-1): the tails cleared once,
+        over one lcm den of all their denominators, and split by degree;
+        images[k] holds the (word, int) pairs of the degree-j part of
+        tails[k], the layout of :attr:`~pbwforge.tensors.GradedMap.integer_images`.
+        Built once per deformation."""
+        den = lcm(*(int(c.denominator) for t in self.tails for c in t.terms.values()))
+        parts = [[[] for _ in self.tails] for _ in range(self.algebra.degree)]
+        for k, t in enumerate(self.tails):
+            for w, c in t.terms.items():
+                parts[len(w)][k].append((w, times(c, den)))
+        return tuple((den, images) for images in parts)
 
     @cached_property
-    def top_brackets(self) -> tuple:
-        """(phi_{N-1} tensor I - I tensor phi_{N-1})(x) for each x in W,
-        in overlap basis order; computed once per deformation."""
-        return self.algebra.overlap.brackets(self.graded_parts[-1])
-
-    @cached_property
-    def _top_coords(self) -> tuple:
-        """Relation coordinates of each top bracket (None outside R): one reduction each."""
+    def _top(self) -> tuple:
+        """(den, numerators, coords) for the top bracket (phi_(N-1) tensor I
+        - I tensor phi_(N-1))(x) = numerators / den of each x in W, in overlap
+        basis order, with coords its relation coordinates as (den, ints)
+        (:meth:`~pbwforge.linalg.BasisCoordinates.integer_coordinates`), or
+        None outside R; computed once per deformation."""
+        den, images = self.integer_parts[-1]
         frame = self.algebra.relation_frame
-        return tuple(frame.coordinates(inner.terms) for inner in self.top_brackets)
+        top = []
+        for bracket_den, entries in self.algebra.overlap.entries:
+            terms = add_images({}, images, entries)
+            coords = frame.integer_coordinates(terms)
+            bracket_den *= den
+            top.append((bracket_den, terms, None if coords is None else (frame.den * bracket_den, coords)))
+        return tuple(top)
 
     @property
     def inner_coords(self) -> tuple:
-        """Relation coordinates of each top bracket, in overlap basis order;
-        raises ValueError when some top bracket is not in R."""
-        if None in self._top_coords:
+        """Relation coordinates of each top bracket as (den, ints), in
+        overlap basis order; raises ValueError when some top bracket is not in R."""
+        coords = tuple(c for _, _, c in self._top)
+        if None in coords:
             raise ValueError("element is not in the relation space")
-        return self._top_coords
+        return coords
 
     def deformed_relations(self) -> tuple:
         """The relations r_k - tails[k], in relation basis order."""
@@ -116,12 +140,39 @@ def level_residuals(a: AlgebraPresentation, inner_coords: Sequence, parts, j: in
     the top bracket of x_i and ``parts[i]`` is phi_i (:func:`graded_part`):
     phi_j(c_i) + (phi_(j-1) tensor I - I tensor phi_(j-1))(x_i) for j >= 1,
     and phi_0(c_i) for j = 0.  The deformation is PBW at level j iff every
-    residual vanishes; for fixed c_i they are linear in the tails.
+    residual vanishes; for fixed c_i they are linear in the tails.  They
+    are computed by :func:`level_numerators`, one division per nonzero term.
     """
-    own = tuple(parts[j].apply_coords(c) for c in inner_coords)
-    if j == 0:
-        return own
-    return tuple(x + low for x, low in zip(own, a.overlap.brackets(parts[j - 1])))
+    coords = []
+    for c in inner_coords:
+        den = lcm(*(int(x.denominator) for x in c))
+        coords.append((den, [times(x, den) for x in c]))
+    ints = {i: parts[i].integer_images for i in (j - 1, j) if i >= 0}
+    return tuple(
+        TensorElement.from_integers(a.dim_v, terms, den) for den, terms in level_numerators(a, coords, ints, j)
+    )
+
+
+def level_numerators(a: AlgebraPresentation, coords: Sequence, parts, j: int) -> list:
+    """The residuals of :func:`level_residuals` in integers: per overlap
+    vector, (den, {word: int}) with the residual the ints over den, zeros
+    dropped.  ``coords[i]`` is (den, ints), the relation coordinates of the
+    top bracket of x_i, and ``parts[i]`` is (den, images), phi_i laid out as
+    :attr:`~pbwforge.tensors.GradedMap.integer_images`.  Each residual is
+    one integer sum over a common denominator.
+    """
+    own_den, own = parts[j]
+    low_den, low = parts[j - 1] if j else (1, None)
+    out = []
+    for (den, c), (bracket_den, entries) in zip(coords, a.overlap.entries):
+        den *= own_den
+        bracket_den *= low_den
+        common = lcm(den, bracket_den) if j else den
+        terms = add_images({}, own, [(k, (), (), ck) for k, ck in enumerate(c) if ck], common // den)
+        if j:
+            add_images(terms, low, entries, common // bracket_den)
+        out.append((common, {w: x for w, x in terms.items() if x}))
+    return out
 
 
 def deformation_from_tails(
@@ -136,26 +187,27 @@ def check_j1(d: DeformationMap) -> tuple[bool, Optional[TensorElement]]:
 
     Returns (holds, witness); the witness is an offending image vector.
     """
-    for image, coords in zip(d.top_brackets, d._top_coords):
+    for den, terms, coords in d._top:
         if coords is None:
-            return False, image
+            return False, TensorElement.from_integers(d.algebra.dim_v, terms, den)
     return True, None
 
 
 def check_j2(d: DeformationMap, j: int) -> bool:
-    """Level-j condition: every :func:`level_residuals` at level j is zero.
-    Requires the top condition (each top bracket must lie in R); violating
-    that precondition raises ValueError.
+    """Level-j condition: every :func:`level_residuals` at level j is zero,
+    tested on its integers (:func:`level_numerators`).  Requires the top
+    condition (each top bracket must lie in R); violating that
+    precondition raises ValueError.
     """
     if not 1 <= j <= d.algebra.degree - 1:
         raise ValueError(f"level must be in 1..{d.algebra.degree - 1}")
-    return all(r.is_zero() for r in level_residuals(d.algebra, d.inner_coords, d.graded_parts, j))
+    return not any(terms for _, terms in level_numerators(d.algebra, d.inner_coords, d.integer_parts, j))
 
 
 def check_j3(d: DeformationMap) -> bool:
     """Scalar condition: phi_0 of the bracket vanishes on the overlap space.
     Requires the top condition, as :func:`check_j2` does."""
-    return all(r.is_zero() for r in level_residuals(d.algebra, d.inner_coords, d.graded_parts, 0))
+    return not any(terms for _, terms in level_numerators(d.algebra, d.inner_coords, d.integer_parts, 0))
 
 
 @dataclass(frozen=True)
@@ -341,21 +393,44 @@ def conservation_residual(d: DeformationMap) -> ConservationResult:
     Requires a Yang-Mills-form presentation: one relation per generator,
     with the two-sided overlap identity sum(e_rho (x) r^rho) =
     sum(r^rho (x) e_rho) holding exactly.  The divergence then reduces to
-    zero iff the deformation satisfies the PBW conditions.  It and the
-    relations are int rows over one denominator (:func:`~pbwforge.linalg.residual`).
+    zero iff the deformation satisfies the PBW conditions.
+
+    The divergence lies in F^N, and the top parts of the deformed
+    relations r_k - tails[k] are R's basis, so it lies in their span iff
+    its degree-N part has relation coordinates a and its lower part is
+    -sum a_k tails[k]: one exact comparison on ints over the tails'
+    denominator (``DeformationMap.integer_parts``) and R's integer rows
+    (``AlgebraPresentation.relation_frame``).  Only when that fails is the
+    canonical residual computed (:func:`~pbwforge.linalg.residual`).
     """
     a = d.algebra
     if not a.two_sided_identity:
         raise ValueError("conservation requires one relation per generator and the two-sided identity")
-    den = lcm(*(int(c.denominator) for p in (*a.relation_basis, *d.tails) for c in p.terms.values()))
-    tails = [{(len(w), w): times(c, den) for w, c in t.terms.items()} for t in d.tails]
-    divergence: dict = {}
-    for rho, current in enumerate(tails):
-        for (n, w), c in current.items():
-            left, right = (n + 1, (rho,) + w), (n + 1, w + (rho,))
-            divergence[left] = divergence.get(left, 0) + c
-            divergence[right] = divergence.get(right, 0) - c
-    relations = [{(len(w), w): times(c, den) for w, c in r.terms.items()} for r in a.relation_basis]
-    relations = [r | {k: -c for k, c in t.items()} for r, t in zip(relations, tails)]
+    den = d.integer_parts[0][0]
+    top, low = {}, {}  # the divergence times den, its degree-N part apart
+    for j, (_, images) in enumerate(d.integer_parts):
+        divergence = top if j == a.degree - 1 else low
+        for rho, image in enumerate(images):
+            for w, c in image:
+                left, right = (rho,) + w, w + (rho,)
+                divergence[left] = divergence.get(left, 0) + c
+                divergence[right] = divergence.get(right, 0) - c
+    frame = a.relation_frame
+    coords = frame.integer_coordinates(top)
+    if coords is not None:
+        # the coefficients are coords / (frame.den den); scaled by frame.den den^2,
+        # the lower parts must cancel
+        rest = {w: frame.den * den * c for w, c in low.items() if c}
+        entries = [(k, (), (), ck) for k, ck in enumerate(coords) if ck]
+        for _, images in d.integer_parts:
+            add_images(rest, images, entries)
+        if not any(rest.values()):
+            return ConservationResult(TensorElement.zero(a.dim_v), True)
+    # the deformed relations frame.lcm den (r_k - tails[k]), keyed (degree, word)
+    relations = [{(a.degree, w): den * c for w, c in row.items()} for row in frame.rows]
+    for _, images in d.integer_parts:
+        for row, image in zip(relations, images):
+            row.update(((len(w), w), -frame.lcm * c) for w, c in image)
+    divergence = {(len(w), w): c for w, c in (top | low).items()}
     res = residual(relations, divergence, den)
-    return ConservationResult(TensorElement(a.dim_v, {w: c for (_, w), c in res.items()}), not res)
+    return ConservationResult(TensorElement(a.dim_v, {w: c for (_, w), c in res.items()}), False)

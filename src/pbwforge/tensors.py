@@ -99,6 +99,12 @@ class TensorElement:
         return cls(dim_v, clean)
 
     @classmethod
+    def from_integers(cls, dim_v: int, terms: Mapping, den: int) -> "TensorElement":
+        """The element with coefficient x / den at each (word, int x) of
+        ``terms``: one division per nonzero term."""
+        return cls(dim_v, {w: Q(x, den) for w, x in terms.items() if x})
+
+    @classmethod
     def zero(cls, dim_v: int) -> "TensorElement":
         return cls(dim_v, {})
 
@@ -259,25 +265,19 @@ class GradedMap:
         den = lcm(*(int(x.denominator) for img in self.images for x in img.terms.values()))
         return den, tuple([(w, times(x, den)) for w, x in img.terms.items()] for img in self.images)
 
-    def combine(self, entries, den: int) -> TensorElement:
-        """Sum of c/den prefix images[k] suffix over the (k, prefix, suffix,
-        c) ``entries``, c ints: int products, one division per nonzero term."""
-        image_den, images = self.integer_images
-        terms: dict = {}
-        for k, prefix, suffix, c in entries:
-            for w, x in images[k]:
-                key = prefix + w + suffix
-                old = terms.get(key)
-                terms[key] = c * x if old is None else old + c * x
-        den *= image_den
-        return TensorElement(self.dim_v, {w: Q(x, den) for w, x in terms.items() if x})
 
-    def apply_coords(self, coords: Sequence) -> TensorElement:
-        """The image of the relation with the given basis coordinates."""
-        if len(coords) != len(self.images):
-            raise ValueError(f"{len(coords)} coordinates against {len(self.images)} images")
-        den = lcm(*(int(c.denominator) for c in coords))
-        return self.combine([(k, (), (), times(c, den)) for k, c in enumerate(coords) if c], den)
+def add_images(terms: dict, images, entries, scale: int = 1) -> dict:
+    """Add scale c prefix images[k] suffix to the int dict ``terms`` for
+    every (k, prefix, suffix, c) of ``entries``, where images[k] is a list
+    of (word, int) pairs (:attr:`GradedMap.integer_images`): int products
+    only, no division.  Returns ``terms``, zeros included."""
+    for k, prefix, suffix, c in entries:
+        c *= scale
+        for w, x in images[k]:
+            key = prefix + w + suffix
+            old = terms.get(key)
+            terms[key] = c * x if old is None else old + c * x
+    return terms
 
 
 def flatten_graded_map(m: GradedMap) -> Vector:
@@ -317,8 +317,8 @@ def side_decompose(
     requires.  The system splits by the letter lam: column lam of c is
     the relation coordinates of the slice of x on the words that end
     (right) or start (left) with lam, so the relation basis (which must
-    be linearly independent) is eliminated once and each letter is a
-    sparse reduction and a substitution.
+    be linearly independent) is eliminated once and each letter is one
+    :meth:`~pbwforge.linalg.BasisCoordinates.coordinates` call.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")

@@ -273,6 +273,73 @@ def test_residual_is_the_reference_residual(seed):
                 assert got == {}
 
 
+def _check_integer_coordinates(basis, keys, rng):
+    """BasisCoordinates on the sparse ``basis`` (dicts over ``keys``, in
+    order) against the reference solve of sum c_k b_k = v on dense rows:
+    vectors inside the span, the zero vector, each with explicit zero
+    entries, and vectors one entry off the span, at a pivot and off one."""
+    frame = BasisCoordinates(basis)
+    columns = [[b.get(key, 0) for b in basis] for key in keys]
+    pivots = reference.rref([[b.get(key, 0) for key in keys] for b in basis])[1]
+    inside = [{}]
+    for _ in range(3):
+        c = [rational(rng.randint(-9, 9)) / rng.randint(1, 4) for _ in basis]
+        inside.append({key: sum((ck * b.get(key, 0) for ck, b in zip(c, basis)), ZERO) for key in keys})
+    off_pivot = [j for j in range(len(keys)) if j not in pivots]
+    tests = []
+    for v in inside:
+        tests.append(v | {rng.choice([key for key in keys if not v.get(key)]): ZERO})  # an explicit zero
+        for j in (rng.choice(pivots), rng.choice(off_pivot) if off_pivot else None):
+            if j is not None:
+                tests.append(v | {keys[j]: v.get(keys[j], ZERO) + rational(rng.randint(1, 5)) / 3})
+    outside = 0
+    for v in tests:
+        want = reference.solve_affine(columns, [v.get(key, 0) for key in keys], len(basis))
+        outside += want is None
+        got = frame.coordinates(v)
+        assert got == (None if want is None else tuple(want[0]))
+        # the integer path, with the vector cleared the way rationals.times clears it
+        den = lcm(*(int(x.denominator) for x in v.values() if x)) * rng.randint(1, 3)
+        ints = frame.integer_coordinates({k: int(x.numerator) * (den // int(x.denominator)) for k, x in v.items()})
+        if want is None:
+            assert ints is None
+        else:
+            assert all(type(x) is int for x in ints)
+            assert [Fraction(x, frame.den * den) for x in ints] == want[0]
+    return outside
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_integer_basis_coordinates_match_the_reference_solve(seed):
+    rng = random.Random(1100 + seed)
+    n = rng.randint(2, 9)
+    k = rng.randint(1, n)
+    while True:
+        basis = [
+            {j: rational(rng.randint(-9, 9)) / rng.randint(1, 5) for j in rng.sample(range(n), rng.randint(1, n))}
+            for _ in range(k)
+        ]
+        basis = [{j: x for j, x in b.items() if x} for b in basis]
+        if all(basis) and rank(Matrix.from_rows([[b.get(j, 0) for j in range(n)] for b in basis])) == k:
+            break
+    # key n is in no basis vector
+    assert _check_integer_coordinates(basis, list(range(n + 1)), rng) >= 4
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_integer_relation_coordinates_match_the_reference_solve(s):
+    # R of Yang-Mills over a random metric, keyed by words
+    from pbwforge.sampling import random_metric
+    from pbwforge.yang_mills import build_ym
+
+    rng = random.Random(1200 + s)
+    a = build_ym(s, random_metric(rng, s + 1))
+    basis = [r.terms for r in a.relation_basis]
+    keys = sorted({w for b in basis for w in b})
+    keys += [w for w in words(a.dim_v, a.degree) if w not in set(keys)][:3]
+    assert _check_integer_coordinates(basis, keys, rng) == 8
+
+
 def test_basis_coordinates_rejects_dependent_basis():
     with pytest.raises(ValueError):
         BasisCoordinates([{0: 1, 1: 2}, {0: 2, 1: 4}])

@@ -181,11 +181,14 @@ def _perturbed(c, rng, block):
     n = c.dim
     j3 = [[list(r) for r in m] for m in c.j3]
     j2 = [list(r) for r in c.j2]
+    j1 = list(c.j1)
     if block == "top":
         j3[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += random_rational(rng, 9)
-    else:
+    elif block == "j2":
         j2[rng.randrange(n)][rng.randrange(n)] += random_rational(rng, 9)
-    return Current(freeze(j3), freeze(j2), c.j1)
+    else:
+        j1[rng.randrange(n)] += random_rational(rng, 9)
+    return Current(freeze(j3), freeze(j2), tuple(j1))
 
 
 def test_verdicts_match_pinned_hash():

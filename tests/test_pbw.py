@@ -4,11 +4,13 @@ import random
 import pytest
 import reference
 
+import pbwforge.algebra as algebra
 import pbwforge.linalg as linalg
 import pbwforge.pbw as pbw
+import pbwforge.tensors as tensors
 from test_overlap_core import _perturbed, pinned_metrics
 
-from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations
+from pbwforge.algebra import AlgebraPresentation, OverlapData, build_antisymmetrizer_relations
 from pbwforge.linalg import Matrix, Subspace, inverse
 from pbwforge.pbw import (
     DeformationMap,
@@ -25,7 +27,7 @@ from pbwforge.pbw import (
 from pbwforge.rationals import Q, format_rational, rational
 from pbwforge.sampling import sample_current_parameters
 from pbwforge.super_ym import build_sym
-from pbwforge.tensors import TensorElement, words
+from pbwforge.tensors import GradedMap, TensorElement, words
 from pbwforge.yang_mills import (
     Current,
     CurrentParameters,
@@ -351,29 +353,76 @@ def test_conservation_residuals_match_pinned_hash():
     assert h.hexdigest() == "03f9460846d8b76d499643f06aa7729c5eca9ef61653079029945533ed8abb89"
 
 
+def test_conservation_agrees_with_the_verdict(monkeypatch):
+    # YM at s = 1..4 over three metrics: admissible, each side condition
+    # broken, and a perturbed j3, j2 and j1 block.  The conservation law
+    # reads neither the overlap core nor the rational brackets: it runs
+    # first on a fresh presentation, with OverlapData.brackets raising
+    def broken(*args):
+        raise AssertionError("OverlapData.brackets called")
+
+    monkeypatch.setattr(OverlapData, "brackets", broken)
+    tally: dict = {}
+    for s in (1, 2, 3, 4):
+        for name, metric in pinned_metrics(s).items():
+            rng = random.Random(f"agreement-{s}-{name}")
+            a = build_ym(s, metric)
+            currents = [
+                current_from_parameters(sample_current_parameters(rng, metric, violate=v), metric)
+                for v in (None, "s3", "s2", "s1")
+            ]
+            currents += [_perturbed(currents[0], rng, block) for block in ("top", "j2", "j1")]
+            deformations = [current_to_deformation(current, a) for current in currents]
+            laws = [conservation_residual(d) for d in deformations]
+            assert "overlap" not in vars(a)
+            for d, law in zip(deformations, laws):
+                overall = pbw_verdict(d).overall
+                assert law.conserved == (not law.residual.terms) == overall
+                tally[overall] = tally.get(overall, 0) + 1
+    assert tally == {True: 13, False: 71}
+
+
 def test_a_verdict_builds_each_graded_part_once(monkeypatch):
+    # the tails are cleared to ints once per deformation: on a warmed
+    # presentation, verdicts and conservation checks convert each tail
+    # coefficient exactly once and build no rational graded map
     metric = Metric.minkowski(4)
     a = build_ym(3, metric)
-    params = sample_current_parameters(random.Random(43), metric)
-    d = current_to_deformation(current_from_parameters(params, metric), a)
-    calls = []
-    real = pbw.graded_part
+    rng = random.Random(43)
+    currents = [
+        current_from_parameters(sample_current_parameters(rng, metric, violate=v), metric) for v in (None, "s2")
+    ]
+    pbw_verdict(current_to_deformation(currents[0], a))
+    conversions = []
+    for module in (pbw, algebra, linalg, tensors):
 
-    def spy(dim_v, tails, j):
-        calls.append(j)
-        return real(dim_v, tails, j)
+        def spy(c, den, real=module.times):
+            conversions.append(c)
+            return real(c, den)
 
-    monkeypatch.setattr(pbw, "graded_part", spy)
-    verdict = pbw_verdict(d)
-    assert verdict.overall and len(verdict.j2_holds) == a.degree - 1
-    assert sorted(calls) == list(range(a.degree))
+        monkeypatch.setattr(module, "times", spy)
+    built = []
+    monkeypatch.setattr(pbw, "graded_part", lambda *args: built.append(args))
+    monkeypatch.setattr(GradedMap, "__init__", lambda *args: built.append(args))
+    verdicts = []
+    for current in currents:
+        conversions.clear()
+        d = current_to_deformation(current, a)
+        for _ in range(2):
+            verdicts.append(pbw_verdict(d).overall)
+            conservation_residual(d)
+        assert len(conversions) == sum(len(t.terms) for t in d.tails) > 0
+    assert verdicts == [True, True, False, False]
+    assert built == []
 
 
 def test_chain_and_conservation_run_on_sparse_rows(monkeypatch):
     # on a warmed presentation, a verdict and a conservation check build
-    # no dense vector and no dense subspace, and reduce each top bracket
-    # modulo R exactly once; the conservation check builds neither an
-    # RREF nor a SparseEchelon
+    # no dense vector and no dense subspace and call no reduce_rows,
+    # rref_rows or SparseEchelon: the relation coordinates of each top
+    # bracket and of the divergence's top part are found once each, in
+    # integers, and the canonical residual runs only for a current that
+    # is not conserved
     metric = Metric.minkowski(4)
     a = build_ym(3, metric)
     rng = random.Random(41)
@@ -400,37 +449,41 @@ def test_chain_and_conservation_run_on_sparse_rows(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(owner, name, spy)
-    reductions = []
-    real = linalg.reduce_rows
-
-    def counting(rows, vec):
-        reductions.append(rows is a.relation_frame.rows)
-        return real(rows, vec)
-
-    monkeypatch.setattr(linalg, "reduce_rows", counting)
     assert not hasattr(pbw, "reduce_rows") and not hasattr(pbw, "rref_rows")
     eliminations = []
-    real_rref = linalg.rref_rows
-    real_init = linalg.SparseEchelon.__init__
+    for owner, name in ((linalg, "reduce_rows"), (linalg, "rref_rows"), (linalg.SparseEchelon, "__init__")):
 
-    def rref_spy(vectors):
-        eliminations.append("rref_rows")
-        return real_rref(vectors)
+        def record(*args, name=name):
+            eliminations.append(name)
 
-    def init_spy(self):
-        eliminations.append("SparseEchelon")
-        real_init(self)
+        monkeypatch.setattr(owner, name, record)
+    residuals = []
+    real_residual = pbw.residual
 
-    monkeypatch.setattr(linalg, "rref_rows", rref_spy)
-    monkeypatch.setattr(linalg.SparseEchelon, "__init__", init_spy)
+    def residual_spy(*args):
+        residuals.append(args)
+        return real_residual(*args)
+
+    monkeypatch.setattr(pbw, "residual", residual_spy)
+    solves = []
+    real_solve = linalg.BasisCoordinates.integer_coordinates
+
+    def solve_spy(frame, v):
+        solves.append(frame is a.relation_frame)
+        return real_solve(frame, v)
+
+    monkeypatch.setattr(linalg.BasisCoordinates, "integer_coordinates", solve_spy)
     verdicts = []
     for current in currents:
-        reductions.clear()
+        residuals.clear()
+        solves.clear()
         d = current_to_deformation(current, a)
-        verdicts.append(pbw_verdict(d).j1_holds)
-        conservation_residual(d)
-        # one reduction modulo R per top bracket, none for the divergence
-        assert reductions == [True] * len(d.top_brackets)
+        verdict = pbw_verdict(d)
+        law = conservation_residual(d)
+        verdicts.append(verdict.j1_holds)
+        assert law.conserved == verdict.overall
+        assert len(residuals) == (0 if law.conserved else 1)
+        assert solves == [True] * (len(a.overlap.vectors) + 1)
     assert dense == []
     assert eliminations == []
     assert verdicts == [True, True, True, True, False]
