@@ -23,7 +23,9 @@ from pbwforge.linalg import (
     vector,
 )
 from pbwforge.rationals import ONE, ZERO, rational, times
+from pbwforge.sampling import random_metric
 from pbwforge.tensors import words
+from pbwforge.yang_mills import build_ym
 
 
 def _sparse(v):
@@ -329,9 +331,6 @@ def test_integer_basis_coordinates_match_the_reference_solve(seed):
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_integer_relation_coordinates_match_the_reference_solve(s):
     # R of Yang-Mills over a random metric, keyed by words
-    from pbwforge.sampling import random_metric
-    from pbwforge.yang_mills import build_ym
-
     rng = random.Random(1200 + s)
     a = build_ym(s, random_metric(rng, s + 1))
     basis = [r.terms for r in a.relation_basis]
