@@ -29,9 +29,7 @@ from typing import Sequence
 from .linalg import BasisCoordinates, SparseEchelon, Subspace
 from .rationals import ONE, ZERO, times
 from .tensors import (
-    GradedMap,
     TensorElement,
-    add_images,
     guard_tensor_dim,
     side_decompose,
     side_tensor,
@@ -223,48 +221,33 @@ class OverlapData:
 
     Everything the PBW conditions and the classifier need from W depends
     on the presentation alone, so it is computed once here: the canonical
-    basis x_i of W (``vectors``) and the coefficient matrices of each x_i
-    in R (tensor) V (``right``) and in V (tensor) R (``left``), in the
-    layout of :func:`side_decompose`, with their nonzero entries as ints
-    over one denominator per x_i (``entries``, the input of
-    :func:`~pbwforge.tensors.add_images`).  ``brackets(phi)`` evaluates
-    (phi tensor I - I tensor phi)(x_i) from those entries and the images
-    of phi.  The checker reads the entries on a deformation's integer
-    tails; the classifier reads the brackets on unit images, and both
-    read the same level residuals (:func:`pbwforge.pbw.level_numerators`).
+    basis x_i of W (``vectors``) and, per x_i, the nonzero coefficients
+    of x_i in R (tensor) V and in V (tensor) R (:func:`side_decompose`)
+    as ints over one denominator (``entries``, the input of
+    :func:`~pbwforge.tensors.add_images`).  Summed over the images of a
+    map phi, they give (phi tensor I - I tensor phi)(x_i).  The checker
+    reads them on a deformation's integer parts, and the classifier on
+    unit parts, through the same top brackets and level residuals
+    (:func:`pbwforge.pbw.level_numerators`).
     """
 
     def __init__(self, a: AlgebraPresentation):
         w = overlap_space(a)
         self.space = w
-        self.dim_v = a.dim_v
-        self.source_dim = len(a.relation_basis)
         self.vectors = tuple(
             TensorElement.from_degree_vector(a.dim_v, a.degree + 1, row) for row in w.basis
         )
-        self.right = tuple(side_decompose(x, a.relation_basis, "right") for x in self.vectors)
-        self.left = tuple(side_decompose(x, a.relation_basis, "left") for x in self.vectors)
         # per overlap vector, (k, prefix, suffix, c) for each nonzero entry: r_k (x) e_lam
         # on the right has suffix (lam,), e_lam (x) r_k on the left prefix (lam,), c negated,
         # each kept as an int over the vector's common denominator den: (den, entries)
         self.entries = []
-        for r, l in zip(self.right, self.left):
+        for x in self.vectors:
+            r = side_decompose(x, a.relation_basis, "right")
+            l = side_decompose(x, a.relation_basis, "left")
             entries = [(k, (), (lam,), c) for k, row in enumerate(r.data) for lam, c in enumerate(row) if c]
             entries += [(k, (lam,), (), -c) for k, row in enumerate(l.data) for lam, c in enumerate(row) if c]
             den = lcm(*(int(e[3].denominator) for e in entries))
             self.entries.append((den, [(k, pre, suf, times(c, den)) for k, pre, suf, c in entries]))
-
-    def brackets(self, phi: GradedMap) -> tuple:
-        """(phi tensor I - I tensor phi)(x_i) for every overlap vector x_i:
-        the sum over k, lam of right[k][lam] phi(r_k) (x) e_lam minus
-        left[k][lam] e_lam (x) phi(r_k), over the nonzero entries only."""
-        if len(phi.images) != self.source_dim:
-            raise ValueError(f"{len(phi.images)} images against {self.source_dim} relations")
-        image_den, images = phi.integer_images
-        return tuple(
-            TensorElement.from_integers(self.dim_v, add_images({}, images, entries), den * image_den)
-            for den, entries in self.entries
-        )
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

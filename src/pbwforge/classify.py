@@ -7,9 +7,10 @@ a concrete stage-1 point and solving each lower level as an affine
 linear system, then comparing the resulting spaces against a supplied
 closed-form family by two-sided inclusion.  Neither stage writes the
 conditions again: the columns of each system are the checker's own
-conditions evaluated on unit blocks, the top brackets of the overlap core
-(``AlgebraPresentation.overlap``) for stage 1 and
-:func:`pbwforge.pbw.level_residuals` for the lower levels.
+integer statements on the integer parts of unit blocks, the top brackets
+summed from the overlap core's entries (``AlgebraPresentation.overlap``)
+for stage 1 and :func:`pbwforge.pbw.level_numerators` for the lower
+levels, each row cleared of its denominators.
 
 Coefficient coordinates: the degree-j block of a deformation is
 flattened as ``u[k * dim_v**j + word_index(w)]`` where k indexes the
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import AlgebraPresentation
-from .linalg import Matrix, Subspace, Vector, kernel, solve_affine
-from .pbw import graded_part, level_residuals
-from .rationals import ONE, ZERO
-from .tensors import TensorElement, words
+from .linalg import Matrix, Subspace, Vector, kernel, reduce_rows, rref_rows, solve_affine
+from .pbw import deformation_from_tails, level_numerators
+from .rationals import ZERO
+from .tensors import add_images, words
 from .tensors import GradedMap, flatten_graded_map, unflatten_graded_map  # noqa: F401  (re-exported)
 
 
@@ -39,14 +40,12 @@ class StageSolution:
 
 
 def _unit_blocks(a: AlgebraPresentation, j: int):
-    """The tails of the maps r_k -> w, r_l -> 0 (l != k) over the degree-j
-    words w, in ``flatten_graded_map`` order: one per coordinate of the
-    degree-j block."""
-    zero = TensorElement.zero(a.dim_v)
-    k_count = len(a.relation_basis)
-    for k in range(k_count):
+    """The integer images of the maps r_k -> w, r_l -> 0 (l != k) over the
+    degree-j words w, in ``flatten_graded_map`` order: one per coordinate
+    of the degree-j block."""
+    for k in range(len(a.relation_basis)):
         for w in words(a.dim_v, j):
-            yield tuple(TensorElement(a.dim_v, {w: ONE}) if l == k else zero for l in range(k_count))
+            yield [[(w, 1)] if l == k else [] for l in range(len(a.relation_basis))]
 
 
 def solve_stage1(a: AlgebraPresentation) -> StageSolution:
@@ -55,25 +54,20 @@ def solve_stage1(a: AlgebraPresentation) -> StageSolution:
     Returns the exact solution subspace of the coefficient space of
     dimension dim_v^(N-1) * dim R.
     """
-    dim = a.dim_v
     top = a.degree - 1
-    k_count = len(a.relation_basis)
-    cols = k_count * dim**top
-    if k_count == 0:
+    cols = len(a.relation_basis) * a.dim_v**top
+    if cols == 0:
         return StageSolution("stage1", Subspace.full(0), (), True)
-    r = a.relation_space
-    # one tuple of top brackets per unit block, one bracket per overlap vector
-    columns = [a.overlap.brackets(graded_part(dim, unit, top)) for unit in _unit_blocks(a, top)]
+    r = rref_rows(a.relation_frame.rows)
+    units = list(_unit_blocks(a, top))
     eq_rows = []
-    for brackets in zip(*columns):
-        # condition: the residual of the image modulo R vanishes.  The
-        # residual is linear, so its matrix has the residuals of the
-        # unit blocks as columns; zero rows constrain nothing.
-        residuals = [r.reduce(b.to_degree_vector(a.degree)) for b in brackets]
-        eq_rows.extend(row for row in zip(*residuals) if any(row))
-    if not eq_rows:
-        return StageSolution("stage1", Subspace.full(cols), (ZERO,) * cols, True)
-    sol = kernel(Matrix.from_rows(eq_rows))
+    for _, entries in a.overlap.entries:
+        # condition: the top bracket's residual modulo R vanishes.  Both are
+        # linear, so the matrix has the residuals of the unit blocks' integer
+        # brackets as columns, over the vector's one denominator
+        residuals = [reduce_rows(r, add_images({}, unit, entries)) for unit in units]
+        eq_rows.extend([res.get(w, 0) for res in residuals] for w in sorted(set().union(*residuals)))
+    sol = kernel(Matrix.from_rows(eq_rows)) if eq_rows else Subspace.full(cols)
     return StageSolution("stage1", sol, (ZERO,) * cols, True)
 
 
@@ -81,7 +75,7 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     """Solve the lower conditions for a fixed top block.
 
     The unknowns are all lower blocks phi_(N-2), ..., phi_0 jointly.  For
-    a fixed top block the residuals of :func:`pbwforge.pbw.level_residuals`
+    a fixed top block the residuals of :func:`pbwforge.pbw.level_numerators`
     are affine in them, so the whole descent is one affine system: each
     column is the residuals of one unit block, and the right-hand side is
     minus the residuals of phi_top.  Equations are added level by level and
@@ -93,16 +87,13 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     ValueError when phi_top does not satisfy the top condition.
     """
     n = a.degree
-    # inner images and their relation coordinates (requires stage-1 point)
-    inner_coords = [a.relation_coords(img) for img in a.overlap.brackets(phi_top)]
-
+    top = deformation_from_tails(a, phi_top.images)
+    coords = top.inner_coords  # the relation coordinates of the top brackets, or ValueError
     sizes = [len(a.relation_basis) * a.dim_v**j for j in range(n - 1)]
     offsets = [sum(sizes[:j]) for j in range(n - 1)]
-    units = [unit for j in range(n - 1) for unit in _unit_blocks(a, j)]
-
-    def residual_coords(tails, j: int) -> list:
-        parts = {i: graded_part(a.dim_v, tails, i) for i in (j - 1, j) if i >= 0}
-        return [c for res in level_residuals(a, inner_coords, parts, j) for c in res.to_degree_vector(j)]
+    # the integer parts of each unit block, in flattened coefficient order
+    empty = [[] for _ in a.relation_basis]
+    units = [[unit if i == j else empty for i in range(n)] for j in range(n - 1) for unit in _unit_blocks(a, j)]
 
     eq_rows: list = []
     rhs: list = []
@@ -111,8 +102,15 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     for j in levels:
         # the scalar condition (level 0) is folded into level 1
         for level in (j, 0) if j == 1 else (j,):
-            eq_rows.extend(zip(*(residual_coords(unit, level) for unit in units)))
-            rhs.extend(-c for c in residual_coords(phi_top.images, level))
+            columns = [level_numerators(a, coords, 1, parts, level) for parts in units]
+            # one row per overlap vector and word: the unit columns share the
+            # vector's denominator, the right-hand side has its own; both cleared
+            rows = zip(level_numerators(a, coords, top.den, top.parts, level), *columns)
+            for (top_den, top_terms), *cells in rows:
+                den = cells[0][0]
+                for w in sorted(set(top_terms).union(*(terms for _, terms in cells))):
+                    eq_rows.append([top_den * terms.get(w, 0) for _, terms in cells])
+                    rhs.append(-den * top_terms.get(w, 0))
         sol = solve_affine(Matrix.from_rows(eq_rows), tuple(rhs)) if eq_rows else None
         if eq_rows and sol is None:
             return [StageSolution(f"level{j}", Subspace.zero(sizes[j - 1]), None, False)]

@@ -4,29 +4,28 @@ The theorem-based checker evaluates three conditions on the overlap
 space W = (R tensor V) intersect (V tensor R): the top-level bracket
 image must land in R, the intermediate composites must vanish, and the
 scalar composite must vanish.  A deformation is its tails, one per
-relation basis vector, and every bracket is one sparse combination of
-tails read off the presentation's overlap core
+relation basis vector, held as ints over one denominator and split by
+degree (``DeformationMap.parts``; :func:`deformation_from_tails` is the
+one converter from rational tails).  Every bracket is one sparse integer
+combination of tails read off the presentation's overlap core
 (``AlgebraPresentation.overlap``), so W and its side decompositions are
 computed once per presentation, not once per deformation.  The lower
 conditions are written once, as :func:`level_numerators`: the checker
-tests that its integers vanish, and the classifier solves the residuals
-that :func:`level_residuals` divides out of them for the unknown lower
-blocks.  Because the deformed relations are graphs {x - phi(x)},
-the ideal meets F^(N-1) trivially by construction; that condition needs
-no computation.
+tests that its integers vanish, and the classifier solves the same
+integers on unit parts for the unknown lower blocks.  Because the
+deformed relations are graphs {x - phi(x)}, the ideal meets F^(N-1)
+trivially by construction; that condition needs no computation.
 
-The chain and the conservation law run on integers.  A deformation
-clears its tails' denominators once, with one lcm, and splits them by
-degree (``DeformationMap.integer_parts``).  The top brackets, their
-relation coordinates (``AlgebraPresentation.relation_frame``, an integer
-product and one exact comparison each), the level residuals and the
-conservation check all read those ints, and a rational is built only for
-an output: a j1 witness, a nonzero conservation residual, or the
-residuals :func:`level_residuals` hands the classifier.  The
-conservation law decides from the degree-N part of the divergence, whose
-coefficients the relations force; only a current that is not conserved
-pays for the canonical residual (``linalg.residual``).  It reads neither
-W nor the brackets, so it stays an independent certificate.
+The top brackets, their relation coordinates
+(``AlgebraPresentation.relation_frame``, an integer product and one
+exact comparison each), the level residuals and the conservation check
+use only ring operations on the numerators, and a rational is built only
+for an output: a j1 witness, a conservation residual that is read, or
+the tails for the oracle.  The conservation law decides from the
+degree-N part of the divergence, whose coefficients the relations force;
+the canonical residual (``linalg.residual``) is computed only when read.
+It reads neither W nor the brackets, so it stays an independent
+certificate.
 
 The brute-force oracle is fully independent: it spans the filtered ideal
 by explicit products up to a degree cutoff and compares quotient
@@ -52,7 +51,6 @@ from .algebra import AlgebraPresentation, graded_dim, left_shifts, primitive_ter
 from .linalg import SparseEchelon, residual
 from .rationals import times
 from .tensors import (
-    GradedMap,
     ResourceGuardError,  # noqa: F401  (re-exported for callers of the oracle)
     TensorElement,
     add_images,
@@ -64,39 +62,29 @@ from .tensors import (
 @dataclass(frozen=True, eq=False)
 class DeformationMap:
     """phi(r_k) = tails[k] in F^(N-1), one tail per vector r_k of the
-    algebra's distinguished relation basis.
+    algebra's distinguished relation basis, held as integers.
 
-    The degree-j parts of the tails are the graded map phi_j : R ->
-    V^(tensor j) (:func:`graded_part`).  The deformed relations r_k -
-    tails[k] form a graph over R, so the ideal's intersection with
-    F^(N-1) is automatically zero.
+    ``parts[j][k]`` holds the (word, int) pairs of the degree-j part of
+    tails[k], every int over the one denominator ``den``; parts[j] is the
+    graded map phi_j : R -> V^(tensor j).  The chain and the conservation
+    law read only these ints, so a numerator needs only ring operations.
+    :func:`deformation_from_tails` builds them from rational tails.  The
+    deformed relations r_k - tails[k] form a graph over R, so the ideal's
+    intersection with F^(N-1) is automatically zero.
     """
 
     algebra: AlgebraPresentation
-    tails: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.tails) != len(self.algebra.relation_basis):
-            raise ValueError("one tail per relation basis vector is required")
-        for t in self.tails:
-            if t.dim_v != self.algebra.dim_v:
-                raise ValueError("tail over the wrong generator space")
-            if t.max_degree >= self.algebra.degree:
-                raise ValueError("tails must lie in F^(N-1)")
+    den: int
+    parts: tuple
 
     @cached_property
-    def integer_parts(self) -> tuple:
-        """(den, images) for phi_0, ..., phi_(N-1): the tails cleared once,
-        over one lcm den of all their denominators, and split by degree;
-        images[k] holds the (word, int) pairs of the degree-j part of
-        tails[k], the layout of :attr:`~pbwforge.tensors.GradedMap.integer_images`.
-        Built once per deformation."""
-        den = lcm(*(int(c.denominator) for t in self.tails for c in t.terms.values()))
-        parts = [[[] for _ in self.tails] for _ in range(self.algebra.degree)]
-        for k, t in enumerate(self.tails):
-            for w, c in t.terms.items():
-                parts[len(w)][k].append((w, times(c, den)))
-        return tuple((den, images) for images in parts)
+    def tails(self) -> tuple:
+        """The tails as rationals, built on first read (outputs and the oracle)."""
+        dim_v = self.algebra.dim_v
+        return tuple(
+            TensorElement.from_integers(dim_v, {w: x for part in self.parts for w, x in part[k]}, self.den)
+            for k in range(len(self.algebra.relation_basis))
+        )
 
     @cached_property
     def _top(self) -> tuple:
@@ -105,13 +93,12 @@ class DeformationMap:
         basis order, with coords its relation coordinates as (den, ints)
         (:meth:`~pbwforge.linalg.BasisCoordinates.integer_coordinates`), or
         None outside R; computed once per deformation."""
-        den, images = self.integer_parts[-1]
         frame = self.algebra.relation_frame
         top = []
         for bracket_den, entries in self.algebra.overlap.entries:
-            terms = add_images({}, images, entries)
+            terms = add_images({}, self.parts[-1], entries)
             coords = frame.integer_coordinates(terms)
-            bracket_den *= den
+            bracket_den *= self.den
             top.append((bracket_den, terms, None if coords is None else (frame.den * bracket_den, coords)))
         return tuple(top)
 
@@ -129,48 +116,25 @@ class DeformationMap:
         return tuple(r - t for r, t in zip(self.algebra.relation_basis, self.tails))
 
 
-def graded_part(dim_v: int, tails: Sequence[TensorElement], j: int) -> GradedMap:
-    """phi_j: the degree-j part of each tail."""
-    return GradedMap(dim_v, j, tuple(t.degree_component(j) for t in tails))
-
-
-def level_residuals(a: AlgebraPresentation, inner_coords: Sequence, parts, j: int) -> tuple:
+def level_numerators(a: AlgebraPresentation, coords: Sequence, den: int, parts, j: int) -> list:
     """The level-j residual on each overlap vector x_i, in overlap basis
-    order, where c_i = ``inner_coords[i]`` are the relation coordinates of
-    the top bracket of x_i and ``parts[i]`` is phi_i (:func:`graded_part`):
-    phi_j(c_i) + (phi_(j-1) tensor I - I tensor phi_(j-1))(x_i) for j >= 1,
-    and phi_0(c_i) for j = 0.  The deformation is PBW at level j iff every
-    residual vanishes; for fixed c_i they are linear in the tails.  They
-    are computed by :func:`level_numerators`, one division per nonzero term.
+    order: phi_j(c_i) + (phi_(j-1) tensor I - I tensor phi_(j-1))(x_i) for
+    j >= 1 and phi_0(c_i) for j = 0, where c_i = ``coords[i]``, as (den,
+    ints), are the relation coordinates of the top bracket of x_i and
+    phi_j is ``parts[j]`` over ``den`` (the layout of
+    :attr:`DeformationMap.parts`).  Each residual is (den, {word: int}),
+    one integer sum over a common denominator, zeros dropped.  The
+    deformation is PBW at level j iff every residual vanishes; for fixed
+    c_i they are linear in the parts, which the classifier solves for.
     """
-    coords = []
-    for c in inner_coords:
-        den = lcm(*(int(x.denominator) for x in c))
-        coords.append((den, [times(x, den) for x in c]))
-    ints = {i: parts[i].integer_images for i in (j - 1, j) if i >= 0}
-    return tuple(
-        TensorElement.from_integers(a.dim_v, terms, den) for den, terms in level_numerators(a, coords, ints, j)
-    )
-
-
-def level_numerators(a: AlgebraPresentation, coords: Sequence, parts, j: int) -> list:
-    """The residuals of :func:`level_residuals` in integers: per overlap
-    vector, (den, {word: int}) with the residual the ints over den, zeros
-    dropped.  ``coords[i]`` is (den, ints), the relation coordinates of the
-    top bracket of x_i, and ``parts[i]`` is (den, images), phi_i laid out as
-    :attr:`~pbwforge.tensors.GradedMap.integer_images`.  Each residual is
-    one integer sum over a common denominator.
-    """
-    own_den, own = parts[j]
-    low_den, low = parts[j - 1] if j else (1, None)
     out = []
-    for (den, c), (bracket_den, entries) in zip(coords, a.overlap.entries):
-        den *= own_den
-        bracket_den *= low_den
-        common = lcm(den, bracket_den) if j else den
-        terms = add_images({}, own, [(k, (), (), ck) for k, ck in enumerate(c) if ck], common // den)
+    for (coord_den, c), (bracket_den, entries) in zip(coords, a.overlap.entries):
+        coord_den *= den
+        bracket_den *= den
+        common = lcm(coord_den, bracket_den) if j else coord_den
+        terms = add_images({}, parts[j], [(k, (), (), ck) for k, ck in enumerate(c) if ck], common // coord_den)
         if j:
-            add_images(terms, low, entries, common // bracket_den)
+            add_images(terms, parts[j - 1], entries, common // bracket_den)
         out.append((common, {w: x for w, x in terms.items() if x}))
     return out
 
@@ -178,8 +142,21 @@ def level_numerators(a: AlgebraPresentation, coords: Sequence, parts, j: int) ->
 def deformation_from_tails(
     algebra: AlgebraPresentation, tails: Sequence[TensorElement]
 ) -> DeformationMap:
-    """Build the deformation with phi(r_a) = tails[a] in F^(N-1)."""
-    return DeformationMap(algebra, tuple(tails))
+    """Build the deformation with phi(r_k) = tails[k] in F^(N-1): the tails
+    cleared once, over one lcm of all their denominators, and split by degree."""
+    if len(tails) != len(algebra.relation_basis):
+        raise ValueError("one tail per relation basis vector is required")
+    for t in tails:
+        if t.dim_v != algebra.dim_v:
+            raise ValueError("tail over the wrong generator space")
+        if t.max_degree >= algebra.degree:
+            raise ValueError("tails must lie in F^(N-1)")
+    den = lcm(*(int(c.denominator) for t in tails for c in t.terms.values()))
+    parts = tuple([[] for _ in tails] for _ in range(algebra.degree))
+    for k, t in enumerate(tails):
+        for w, c in t.terms.items():
+            parts[len(w)][k].append((w, times(c, den)))
+    return DeformationMap(algebra, den, parts)
 
 
 def check_j1(d: DeformationMap) -> tuple[bool, Optional[TensorElement]]:
@@ -194,20 +171,20 @@ def check_j1(d: DeformationMap) -> tuple[bool, Optional[TensorElement]]:
 
 
 def check_j2(d: DeformationMap, j: int) -> bool:
-    """Level-j condition: every :func:`level_residuals` at level j is zero,
-    tested on its integers (:func:`level_numerators`).  Requires the top
+    """Level-j condition: every residual of :func:`level_numerators` at
+    level j is zero.  Requires the top
     condition (each top bracket must lie in R); violating that
     precondition raises ValueError.
     """
     if not 1 <= j <= d.algebra.degree - 1:
         raise ValueError(f"level must be in 1..{d.algebra.degree - 1}")
-    return not any(terms for _, terms in level_numerators(d.algebra, d.inner_coords, d.integer_parts, j))
+    return not any(terms for _, terms in level_numerators(d.algebra, d.inner_coords, d.den, d.parts, j))
 
 
 def check_j3(d: DeformationMap) -> bool:
     """Scalar condition: phi_0 of the bracket vanishes on the overlap space.
     Requires the top condition, as :func:`check_j2` does."""
-    return not any(terms for _, terms in level_numerators(d.algebra, d.inner_coords, d.integer_parts, 0))
+    return not any(terms for _, terms in level_numerators(d.algebra, d.inner_coords, d.den, d.parts, 0))
 
 
 @dataclass(frozen=True)
@@ -380,10 +357,32 @@ def brute_force_oracle(d: DeformationMap, n_max: int, cutoff: Optional[int] = No
     return OracleResult(n_max, cutoff, tuple(quotients), tuple(expected), verdict, failure)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConservationResult:
-    residual: TensorElement
+    """Whether the divergence of a current reduces to zero modulo the
+    deformed relations.  ``residual``, the canonical remainder
+    (:func:`~pbwforge.linalg.residual`), is computed on first read, so a
+    caller that reads only ``conserved`` never pays for it."""
+
     conserved: bool
+    deformation: DeformationMap
+    divergence: dict  # the divergence times the deformation's den, keyed by word
+
+    @cached_property
+    def residual(self) -> TensorElement:
+        d = self.deformation
+        a = d.algebra
+        if self.conserved:
+            return TensorElement.zero(a.dim_v)
+        # the deformed relations frame.lcm den (r_k - tails[k]), keyed (degree, word)
+        frame = a.relation_frame
+        relations = [{(a.degree, w): d.den * c for w, c in row.items()} for row in frame.rows]
+        for images in d.parts:
+            for row, image in zip(relations, images):
+                row.update(((len(w), w), -frame.lcm * c) for w, c in image)
+        divergence = {(len(w), w): c for w, c in self.divergence.items()}
+        res = residual(relations, divergence, d.den)
+        return TensorElement(a.dim_v, {w: c for (_, w), c in res.items()})
 
 
 def conservation_residual(d: DeformationMap) -> ConservationResult:
@@ -398,17 +397,15 @@ def conservation_residual(d: DeformationMap) -> ConservationResult:
     The divergence lies in F^N, and the top parts of the deformed
     relations r_k - tails[k] are R's basis, so it lies in their span iff
     its degree-N part has relation coordinates a and its lower part is
-    -sum a_k tails[k]: one exact comparison on ints over the tails'
-    denominator (``DeformationMap.integer_parts``) and R's integer rows
-    (``AlgebraPresentation.relation_frame``).  Only when that fails is the
-    canonical residual computed (:func:`~pbwforge.linalg.residual`).
+    -sum a_k tails[k]: one exact comparison on the deformation's ints
+    (``DeformationMap.parts``) and R's integer rows
+    (``AlgebraPresentation.relation_frame``).
     """
     a = d.algebra
     if not a.two_sided_identity:
         raise ValueError("conservation requires one relation per generator and the two-sided identity")
-    den = d.integer_parts[0][0]
     top, low = {}, {}  # the divergence times den, its degree-N part apart
-    for j, (_, images) in enumerate(d.integer_parts):
+    for j, images in enumerate(d.parts):
         divergence = top if j == a.degree - 1 else low
         for rho, image in enumerate(images):
             for w, c in image:
@@ -420,17 +417,10 @@ def conservation_residual(d: DeformationMap) -> ConservationResult:
     if coords is not None:
         # the coefficients are coords / (frame.den den); scaled by frame.den den^2,
         # the lower parts must cancel
-        rest = {w: frame.den * den * c for w, c in low.items() if c}
+        rest = {w: frame.den * d.den * c for w, c in low.items() if c}
         entries = [(k, (), (), ck) for k, ck in enumerate(coords) if ck]
-        for _, images in d.integer_parts:
+        for images in d.parts:
             add_images(rest, images, entries)
         if not any(rest.values()):
-            return ConservationResult(TensorElement.zero(a.dim_v), True)
-    # the deformed relations frame.lcm den (r_k - tails[k]), keyed (degree, word)
-    relations = [{(a.degree, w): den * c for w, c in row.items()} for row in frame.rows]
-    for _, images in d.integer_parts:
-        for row, image in zip(relations, images):
-            row.update(((len(w), w), -frame.lcm * c) for w, c in image)
-    divergence = {(len(w), w): c for w, c in (top | low).items()}
-    res = residual(relations, divergence, den)
-    return ConservationResult(TensorElement(a.dim_v, {w: c for (_, w), c in res.items()}), False)
+            return ConservationResult(True, d, {})
+    return ConservationResult(False, d, top | low)

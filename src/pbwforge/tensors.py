@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
-from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import BasisCoordinates, Matrix, Subspace, Vector
-from .rationals import ONE, ZERO, Q, rational, times
+from .rationals import ONE, ZERO, Q, rational
 
 Word = tuple  # tuple of generator indices
 
@@ -127,11 +125,6 @@ class TensorElement:
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(len(w) == degree for w in self.terms)
-
-    def degree_component(self, degree: int) -> "TensorElement":
-        return TensorElement(
-            self.dim_v, {w: c for w, c in self.terms.items() if len(w) == degree}
-        )
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._check(other)
@@ -247,7 +240,7 @@ class GradedMap:
     ``images[k]`` is the image of the k-th distinguished relation basis
     vector, homogeneous of the target degree; a map is applied as a sparse
     combination of its images.  Which ordered basis ``images`` refers to
-    is the owner's contract (see DeformationMap).
+    is the owner's contract (see ``classify.solve_stage2plus``).
     """
 
     dim_v: int
@@ -259,18 +252,12 @@ class GradedMap:
             if img.dim_v != self.dim_v or not img.is_homogeneous(self.target_degree):
                 raise ValueError(f"image is not in V^(tensor {self.target_degree})")
 
-    @cached_property
-    def integer_images(self) -> tuple:
-        """(den, images): each image's (word, coefficient * den) pairs, ints."""
-        den = lcm(*(int(x.denominator) for img in self.images for x in img.terms.values()))
-        return den, tuple([(w, times(x, den)) for w, x in img.terms.items()] for img in self.images)
-
 
 def add_images(terms: dict, images, entries, scale: int = 1) -> dict:
     """Add scale c prefix images[k] suffix to the int dict ``terms`` for
     every (k, prefix, suffix, c) of ``entries``, where images[k] is a list
-    of (word, int) pairs (:attr:`GradedMap.integer_images`): int products
-    only, no division.  Returns ``terms``, zeros included."""
+    of (word, int) pairs (a part of ``pbw.DeformationMap.parts``): int
+    products only, no division.  Returns ``terms``, zeros included."""
     for k, prefix, suffix, c in entries:
         c *= scale
         for w, x in images[k]:

@@ -11,11 +11,11 @@ from pbwforge.classify import (
     solve_stage2plus,
     unflatten_graded_map,
 )
-from pbwforge.pbw import DeformationMap, check_j1, pbw_verdict
+from pbwforge.pbw import check_j1, deformation_from_tails, pbw_verdict
 from pbwforge.rationals import format_rational, rational
 from pbwforge.sampling import random_metric, random_rational
 from pbwforge.super_ym import build_sym, isym_family_generators
-from pbwforge.tensors import TensorElement
+from pbwforge.tensors import GradedMap, TensorElement
 from pbwforge.yang_mills import Metric, build_ym, iym_family_generators
 from test_overlap_core import PRESENTATIONS
 
@@ -76,7 +76,7 @@ def _assemble(a, phi_top, levels):
     tails = [TensorElement.zero(a.dim_v)] * k
     for m in maps:
         tails = [t + image for t, image in zip(tails, m.images)]
-    return DeformationMap(a, tuple(tails))
+    return deformation_from_tails(a, tuple(tails))
 
 
 def test_stage2_closure_property():
@@ -208,5 +208,30 @@ def test_stage1_space_is_the_top_condition(name):
     k = len(a.relation_basis)
     for u in points:
         phi = unflatten_graded_map(a.dim_v, k, a.degree - 1, u)
-        d = DeformationMap(a, phi.images)
+        d = deformation_from_tails(a, phi.images)
         assert check_j1(d)[0] == space.contains(u)
+
+
+@pytest.mark.parametrize("family", ["ym", "sym"])
+def test_the_classifier_builds_no_rational_unit_block(monkeypatch, family):
+    # on a warmed presentation the stage-1 and stage-2+ systems are built
+    # from the integer images of the unit blocks: no TensorElement and no
+    # GradedMap is made, per unit block or at all
+    metric = Metric.minkowski(3)
+    build, generators = (build_ym, iym_family_generators) if family == "ym" else (build_sym, isym_family_generators)
+    a = build(2, metric)
+    stage1 = solve_stage1(a)
+    phi_top = unflatten_graded_map(3, 3, 2, generators(metric)[0])
+    levels = solve_stage2plus(a, phi_top)
+    built = []
+    for cls in (TensorElement, GradedMap):
+
+        def spy(self, *args, real=cls.__init__, name=cls.__name__):
+            built.append(name)
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    assert solve_stage1(a) == stage1
+    assert solve_stage2plus(a, phi_top) == levels
+    assert built == []
+    assert all(sol.feasible for sol in levels)

@@ -11,7 +11,7 @@ import pbwforge.classify as classify
 import pbwforge.pbw as pbw
 import pbwforge.tensors as tensors
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations, overlap_space
-from pbwforge.rationals import format_rational, rational
+from pbwforge.rationals import Q, format_rational, rational
 from pbwforge.sampling import (
     random_metric,
     random_rational,
@@ -19,7 +19,7 @@ from pbwforge.sampling import (
     sample_super_parameters,
 )
 from pbwforge.super_ym import build_sym, super_current_from_parameters
-from pbwforge.tensors import GradedMap, TensorElement, apply_graded_side
+from pbwforge.tensors import GradedMap, TensorElement, add_images, apply_graded_side
 from pbwforge.yang_mills import (
     Current,
     Metric,
@@ -65,16 +65,17 @@ def random_graded_map(rng, a, j):
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_core_brackets_match_side_evaluation(name):
+    # the entries summed over a map's integer images are its brackets
     a = PRESENTATIONS[name]()
     core = a.overlap
-    assert len(core.vectors) == overlap_space(a).dim > 0
+    assert len(core.vectors) == len(core.entries) == overlap_space(a).dim > 0
     rng = random.Random(name)
     for j in range(a.degree):
         for _ in range(2):
             phi = random_graded_map(rng, a, j)
-            brackets = core.brackets(phi)
-            assert len(brackets) == len(core.vectors)
-            for x, got in zip(core.vectors, brackets):
+            d = pbw.deformation_from_tails(a, phi.images)
+            for x, (den, entries) in zip(core.vectors, core.entries):
+                got = TensorElement.from_integers(a.dim_v, add_images({}, d.parts[j], entries), den * d.den)
                 want = apply_graded_side(phi.images, a.relation_basis, x, "right") - apply_graded_side(
                     phi.images, a.relation_basis, x, "left"
                 )
@@ -105,7 +106,7 @@ def test_top_bracket_outside_r_raises_in_check_j2():
     a = build_ym(2, Metric.euclidean(3))
     # phi(r_1) = e_0 (x) e_0, the lone j3[0][0][1] that breaks the top condition
     lone = TensorElement.from_terms(3, {(0, 0): rational(1)})
-    d = pbw.DeformationMap(a, (TensorElement.zero(3), lone, TensorElement.zero(3)))
+    d = pbw.deformation_from_tails(a, (TensorElement.zero(3), lone, TensorElement.zero(3)))
     assert not pbw.check_j1(d)[0]
     with pytest.raises(ValueError):
         pbw.check_j2(d, 1)
@@ -114,7 +115,7 @@ def test_top_bracket_outside_r_raises_in_check_j2():
     c = custom_cubic()
     zeros = [TensorElement.zero(2)] * len(c.relation_basis)
     tail = TensorElement.from_terms(2, {(0, 0): rational(1), (1,): rational(1)})
-    d = pbw.DeformationMap(c, tuple([tail] + zeros[1:]))
+    d = pbw.deformation_from_tails(c, tuple([tail] + zeros[1:]))
     assert not pbw.check_j1(d)[0]
     for check in (lambda: pbw.check_j2(d, 2), lambda: pbw.check_j3(d)):
         with pytest.raises(ValueError):
@@ -162,19 +163,33 @@ def pinned_presentation(name):
     return builder(s, pinned_metrics(s)[metric])
 
 
-def core_digest(core):
+def core_digest(a):
+    # the vectors, then the dense right and then left side matrices of each,
+    # read back from the integer entries: right[k][lam] is the coefficient
+    # of r_k (x) e_lam, left[k][lam] that of e_lam (x) r_k
+    core = a.overlap
     h = hashlib.sha256()
     for x in core.vectors:
         h.update(repr(sorted((w, format_rational(c)) for w, c in x.terms.items())).encode())
-    for m in core.right + core.left:
-        h.update(repr([[format_rational(c) for c in row] for row in m.data]).encode())
+    rights, lefts = [], []
+    for den, entries in core.entries:
+        right, left = ([[Q(0)] * a.dim_v for _ in a.relation_basis] for _ in range(2))
+        for k, prefix, suffix, c in entries:
+            if suffix:
+                right[k][suffix[0]] = Q(c, den)
+            else:
+                left[k][prefix[0]] = Q(-c, den)
+        rights.append(right)
+        lefts.append(left)
+    for m in rights + lefts:
+        h.update(repr([[format_rational(c) for c in row] for row in m]).encode())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CORE_PINS))
 def test_core_matches_pinned_digest(name):
-    core = pinned_presentation(name).overlap
-    assert (len(core.vectors), core_digest(core)) == CORE_PINS[name]
+    a = pinned_presentation(name)
+    assert (len(a.overlap.vectors), core_digest(a)) == CORE_PINS[name]
 
 
 def _perturbed(c, rng, block):

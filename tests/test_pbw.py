@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -7,10 +8,11 @@ import reference
 import pbwforge.algebra as algebra
 import pbwforge.linalg as linalg
 import pbwforge.pbw as pbw
+import pbwforge.rationals as rationals
 import pbwforge.tensors as tensors
 from test_overlap_core import _perturbed, pinned_metrics
 
-from pbwforge.algebra import AlgebraPresentation, OverlapData, build_antisymmetrizer_relations
+from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations
 from pbwforge.linalg import Matrix, Subspace, inverse
 from pbwforge.pbw import (
     DeformationMap,
@@ -323,10 +325,10 @@ def test_deformation_tail_shape_checked():
         "wrong generator space": (TensorElement.zero(2), zero, zero),
         r"F\^\(N-1\)": (TensorElement.from_terms(3, {(0, 1, 2): 1}), zero, zero),
     }
+    # the converter is the one place a tail is checked and cleared
     for message, tails in bad.items():
-        for build in (deformation_from_tails, DeformationMap):
-            with pytest.raises(ValueError, match=message):
-                build(a, tails)
+        with pytest.raises(ValueError, match=message):
+            deformation_from_tails(a, tails)
 
 
 def test_conservation_residuals_match_pinned_hash():
@@ -353,15 +355,11 @@ def test_conservation_residuals_match_pinned_hash():
     assert h.hexdigest() == "03f9460846d8b76d499643f06aa7729c5eca9ef61653079029945533ed8abb89"
 
 
-def test_conservation_agrees_with_the_verdict(monkeypatch):
+def test_conservation_agrees_with_the_verdict():
     # YM at s = 1..4 over three metrics: admissible, each side condition
     # broken, and a perturbed j3, j2 and j1 block.  The conservation law
-    # reads neither the overlap core nor the rational brackets: it runs
-    # first on a fresh presentation, with OverlapData.brackets raising
-    def broken(*args):
-        raise AssertionError("OverlapData.brackets called")
-
-    monkeypatch.setattr(OverlapData, "brackets", broken)
+    # reads neither the overlap core nor the brackets: it runs first on a
+    # fresh presentation, which builds no overlap core
     tally: dict = {}
     for s in (1, 2, 3, 4):
         for name, metric in pinned_metrics(s).items():
@@ -382,6 +380,38 @@ def test_conservation_agrees_with_the_verdict(monkeypatch):
     assert tally == {True: 13, False: 71}
 
 
+def test_a_deformation_built_from_integer_parts(monkeypatch):
+    # a deformation given by its int numerators over one denominator, as a
+    # polynomial numerator would be, runs the chain and the conservation
+    # law with no rational converted, and agrees with the converter
+    metric = Metric.minkowski(3)
+    a = build_ym(2, metric)
+    rng = random.Random(47)
+    built, want = [], []
+    for violate in (None, "s2"):
+        tails = current_from_parameters(sample_current_parameters(rng, metric, violate=violate), metric).tails()
+        den = math.lcm(*(c.denominator for t in tails for c in t.terms.values()))
+        assert den > 1
+        parts = tuple([[] for _ in tails] for _ in range(a.degree))
+        for k, t in enumerate(tails):
+            for w, c in t.terms.items():
+                parts[len(w)][k].append((w, c.numerator * (den // c.denominator)))
+        converted = deformation_from_tails(a, tails)
+        assert (converted.den, converted.parts) == (den, parts)
+        want.append((pbw_verdict(converted), conservation_residual(converted).conserved))
+        built.append(DeformationMap(a, den, parts))
+
+    def refuse(*args):
+        raise AssertionError("a rational was converted")
+
+    for module in (rationals, pbw, algebra, linalg):
+        monkeypatch.setattr(module, "times", refuse)
+    got = [(pbw_verdict(d), conservation_residual(d).conserved) for d in built]
+    assert got == want
+    assert [v.overall for v, _ in got] == [True, False]
+    assert [c for _, c in got] == [True, False]
+
+
 def test_a_verdict_builds_each_graded_part_once(monkeypatch):
     # the tails are cleared to ints once per deformation: on a warmed
     # presentation, verdicts and conservation checks convert each tail
@@ -394,7 +424,8 @@ def test_a_verdict_builds_each_graded_part_once(monkeypatch):
     ]
     pbw_verdict(current_to_deformation(currents[0], a))
     conversions = []
-    for module in (pbw, algebra, linalg, tensors):
+    assert not hasattr(tensors, "times")  # no other module converts a coefficient
+    for module in (pbw, algebra, linalg):
 
         def spy(c, den, real=module.times):
             conversions.append(c)
@@ -402,7 +433,6 @@ def test_a_verdict_builds_each_graded_part_once(monkeypatch):
 
         monkeypatch.setattr(module, "times", spy)
     built = []
-    monkeypatch.setattr(pbw, "graded_part", lambda *args: built.append(args))
     monkeypatch.setattr(GradedMap, "__init__", lambda *args: built.append(args))
     verdicts = []
     for current in currents:
@@ -421,8 +451,8 @@ def test_chain_and_conservation_run_on_sparse_rows(monkeypatch):
     # no dense vector and no dense subspace and call no reduce_rows,
     # rref_rows or SparseEchelon: the relation coordinates of each top
     # bracket and of the divergence's top part are found once each, in
-    # integers, and the canonical residual runs only for a current that
-    # is not conserved
+    # integers, and the canonical residual runs only when it is read, once,
+    # and only for a current that is not conserved
     metric = Metric.minkowski(4)
     a = build_ym(3, metric)
     rng = random.Random(41)
@@ -482,6 +512,9 @@ def test_chain_and_conservation_run_on_sparse_rows(monkeypatch):
         law = conservation_residual(d)
         verdicts.append(verdict.j1_holds)
         assert law.conserved == verdict.overall
+        assert residuals == []
+        assert law.residual.is_zero() == law.conserved
+        assert law.residual is law.residual
         assert len(residuals) == (0 if law.conserved else 1)
         assert solves == [True] * (len(a.overlap.vectors) + 1)
     assert dense == []
