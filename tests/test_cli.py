@@ -341,6 +341,7 @@ GOLDEN = (
     (["run", "--input", "sym_s3_classify.problem.json"], 0, "sym_s3_classify"),
     (["run", "--input", "ym_s2_hilbert.problem.json"], 0, "ym_s2_hilbert"),
     (["run", "--input", "ym_random_metric_tails.problem.json"], 0, "ym_random_metric_tails"),
+    (["run", "--input", "ym_random_metric_s3_oracle.problem.json"], 1, "ym_random_metric_s3_oracle"),
     (["demo-lie", "--case", "broken"], 1, "demo_lie_broken"),
 )
 @pytest.mark.parametrize("argv, code, name", GOLDEN, ids=[g[2] for g in GOLDEN])
