@@ -13,15 +13,15 @@ term lies in V tensor I_(n-1), and the second is a combination of rows
 r b' with b' lexicographically later, so induction on b puts r b in the
 span of the rows kept (Bergman's normal words, *Adv. Math.* 29 (1978)).
 :func:`reducible_words` marks those right words.  The filtered ideal
-span (``pbw.IdealSpan``) skips the same rows, and also the rows it found
-dependent one level lower.  No Hilbert-series assumption ever enters the
-computation.
+span (``pbw.IdealSpan``) skips the same rows, and carries its other rows
+of the level below as they stand wherever no left shift has their
+pivot.  No Hilbert-series assumption ever enters the computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd, lcm
 from typing import Sequence
@@ -108,28 +108,29 @@ class AlgebraPresentation:
 
 def primitive_terms(p: TensorElement) -> list:
     """(degree, word index, coefficient) of each term of ``p``, with the
-    denominators cleared and the content removed: a primitive integer row."""
+    denominators cleared (int coefficients have none) and the content
+    removed: a primitive integer row."""
     den = lcm(*(int(c.denominator) for c in p.terms.values()))
     ints = {w: times(c, den) for w, c in p.terms.items()}
     content = gcd(*ints.values())
     return [(len(w), word_index(w, p.dim_v), c // content) for w, c in ints.items()]
 
 
-def left_shifts(rows: dict, dim_v: int, place) -> dict:
+def left_shifts(rows: dict, dim_v: int, place: Sequence) -> dict:
     """The rows x row for every stored row and letter x, keyed by pivot.
 
     ``rows`` are the pivot -> row dict of a :class:`SparseEchelon` whose
-    key order is kept by prefixing a letter, and ``place(k)`` is the pair
-    (base, step) with key(x w) = base + x step for the word w of key k.
-    So x row is again primitive with a positive pivot entry at x pivot,
-    and shifts of distinct rows or by distinct letters have distinct
-    pivots: the result is an echelon with no elimination.
+    key order is kept by prefixing a letter, and ``place[k]`` is the pair
+    (base, step) with key(x w) = base + x step for the word w of key k,
+    a table the caller builds once per key space.  So x row is again
+    primitive with a positive pivot entry at x pivot, and shifts of
+    distinct rows or by distinct letters have distinct pivots: the result
+    is an echelon with no elimination.
     """
-    place = cache(place)
     out = {}
     for p, row in rows.items():
-        placed = [(*place(k), c) for k, c in row.items()]
-        base, step = place(p)
+        placed = [(*place[k], c) for k, c in row.items()]
+        base, step = place[p]
         for x in range(dim_v):
             out[base + x * step] = {b + x * s: c for b, s, c in placed}
     return out
@@ -166,7 +167,7 @@ def _ideal_component_rows(a: AlgebraPresentation, n: int) -> dict:
         m = len(levels)
         size = a.dim_v ** (m - 1)
         echelon = SparseEchelon()
-        echelon.rows = left_shifts(levels[-1], a.dim_v, lambda k: (k, size))
+        echelon.rows = left_shifts(levels[-1], a.dim_v, [(k, size) for k in range(size)])
         if m >= a.degree:
             k = m - a.degree
             right = a.dim_v**k

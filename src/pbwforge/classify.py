@@ -91,9 +91,9 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     coords = top.inner_coords  # the relation coordinates of the top brackets, or ValueError
     sizes = [len(a.relation_basis) * a.dim_v**j for j in range(n - 1)]
     offsets = [sum(sizes[:j]) for j in range(n - 1)]
-    # the integer parts of each unit block, in flattened coefficient order
+    # (degree, integer parts) of each unit block, in flattened coefficient order
     empty = [[] for _ in a.relation_basis]
-    units = [[unit if i == j else empty for i in range(n)] for j in range(n - 1) for unit in _unit_blocks(a, j)]
+    units = [(j, [unit if i == j else empty for i in range(n)]) for j in range(n - 1) for unit in _unit_blocks(a, j)]
 
     eq_rows: list = []
     rhs: list = []
@@ -102,14 +102,20 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     for j in levels:
         # the scalar condition (level 0) is folded into level 1
         for level in (j, 0) if j == 1 else (j,):
-            columns = [level_numerators(a, coords, 1, parts, level) for parts in units]
+            # a level reads the parts of degrees level and level - 1 only, so
+            # every other unit block's column is zero
+            live = [i for i, (degree, _) in enumerate(units) if degree in (level, level - 1)]
+            columns = [level_numerators(a, coords, 1, units[i][1], level) for i in live]
             # one row per overlap vector and word: the unit columns share the
             # vector's denominator, the right-hand side has its own; both cleared
             rows = zip(level_numerators(a, coords, top.den, top.parts, level), *columns)
             for (top_den, top_terms), *cells in rows:
                 den = cells[0][0]
                 for w in sorted(set(top_terms).union(*(terms for _, terms in cells))):
-                    eq_rows.append([top_den * terms.get(w, 0) for _, terms in cells])
+                    row = [0] * len(units)
+                    for i, (_, terms) in zip(live, cells):
+                        row[i] = top_den * terms.get(w, 0)
+                    eq_rows.append(row)
                     rhs.append(-den * top_terms.get(w, 0))
         sol = solve_affine(Matrix.from_rows(eq_rows), tuple(rhs)) if eq_rows else None
         if eq_rows and sol is None:

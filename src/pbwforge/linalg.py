@@ -4,9 +4,9 @@ Dense matrices over the rationals, canonical reduced-row-echelon
 subspaces, the usual lattice operations, coordinates in a fixed basis,
 and a sparse incremental echelon accumulator for large spanning sets.
 Every operation runs one fraction-free elimination loop on primitive
-integer rows, which never divides.  It reduces a row down to its first
-free key, the pivot, and the tail only by rows whose pivot entry is 1.
-The canonical RREF behind ``Subspace``, ``kernel``, ``solve_affine`` and
+integer rows, which never divides.  A head reduction stops at the row's
+first free key, the pivot, and leaves the tail as it is.  The canonical
+RREF behind ``Subspace``, ``kernel``, ``solve_affine`` and
 ``inverse`` comes from back-substitution of those head-reduced rows in
 decreasing pivot order, then one division of each row by its pivot
 entry; ``residual`` needs no RREF, only the loop's scale.
@@ -328,14 +328,13 @@ class SparseEchelon:
 
     Stored rows are head-reduced, not fully reduced: ``insert`` eliminates
     only until the least key of the row has no stored row, and that key
-    is the new pivot.  Under a fixed key order the pivot set of any
-    echelon basis depends only on the span, so the pivots and the rank
-    are those of the reduced echelon form.  The rest of a new row is then
-    reduced only by stored rows whose pivot entry is 1, a plain
-    subtraction that never rescales the row.  ``reduce`` still eliminates
-    every pivot key.  Built for large, very sparse spanning sets (ideal
-    spans), where a dense matrix would be mostly zeros.  Mutable, unlike
-    the rest of this module; intended as a local accumulator.
+    is the new pivot; the rest of the row is stored as it stands.  Under a
+    fixed key order the pivot set of any echelon basis depends only on
+    the span, so the pivots and the rank are those of the reduced echelon
+    form.  ``reduce`` still eliminates every pivot key.  Built for large,
+    very sparse spanning sets (ideal spans), where a dense matrix would be
+    mostly zeros.  Mutable, unlike the rest of this module; intended as a
+    local accumulator.
     """
 
     def __init__(self) -> None:
@@ -368,17 +367,16 @@ class SparseEchelon:
 
 def _eliminate_pivots(rows: dict, v: dict, full: bool):
     """Eliminate the pivots of ``rows`` (pivot key -> primitive integer
-    row) from the integer row ``v`` in place, in increasing key order;
-    returns the least key of ``v`` with no row (None when there is none).
+    row) from the integer row ``v`` in place, in increasing key order.
 
     Elimination is fraction-free (cross-multiplying, after Bareiss,
     *Math. Comp.* 22 (1968)): only integer products and ``math.gcd`` run
     here, on either rational backend.  With ``full`` every pivot key is
-    eliminated.  Without it, keys after that least free key are
-    eliminated only by unit-pivot rows.
+    eliminated and None is returned.  Without it the loop stops at the
+    least key of ``v`` with no row and returns it (None when ``v``
+    reduces to zero); the keys after it are left as they are.
     """
     heap = sorted(v)
-    lead = None
     while heap:
         k = heapq.heappop(heap)
         c = v.get(k)
@@ -386,14 +384,12 @@ def _eliminate_pivots(rows: dict, v: dict, full: bool):
             continue
         row = rows.get(k)
         if row is None:
-            if lead is None:
-                lead = k
-            continue
+            if full:
+                continue
+            return k
         # v <- (a/g) v - (c/g) row cancels the key k, with a = row[k] > 0
         a = row[k]
         if a != 1:
-            if lead is not None and not full:
-                continue
             g = gcd(a, c)
             if g != a:
                 scale = a // g
@@ -408,7 +404,7 @@ def _eliminate_pivots(rows: dict, v: dict, full: bool):
                 v[rk] = nv
             else:
                 v.pop(rk, None)
-    return lead
+    return None
 
 
 def _store(rows: dict, v: dict, p) -> None:

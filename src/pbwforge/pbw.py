@@ -32,12 +32,14 @@ by explicit products up to a degree cutoff and compares quotient
 dimensions against the graded algebra.  It can refute the PBW property
 definitively at a finite cutoff, but can only ever report bounded
 consistency in the positive direction.  Its span (:class:`IdealSpan`)
-never builds two kinds of product that provably lie in the span
-already: a row p b whose right word b = u lt u'' contains a leading word
-lt of the relations at least as long as p (induction on b, Bergman's
-normal-word argument, *Adv. Math.* 29 (1978)), and a row p b found
-dependent one level lower.  Both skips read only the relations, never W
-or the brackets.
+is built level by level: each level takes the left shifts of the level
+below and that level's other rows, the latter as they stand wherever no
+shift has their pivot, and eliminates only those rows that meet a
+shift's pivot and the products p b of its own right-word length.  It
+never builds a row p b whose right word b = u lt u'' contains a leading
+word lt of the relations at least as long as p (induction on b,
+Bergman's normal-word argument, *Adv. Math.* 29 (1978)).  Both rules
+read only the relations, never W or the brackets.
 """
 
 from __future__ import annotations
@@ -218,41 +220,42 @@ class IdealSpan:
     start[n], the rows with pivot in degree <= n, then span exactly the
     intersection with F^n.
 
-    The span is built level by level: with J_t the span of the a p b with
-    |a| + |b| <= t, J_t = V tensor J_(t-1) + span{p b : |b| <= t}.
-    Prefixing a letter keeps the key order, so the left shifts of the
-    echelon rows of J_(t-1) are echelon rows of V tensor J_(t-1) as they
-    stand (:func:`~pbwforge.algebra.left_shifts`); each level seeds the
-    echelon with them and eliminates only the rows p b, each relation a
+    The span is built level by level.  With J_t the span of the a p b
+    with |a| + |b| <= t,
+
+        J_t = V tensor J_(t-1) + span(carried) + span{p b : |b| = t},
+
+    where ``carried`` holds the echelon rows of J_(t-1) that are not left
+    shifts.  The echelon rows of J_(t-1) are the left shifts of those of
+    J_(t-2), which lie in V tensor J_(t-2), inside V tensor J_(t-1), and
+    the carried rows; so J_(t-1), which holds every p b with |b| < t, lies
+    in the right-hand side, and J_t = V tensor J_(t-1) + J_(t-1) +
+    span{p b : |b| = t} is all of it.  Prefixing a letter keeps the key
+    order, so the left shifts of the echelon rows of J_(t-1) are echelon
+    rows of V tensor J_(t-1) as they stand
+    (:func:`~pbwforge.algebra.left_shifts`, each key's place read from a
+    table built once per span).  A carried row whose pivot no shift has
+    is stored as it stands, and the others are inserted; so each level
+    eliminates only those and the rows p b with |b| = t, each relation a
     primitive integer row placed by index arithmetic.
 
-    Two kinds of row p b are never built; every pivot is unchanged.
-
-    (a) Leading words.  The pivot words of J_0, the span of the
-    relations, are the leading words lt(q) of its echelon rows q.  Row
-    p b is skipped when b = u lt(q) u'' with |lt(q)| >= max(deg p, 1).
-    Write q = c lt(q) + q', every word of q' after lt(q) in the key
-    order (shorter, or as long and lexicographically later).  Then
-    c p b = p u q u'' - p u q' u''.  The first term is a combination of
-    rows w u p_i u'' over the words w of p and relations p_i; as
-    |w| <= |lt(q)|, |w u| + |u''| <= |b| <= t, so each lies in
+    Leading words.  The pivot words of J_0, the span of the relations,
+    are the leading words lt(q) of its echelon rows q.  Row p b is never
+    built when b = u lt(q) u'' with |lt(q)| >= max(deg p, 1); every pivot
+    is unchanged.  Write q = c lt(q) + q', every word of q' after lt(q)
+    in the key order (shorter, or as long and lexicographically later).
+    Then c p b = p u q u'' - p u q' u''.  The first term is a combination
+    of rows w u p_i u'' over the words w of p and relations p_i; as
+    |w| <= |lt(q)|, |w u| + |u''| <= |b| = t, so each lies in
     V tensor J_(t-1), or is p_i u'' with a shorter right word when w u
-    is empty.  The second term is a combination of rows p b' with b'
-    shorter than b, or as long and lexicographically later.  Induction on
-    b in that well-founded order puts p b in the span of the rows kept:
-    Bergman's normal words (*Adv. Math.* 29 (1978)), used as a product
-    criterion.  The length bound matters: without it the first term can
-    leave J_t, and the span of x y x + 2 y and (1/3) y y + x + 5 over two
-    letters would lose 5 dimensions at cutoff 6.
-
-    (b) Dependent rows.  A row p b found dependent at level t-1 lies in
-    the span of V tensor J_(t-2) and the rows inserted before it.  At
-    level t the seed V tensor J_(t-1) contains the former, and each of
-    those rows that was independent is inserted again (neither skip
-    removes it: the leading-word test does not depend on t), so p b is
-    skipped on every later level.
-
-    Both skips read only the relations.
+    is empty, in J_(t-1) inside J_t.  The second term is a combination of
+    rows p b' with b' shorter than b, again in J_(t-1), or as long and
+    lexicographically later.  Induction on b in that well-founded order
+    puts p b in J_t: Bergman's normal words (*Adv. Math.* 29 (1978)),
+    used as a product criterion.  The length bound matters: without it
+    the first term can leave J_t, and the span of x y x + 2 y and
+    (1/3) y y + x + 5 over two letters would lose 5 dimensions at
+    cutoff 6.  The rule reads only the relations.
     """
 
     def __init__(self, relations: Sequence[TensorElement], dim_v: int, cutoff: int):
@@ -268,37 +271,35 @@ class IdealSpan:
         self.start = start = [0] * (cutoff + 1)
         for d in range(cutoff - 1, -1, -1):
             start[d] = start[d + 1] + dim_v ** (d + 1)
-
-        def word(k):
-            # (degree, word index) of the word with key k
-            d = next(d for d in range(cutoff + 1) if start[d] <= k)
-            return d, k - start[d]
-
-        def place(k):
-            # key(x w) = start[d + 1] + x dim^d + index(w) for w of degree d
-            d, i = word(k)
-            return start[d + 1] + i, dim_v**d
+        # place[k] = (start[d + 1] + index(w), dim^d) for the word w of degree
+        # d < cutoff with key k, so key(x w) = start[d + 1] + x dim^d + index(w)
+        place = [None] * dim_v**cutoff
+        for d in range(cutoff - 1, -1, -1):
+            place += [(start[d + 1] + i, dim_v**d) for i in range(dim_v**d)]
 
         rows = [primitive_terms(p) for p in relations]
-        self.echelon = SparseEchelon()
-        dependent = set()  # (|b|, index(b), relation) of the p b rows found dependent
+        self.echelon = echelon = SparseEchelon()
+        carried = {}  # the echelon rows of J_(t-1) that are not left shifts
         skip = [[[False]]] * len(rows)  # level 0 has only the empty right word
         for t in range(cutoff - degree + 1):
-            self.echelon.rows = left_shifts(self.echelon.rows, dim_v, place)
-            for k in range(t + 1):
-                right_size = dim_v**k
-                # key of w b = start[|w| + k] + index(w) dim^k + index(b)
-                placed = [[(start[m + k] + wi * right_size, c) for m, wi, c in terms] for terms in rows]
-                for right in range(right_size):
-                    for j, terms in enumerate(placed):
-                        if skip[j][k][right] or (k, right, j) in dependent:
-                            continue
-                        if not self.echelon.insert({base + right: c for base, c in terms}):
-                            dependent.add((k, right, j))
+            shifts = left_shifts(echelon.rows, dim_v, place)
+            echelon.rows = shifts | {p: row for p, row in carried.items() if p not in shifts}
+            for p, row in carried.items():
+                if p in shifts:
+                    echelon.insert(row)
+            right_size = dim_v**t
+            # key of w b = start[|w| + t] + index(w) dim^t + index(b)
+            placed = [[(start[m + t] + wi * right_size, c) for m, wi, c in terms] for terms in rows]
+            for right in range(right_size):
+                for j, terms in enumerate(placed):
+                    if not skip[j][t][right]:
+                        echelon.insert({base + right: c for base, c in terms})
+            carried = {p: row for p, row in echelon.rows.items() if p not in shifts}
             if t == 0:
-                # the leading words are the pivots of J_0; relation j skips only
-                # those at least as long as itself (and never the empty word)
-                leading = [word(k) for k in self.echelon.rows]
+                # the leading words are the pivots of J_0, as (degree, word index);
+                # relation j skips only those at least as long as itself (and never
+                # the empty word)
+                leading = [next((d, k - start[d]) for d in range(cutoff + 1) if start[d] <= k) for k in echelon.rows]
                 masks = {
                     n: reducible_words([w for w in leading if w[0] >= max(n, 1)], dim_v, cutoff - degree)
                     for n in {p.max_degree for p in relations}
@@ -336,7 +337,16 @@ def brute_force_oracle(d: DeformationMap, n_max: int, cutoff: Optional[int] = No
     if cutoff < n_max:
         raise ValueError("cutoff must be at least n_max")
     a = d.algebra
-    span = IdealSpan(d.deformed_relations(), a.dim_v, cutoff)
+    # the deformed relations r_k - tails[k] times frame.lcm den, with int
+    # coefficients: R's integer rows and the deformation's parts, no rational
+    frame = a.relation_frame
+    relations = []
+    for k, row in enumerate(frame.rows):
+        terms = {w: d.den * c for w, c in row.items()}
+        for images in d.parts:
+            terms.update((w, -frame.lcm * c) for w, c in images[k])
+        relations.append(TensorElement(a.dim_v, terms))
+    span = IdealSpan(relations, a.dim_v, cutoff)
     quotients = []
     expected = []
     running = 0

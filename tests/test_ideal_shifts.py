@@ -2,6 +2,7 @@
 loops, and the per-presentation cache of the graded ideal components."""
 
 import random
+from functools import cache
 
 import pytest
 import reference
@@ -101,14 +102,62 @@ SPAN_CASES = {
 }
 
 
+@cache
+def span_reference(case):
+    """The all-products loop's (dims, rank) for a span case, once per run."""
+    make, cutoff = SPAN_CASES[case]
+    relations, dim_v = make()
+    return reference.ideal_span_dims(relations, dim_v, cutoff)
+
+
 @pytest.mark.parametrize("case", sorted(SPAN_CASES))
 def test_ideal_span_matches_all_products_loop(case):
     make, cutoff = SPAN_CASES[case]
     relations, dim_v = make()
     span = IdealSpan(relations, dim_v, cutoff)
-    dims, rank = reference.ideal_span_dims(relations, dim_v, cutoff)
+    dims, rank = span_reference(case)
     assert [span.intersection_dim(n) for n in range(cutoff + 1)] == dims
     assert span.echelon.rank == rank
+
+
+def test_carried_rows_are_stored_or_inserted(monkeypatch):
+    # a row of J_(t-1) that is not a left shift is stored at level t as it
+    # stands (the same dict) when no shift has its pivot, and inserted
+    # otherwise; both happen over the span cases, and every case where a
+    # carried row met a shift's pivot matches the all-products loop
+    levels = []  # the echelon rows of J_(t-1) handed to left_shifts, per level
+    inserted = []
+    original_shifts = pbwforge.pbw.left_shifts
+    original_insert = SparseEchelon.insert
+
+    def left_shifts(rows, dim_v, place):
+        levels.append(rows)
+        return original_shifts(rows, dim_v, place)
+
+    def insert(self, vec):
+        inserted.append(vec)
+        return original_insert(self, vec)
+
+    monkeypatch.setattr(pbwforge.pbw, "left_shifts", left_shifts)
+    monkeypatch.setattr(SparseEchelon, "insert", insert)
+    stored, collided = {}, {}
+    for case in sorted(SPAN_CASES):
+        make, cutoff = SPAN_CASES[case]
+        relations, dim_v = make()
+        levels.clear()
+        inserted.clear()
+        span = IdealSpan(relations, dim_v, cutoff)
+        spans = levels[1:] + [span.echelon.rows]  # J_0, J_1, ..., J_last
+        ids = [{id(row) for row in rows.values()} for rows in spans]
+        stored[case] = sum(id(row) in below for below, rows in zip(ids, spans[1:]) for row in rows.values())
+        collided[case] = sum(any(id(vec) in level for level in ids) for vec in inserted)
+        if collided[case]:
+            dims, rank = span_reference(case)
+            assert [span.intersection_dim(n) for n in range(cutoff + 1)] == dims
+            assert span.echelon.rank == rank
+    assert sum(stored.values()) > 0 and sum(collided.values()) > 0
+    # the pinned report's current and the SYM j1 perturbation meet shifts' pivots
+    assert collided["ym-random-s3"] == 3 and collided["sym-j1"] == 2
 
 
 @st.composite
@@ -188,8 +237,8 @@ def spy_inserts(monkeypatch):
 
 # (case, cutoff, most inserts, most dependent inserts, the reference loop's rank)
 INSERT_PINS = [
-    ("ym-euclidean-ok", 6, 160, 13, 383),
-    ("custom-quadratic-6", 6, 240, 69, 1077),
+    ("ym-euclidean-ok", 6, 111, 13, 383),
+    ("custom-quadratic-6", 6, 154, 69, 1077),
 ]
 
 

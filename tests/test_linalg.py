@@ -576,22 +576,31 @@ def test_sparse_echelon_reduce_up_to_scalar(seed):
 
 
 def test_sparse_echelon_insert_rule():
-    # head steps rescale the row; tail steps use unit pivots only
+    # insert eliminates up to the first free key, rescaling by non-unit
+    # pivot entries, and stores the rest of the row as it stands, divided
+    # by its content and signed so that the pivot entry is positive
     ech = SparseEchelon()
     assert ech.insert({1: 2, 3: 1})  # pivot 1, pivot entry 2
     assert ech.insert({2: 1, 3: 1})  # pivot 2, pivot entry 1
-    # key 0 is free: the tail keeps key 1 (pivot entry 2) and loses key 2
+    # key 0 is free: the pivot keys 1 and 2 in the tail stay as they are
     assert ech.insert({0: 1, 1: 1, 2: 3})
-    assert ech.rows[0] == {0: 1, 1: 1, 3: -3}
-    # 2 (3 e1 + e2) - 3 (2 e1 + e3) - 2 (e2 + e3) = -5 e3: the head is
-    # eliminated until the first free key, rescaling by the pivot entry 2
-    assert ech.insert({1: 3, 2: 1})
-    assert ech.rows[3] == {3: 1}
-    assert ech.rows[1] == {1: 2, 3: 1} and ech.rows[2] == {2: 1, 3: 1}
-    assert not ech.insert({0: 2, 1: 2, 2: 6})
+    # 2 (3 e1 + e2 + e4) - 3 (2 e1 + e3) - 2 (e2 + e3) = -5 e3 + 2 e4
+    assert ech.insert({1: 3, 2: 1, 4: 1})
+    # 2 (e0 + e1 + 3 e2) + 5 e3 - 2 (e0 + e1 + 3 e2) - (5 e3 - 2 e4) = 2 e4
+    assert ech.insert({0: 2, 1: 2, 2: 6, 3: 5})
+    assert ech.rows == {
+        0: {0: 1, 1: 1, 2: 3},
+        1: {1: 2, 3: 1},
+        2: {2: 1, 3: 1},
+        3: {3: 5, 4: -2},
+        4: {4: 1},
+    }
+    assert not ech.insert({0: 4, 1: 4, 2: 12})
     # reduce eliminates every pivot, the non-unit ones included
     assert ech.reduce({1: Fraction(1, 2)}) == {}
-    assert ech.rank == 4
+    # the residual 3 e5, scaled by the pivot entries 2 and 5 it met
+    assert ech.reduce({1: 1, 5: 3}) == {5: 30}
+    assert ech.rank == 5
 
 
 @pytest.mark.parametrize(
