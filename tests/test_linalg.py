@@ -481,8 +481,8 @@ def _random_sparse_rows(rng, n_cols, n_rows):
 
 def _unit_sparse_rows(rng, n_cols, n_rows):
     """Sparse int rows with entries in {-2, -1, 1, 2}: most stored rows
-    then have pivot entry 1, so later rows meet unit pivots in their tails
-    as well as pivots 2 that the tail step must leave alone."""
+    then have pivot entry 1, so later rows meet unit pivots, which need no
+    rescaling, as well as pivots 2, which do."""
     return [
         {k: rng.choice((-2, -1, 1, 2)) for k in rng.sample(range(n_cols), rng.randint(1, min(5, n_cols)))}
         for _ in range(n_rows)
