@@ -342,6 +342,8 @@ GOLDEN = (
     (["run", "--input", "ym_s2_hilbert.problem.json"], 0, "ym_s2_hilbert"),
     (["run", "--input", "ym_random_metric_tails.problem.json"], 0, "ym_random_metric_tails"),
     (["run", "--input", "ym_random_metric_s3_oracle.problem.json"], 1, "ym_random_metric_s3_oracle"),
+    (["run", "--input", "ym_minkowski_identities.problem.json"], 0, "ym_minkowski_identities"),
+    (["run", "--input", "sym_euclidean_identities.problem.json"], 0, "sym_euclidean_identities"),
     (["demo-lie", "--case", "broken"], 1, "demo_lie_broken"),
 )
 @pytest.mark.parametrize("argv, code, name", GOLDEN, ids=[g[2] for g in GOLDEN])
