@@ -20,13 +20,12 @@ pivot.  No Hilbert-series assumption ever enters the computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import BasisCoordinates, SparseEchelon, Subspace
+from .linalg import BasisCoordinates, Frozen, SparseEchelon, Subspace
 from .rationals import ONE, ZERO, times
 from .tensors import (
     TensorElement,
@@ -37,28 +36,28 @@ from .tensors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraPresentation:
+class AlgebraPresentation(Frozen):
     """Generators V of dimension s+1 and a relation space R in V^(tensor N).
 
     ``relation_basis`` is the distinguished ordered basis of R; relation
     coordinates everywhere refer to this ordering.
     """
 
-    dim_v: int
-    degree: int
-    relation_basis: tuple
+    _fields = ("dim_v", "degree", "relation_basis")
 
-    def __post_init__(self) -> None:
-        if self.dim_v < 1:
+    def __init__(self, dim_v: int, degree: int, relation_basis: tuple) -> None:
+        if dim_v < 1:
             raise ValueError("need at least one generator")
-        if self.degree < 2:
+        if degree < 2:
             raise ValueError("relation degree must be at least 2")
-        for r in self.relation_basis:
-            if r.dim_v != self.dim_v:
+        for r in relation_basis:
+            if r.dim_v != dim_v:
                 raise ValueError("relation with mismatched generator count")
-            if not r.is_homogeneous(self.degree) or r.is_zero():
+            if not r.is_homogeneous(degree) or r.is_zero():
                 raise ValueError("relations must be nonzero and homogeneous of degree N")
+        self._set("dim_v", dim_v)
+        self._set("degree", degree)
+        self._set("relation_basis", relation_basis)
         self.relation_frame  # raises ValueError when the basis is linearly dependent
 
     @cached_property

@@ -20,8 +20,7 @@ distinguished relation basis and w runs over degree-j words (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import AlgebraPresentation
 from .linalg import Matrix, Subspace, Vector, kernel, reduce_rows, rref_rows, solve_affine
@@ -31,8 +30,7 @@ from .tensors import add_images, words
 from .tensors import GradedMap, flatten_graded_map, unflatten_graded_map  # noqa: F401  (re-exported)
 
 
-@dataclass(frozen=True)
-class StageSolution:
+class StageSolution(NamedTuple):
     stage: str
     parameters: Subspace  # solution directions in coefficient coordinates
     particular: Optional[Vector]
@@ -137,8 +135,7 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     return solutions
 
 
-@dataclass(frozen=True)
-class FamilyComparison:
+class FamilyComparison(NamedTuple):
     family_dim: int
     solution_dim: int
     family_in_solutions: bool

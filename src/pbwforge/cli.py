@@ -15,7 +15,6 @@ a negative mathematical verdict, 2 invalid input, 3 resource guard.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import importlib.resources
 import json
@@ -313,7 +312,7 @@ def run_task(task: dict, problem: dict, a, metric, deformation):
         if family not in verify:
             raise ProblemError(f"task 'identities' is not defined for family {family!r}")
         rep = verify[family](metric, presentation=a)
-        return {"task": kind, **dataclasses.asdict(rep), "pass": rep.all_pass}, rep.all_pass, None
+        return {"task": kind, **rep._asdict(), "pass": rep.all_pass}, rep.all_pass, None
     if kind == "check":
         v = pbw_verdict(deformation)
         result = {

@@ -23,7 +23,6 @@ construction and all operations are pure.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -41,16 +40,54 @@ def dot(a: Sequence, b: Sequence) -> Q:
     return sum((x * y for x, y in zip(a, b) if x), ZERO)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Frozen:
+    """Base of the package's immutable records.
+
+    A subclass's ``__init__`` sets each of its fields, named in
+    ``_fields``, once with ``self._set(name, value)``, which is
+    ``object.__setattr__``: the value lands in the instance dict, as a
+    ``cached_property`` value does, and is read as fast as a plain
+    attribute.  Assigning or deleting an attribute otherwise raises
+    AttributeError.  Equality and hashing are by identity.
+    """
+
+    _fields: tuple = ()
+    _set = object.__setattr__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class FrozenValue(Frozen):
+    """A :class:`Frozen` record that compares and hashes by its fields."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Matrix(FrozenValue):
     """Immutable dense matrix of exact rationals."""
 
-    data: tuple
+    _fields = ("data",)
 
-    def __post_init__(self) -> None:
-        widths = {len(row) for row in self.data}
-        if len(widths) > 1:
+    def __init__(self, data: tuple) -> None:
+        if len({len(row) for row in data}) > 1:
             raise ValueError("ragged rows")
+        self._set("data", data)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
@@ -98,8 +135,7 @@ def rank(m: Matrix) -> int:
     return len(rref_rows(map(_sparse, m.data)))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(FrozenValue):
     """A subspace of a fixed coordinate space, in canonical RREF basis.
 
     The basis rows have strictly increasing pivot columns, unit pivots and
@@ -107,13 +143,14 @@ class Subspace:
     equal iff their representations are equal.
     """
 
-    ambient_dim: int
-    basis: Matrix
+    _fields = ("ambient_dim", "basis")
 
-    def __post_init__(self) -> None:
-        for row in self.basis.data:
-            if len(row) != self.ambient_dim:
+    def __init__(self, ambient_dim: int, basis: Matrix) -> None:
+        for row in basis.data:
+            if len(row) != ambient_dim:
                 raise ValueError("basis row length does not match ambient dimension")
+        self._set("ambient_dim", ambient_dim)
+        self._set("basis", basis)
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Iterable], ambient_dim: int) -> "Subspace":

@@ -44,13 +44,12 @@ read only the relations, never W or the brackets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import AlgebraPresentation, graded_dim, left_shifts, primitive_terms, reducible_words
-from .linalg import SparseEchelon, residual
+from .linalg import Frozen, SparseEchelon, residual
 from .rationals import times
 from .tensors import (
     ResourceGuardError,  # noqa: F401  (re-exported for callers of the oracle)
@@ -61,8 +60,7 @@ from .tensors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class DeformationMap:
+class DeformationMap(Frozen):
     """phi(r_k) = tails[k] in F^(N-1), one tail per vector r_k of the
     algebra's distinguished relation basis, held as integers.
 
@@ -75,9 +73,12 @@ class DeformationMap:
     intersection with F^(N-1) is automatically zero.
     """
 
-    algebra: AlgebraPresentation
-    den: int
-    parts: tuple
+    _fields = ("algebra", "den", "parts")
+
+    def __init__(self, algebra: AlgebraPresentation, den: int, parts: tuple) -> None:
+        self._set("algebra", algebra)
+        self._set("den", den)
+        self._set("parts", parts)
 
     @cached_property
     def tails(self) -> tuple:
@@ -189,8 +190,7 @@ def check_j3(d: DeformationMap) -> bool:
     return not any(terms for _, terms in level_numerators(d.algebra, d.inner_coords, d.den, d.parts, 0))
 
 
-@dataclass(frozen=True)
-class PbwVerdict:
+class PbwVerdict(NamedTuple):
     j1_holds: bool
     j2_holds: tuple  # one entry per level j = 1..N-1; None = not applicable
     j3_holds: Optional[bool]
@@ -313,8 +313,7 @@ class IdealSpan:
         return sum(1 for p in self.echelon.rows if p >= self.start[n])
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     n_max: int
     cutoff: int
     quotient_dims: tuple  # dim F^n / J_n for n = 0..n_max
@@ -367,16 +366,19 @@ def brute_force_oracle(d: DeformationMap, n_max: int, cutoff: Optional[int] = No
     return OracleResult(n_max, cutoff, tuple(quotients), tuple(expected), verdict, failure)
 
 
-@dataclass(frozen=True, eq=False)
-class ConservationResult:
+class ConservationResult(Frozen):
     """Whether the divergence of a current reduces to zero modulo the
     deformed relations.  ``residual``, the canonical remainder
     (:func:`~pbwforge.linalg.residual`), is computed on first read, so a
-    caller that reads only ``conserved`` never pays for it."""
+    caller that reads only ``conserved`` never pays for it.  ``divergence``
+    is the divergence times the deformation's den, keyed by word."""
 
-    conserved: bool
-    deformation: DeformationMap
-    divergence: dict  # the divergence times the deformation's den, keyed by word
+    _fields = ("conserved", "deformation", "divergence")
+
+    def __init__(self, conserved: bool, deformation: DeformationMap, divergence: dict) -> None:
+        self._set("conserved", conserved)
+        self._set("deformation", deformation)
+        self._set("divergence", divergence)
 
     @cached_property
     def residual(self) -> TensorElement:

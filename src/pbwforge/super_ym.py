@@ -11,8 +11,7 @@ which the rational ground field guarantees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraPresentation, ideal_component
 from .linalg import Subspace, rref_rows
@@ -79,8 +78,7 @@ def relations_from_mixed_brackets(metric: Metric) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SuperIdentityReport:
+class SuperIdentityReport(NamedTuple):
     anti_cyclic: bool          # Wt^{lam mu nu rho} = -Wt^{rho lam mu nu}
     two_sided_overlap: bool    # sum S_rho (x) Wt^rho = -sum Wt^rho (x) S_rho
     bracket_form: bool         # relations match the mixed-bracket expansion
@@ -164,8 +162,7 @@ def isym_family_generators(metric: Metric) -> list:
 super_current_to_deformation = current_to_deformation
 
 
-@dataclass(frozen=True)
-class ShiftReport:
+class ShiftReport(NamedTuple):
     centrality_form_matches: bool  # the commutator rewriting spans P
     shifted_form_matches: bool     # the shifted-generator rewriting spans P
 

@@ -11,11 +11,10 @@ within each degree.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from .linalg import BasisCoordinates, Matrix, Subspace, Vector
+from .linalg import BasisCoordinates, FrozenValue, Matrix, Subspace, Vector
 from .rationals import ONE, ZERO, Q, rational
 
 Word = tuple  # tuple of generator indices
@@ -72,17 +71,20 @@ def filtered_terms(x: "TensorElement") -> dict:
     return {(len(w), w): c for w, c in x.terms.items()}
 
 
-@dataclass(frozen=True)
-class TensorElement:
+class TensorElement(FrozenValue):
     """Element of the filtered free algebra, as sparse word -> coefficient.
 
     Mixed degrees are allowed (and essential: the deformed relations
     x - phi(x) live in F^N, not in a single tensor power).  Zero
-    coefficients are never stored.
+    coefficients are never stored.  Elements compare by value; the terms
+    are a dict, so an element is not hashable.
     """
 
-    dim_v: int
-    terms: Mapping
+    _fields = ("dim_v", "terms")
+
+    def __init__(self, dim_v: int, terms: Mapping) -> None:
+        self._set("dim_v", dim_v)
+        self._set("terms", terms)
 
     @classmethod
     def from_terms(cls, dim_v: int, terms: Mapping) -> "TensorElement":
@@ -233,8 +235,7 @@ def side_tensor(sub: Subspace, dim_v: int, side: str, degree: int) -> Subspace:
     return Subspace(size * dim_v, Matrix(tuple(rows)))
 
 
-@dataclass(frozen=True)
-class GradedMap:
+class GradedMap(FrozenValue):
     """A linear map from R into V^(tensor target_degree), by its images.
 
     ``images[k]`` is the image of the k-th distinguished relation basis
@@ -243,14 +244,15 @@ class GradedMap:
     is the owner's contract (see ``classify.solve_stage2plus``).
     """
 
-    dim_v: int
-    target_degree: int
-    images: tuple
+    _fields = ("dim_v", "target_degree", "images")
 
-    def __post_init__(self) -> None:
-        for img in self.images:
-            if img.dim_v != self.dim_v or not img.is_homogeneous(self.target_degree):
-                raise ValueError(f"image is not in V^(tensor {self.target_degree})")
+    def __init__(self, dim_v: int, target_degree: int, images: tuple) -> None:
+        for img in images:
+            if img.dim_v != dim_v or not img.is_homogeneous(target_degree):
+                raise ValueError(f"image is not in V^(tensor {target_degree})")
+        self._set("dim_v", dim_v)
+        self._set("target_degree", target_degree)
+        self._set("images", images)
 
 
 def add_images(terms: dict, images, entries, scale: int = 1) -> dict:

@@ -17,32 +17,31 @@ constraints it contains a generalization of Ohm's law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraPresentation, permutation_sign
-from .linalg import Matrix, inverse
+from .linalg import Frozen, FrozenValue, Matrix, inverse
 from .pbw import DeformationMap, deformation_from_tails
 from .rationals import HALF, ONE, ZERO, rational
 from .tensors import TensorElement, commutator
 
 
-@dataclass(frozen=True, eq=False)
-class Metric:
+class Metric(Frozen):
     """Nondegenerate symmetric bilinear form g with its exact inverse."""
 
-    g: Matrix
+    _fields = ("g",)
 
-    def __post_init__(self) -> None:
-        n = self.g.rows
-        if self.g.cols != n:
+    def __init__(self, g: Matrix) -> None:
+        n = g.rows
+        if g.cols != n:
             raise ValueError("metric must be square")
         for i in range(n):
             for j in range(n):
-                if self.g.data[i][j] != self.g.data[j][i]:
+                if g.data[i][j] != g.data[j][i]:
                     raise ValueError("metric must be symmetric")
+        self._set("g", g)
         self.g_inv  # raises ValueError when the metric is degenerate
 
     @classmethod
@@ -138,8 +137,7 @@ def relations_from_nested_commutators(metric: Metric) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     cyclic_invariance: bool       # W^{lam mu nu rho} = W^{rho lam mu nu}
     two_sided_overlap: bool       # sum W^rho (x) e_rho = sum e_rho (x) W^rho
     cyclic_sum_zero: bool         # W^{rho lam mu nu} + W^{rho nu lam mu} + W^{rho mu nu lam} = 0
@@ -230,8 +228,7 @@ def freeze(x):
     return x
 
 
-@dataclass(frozen=True)
-class Current:
+class Current(NamedTuple):
     """Inhomogeneous tails J^rho = j3 part + j2 part + j1 part."""
 
     j3: tuple  # j3[mu][nu][rho]
@@ -278,8 +275,7 @@ def _entry(t, idx: tuple):
     return t
 
 
-@dataclass(frozen=True)
-class CurrentParameters:
+class CurrentParameters(FrozenValue):
     """Parameters (b, omega3, s3, s2, s1) of the closed-form current family.
 
     The symmetries of omega3, s3 and s2 are enforced at construction.  The
@@ -287,20 +283,21 @@ class CurrentParameters:
     breaks it is still a current, and the PBW checks decide it.
     """
 
-    b: tuple
-    omega3: tuple
-    s3: tuple
-    s2: tuple
-    s1: tuple
+    _fields = ("b", "omega3", "s3", "s2", "s1")
 
-    def __post_init__(self) -> None:
-        n = len(self.b)
-        if not swap_sign_holds(self.omega3, n, 3, -1):
+    def __init__(self, b: tuple, omega3: tuple, s3: tuple, s2: tuple, s1: tuple) -> None:
+        n = len(b)
+        if not swap_sign_holds(omega3, n, 3, -1):
             raise ValueError("omega3 must be totally antisymmetric")
-        if not swap_sign_holds(self.s3, n, 3, 1):
+        if not swap_sign_holds(s3, n, 3, 1):
             raise ValueError("s3 must be totally symmetric")
-        if not swap_sign_holds(self.s2, n, 2, 1):
+        if not swap_sign_holds(s2, n, 2, 1):
             raise ValueError("s2 must be symmetric")
+        self._set("b", b)
+        self._set("omega3", omega3)
+        self._set("s3", s3)
+        self._set("s2", s2)
+        self._set("s1", s1)
 
     @property
     def dim(self) -> int:

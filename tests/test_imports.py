@@ -4,14 +4,21 @@ A name that a module imports and never reads is dead weight that hides
 what the module really depends on; it is left behind when the last use
 goes.  ``__init__.py`` re-exports by design and is skipped, as are
 ``from __future__`` imports and names whose line carries ``# noqa``.
+
+Importing the command line pulls in neither ``dataclasses`` nor
+``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind it): every
+``pbwforge run`` starts a fresh interpreter and would pay for them.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pbwforge"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "pbwforge"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,3 +47,14 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "from __future__ import annotations\nimport os\nfrom x import a, b  # noqa\nfrom y import c\nc()\n"
     assert unused_imports(source) == [(2, "os")]
+
+
+def test_the_command_line_imports_no_dataclasses_or_inspect():
+    # -S: no site module, so no .pth file of the installation imports
+    # anything first; src/ goes on the path by hand
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import pbwforge.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
