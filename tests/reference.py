@@ -10,10 +10,14 @@ degree blocks in increasing order and words lexicographically in each.
 The ideal references at the end are the all-products loops that the
 level-by-level ideal builders replace: every spanning product, placed
 word by word, goes through ``SparseEchelon.insert``.  They share the
-elimination with the library and check how the spans are built.
+elimination with the library and check how the spans are built.  Last
+comes a copy of the library's earlier, heap-driven elimination loop,
+which the present loop must match pivot for pivot and entry for entry.
 """
 
+import heapq
 from fractions import Fraction
+from math import gcd
 
 from pbwforge.linalg import SparseEchelon
 from pbwforge.rationals import ZERO, rational
@@ -191,3 +195,41 @@ def graded_dims(a, n_max):
                         )
         dims.append(a.dim_v**n - echelon.rank)
     return dims
+
+
+def eliminate_pivots_heap(rows, v, full):
+    """The heap-driven elimination loop that ``linalg._eliminate_pivots``
+    replaced, kept as the reference for its pivots and rows: the pivots of
+    ``rows`` are eliminated from the int dict ``v`` in place, in
+    increasing key order, each key popped from a heap of ``v``'s keys
+    and of the keys eliminations add.  With ``full`` every pivot key is
+    eliminated and None is returned; without it the loop returns the
+    least key of ``v`` with no row (None when ``v`` reduces to zero)."""
+    heap = sorted(v)
+    while heap:
+        k = heapq.heappop(heap)
+        c = v.get(k)
+        if not c:
+            continue
+        row = rows.get(k)
+        if row is None:
+            if full:
+                continue
+            return k
+        a = row[k]
+        if a != 1:
+            g = gcd(a, c)
+            if g != a:
+                scale = a // g
+                for vk in v:
+                    v[vk] *= scale
+            c //= g
+        for rk, rc in row.items():
+            nv = v.get(rk, 0) - c * rc
+            if nv:
+                if rk not in v and rk > k:
+                    heapq.heappush(heap, rk)
+                v[rk] = nv
+            else:
+                v.pop(rk, None)
+    return None

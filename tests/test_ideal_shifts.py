@@ -1,6 +1,7 @@
 """The level-by-level ideal builders against the all-products reference
 loops, and the per-presentation cache of the graded ideal components."""
 
+import hashlib
 import random
 from functools import cache
 
@@ -335,3 +336,65 @@ def test_second_oracle_on_the_presentation_eliminates_no_homogeneous_row(monkeyp
     second = current_to_deformation(current_from_parameters(params, metric), first.algebra)
     brute_force_oracle(second, 4, 5)
     assert inserts["graded"] == 0 and inserts["filtered"] > 0
+
+
+def row_digest(rows):
+    """sha256 over the (pivot, sorted (key, int) pairs) of every row of a
+    pivot -> row mapping, in increasing pivot order."""
+    h = hashlib.sha256()
+    for p in sorted(rows):
+        items = sorted(rows[p].items())
+        assert all(type(c) is int for _, c in items)
+        h.update(repr((p, items)).encode())
+    return h.hexdigest()
+
+
+# sha256 of the echelon rows of each span case's IdealSpan, recorded
+# before left shifts became views
+SPAN_ROW_PINS = {
+    "custom-quadratic": "0edd74de2129b507f4fa4ba6763a8a258ae11c28e6f84c2a6dc590d459989d08",
+    "custom-quadratic-6": "ba778e62e34f6d7d55f46d9cf42717f5b3030e206c0c71f5a043b495c6901561",
+    "mixed-degree": "ac8b0a327fe9f6c9fdd20761c8ab8ad7617df97e2a00e9318ec2bb001b4efb86",
+    "shared-leading-word": "178154eed9bcfcbbb127f373beb5f9e6dd9085d7fb08c76f0c9b7b8fe8cebed6",
+    "so3": "b759dad096d13bce8301e7dd46deb15eb454b06fda7f53eed09125737e1a914b",
+    "so3-broken": "bf740228da09f09af8186943676cd6c6d90f8aee32eebc12e6fbf2496fcef274",
+    "sym-j1": "9d1dc1f8dfdfd407eb64ce3eb17d92262d39b9fe216a6e806bea540840c2fd1b",
+    "sym-j2": "bbd8e1102e4f19e36be6e3b3ffa08405d9669197a42718d5850fb8c0b8b61de1",
+    "sym-ok": "4cedafb4af509d64bd0afa9a6c9d37295d8f73d2d16a772d0e3d44ecd35118a3",
+    "ym-euclidean-ok": "56ac0724461da4a700b32a23055f8a1dbfb732fc139035fa9d8bdb574f62351b",
+    "ym-euclidean-s1": "4179c78d7607188fee6dee5c2a099b170824d53cca1f09fa14be9a9528a007f2",
+    "ym-euclidean-s2": "1a42ab6109a75a0da1c2e3aa92a665564571b7149beebd3e36439d091117011f",
+    "ym-euclidean-s3": "fdec8ab047caf86db7dfe9e1d835784b383bc54daa7aa6513f495e27bfedb629",
+    "ym-minkowski-ok": "a58c9ae3d7c0737b352da47f7cabacf7354736dde73d7680f3ee3f01968357ef",
+    "ym-minkowski-s1": "30c712b48fb954c67c5a116873ff878a6c8e794d5433650567aedeaefb3dd20a",
+    "ym-minkowski-s2": "5625ebb7cbd0cef3ee4a45c1f52d5a24aeea3ee78136f33de716f011d84db5e8",
+    "ym-minkowski-s3": "2e9b44374c3e93ffd3ee0f89867927fd419e6e1d5c4eee36b17b88249d327590",
+    "ym-random-ok": "e057f225b0cc5a30a3a9b48b36b7b8fa2c9a5ceac49375ceef1fa4cf6540fa0d",
+    "ym-random-s1": "510a5baa83df27029900e05b8e880f0834d8879a9b29820b78b9cc12987af023",
+    "ym-random-s2": "e5f363bb1f6477796613799d65ef07a479c16e6b5efccb9afa42fd75b8c3b0d4",
+    "ym-random-s3": "e91d2a6150cf8dabbe64d7d23589bc805170ed9aebd89738c515910a69dda6e7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPAN_CASES))
+def test_ideal_span_rows_match_pinned_hash(case):
+    make, cutoff = SPAN_CASES[case]
+    relations, dim_v = make()
+    assert row_digest(IdealSpan(relations, dim_v, cutoff).echelon.rows) == SPAN_ROW_PINS[case]
+
+
+# sha256 of the echelon rows of I_0, ..., I_n in AlgebraPresentation.ideal_rows,
+# each keyed (degree, pivot), recorded before left shifts became views
+IDEAL_ROW_PINS = {
+    "ym-s2": (lambda: build_ym(2, Metric.euclidean(3)), 7, "d09e5cc07f90ce9fd5f6566d985a2f02b2c7e12521b60afcf778241f33a4a58b"),
+    "sym-s2": (lambda: build_sym(2, Metric.minkowski(3)), 7, "bb2bcc63765a9869725e078aceb4bfdf02bfb59d28a61374599355ff639b3b34"),
+    "so3": (lambda: so3_deformation().algebra, 7, "cde3e9d5d4dcc716c272fadacff3a7592e09a7628084c2683084174382d50aa4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDEAL_ROW_PINS))
+def test_graded_ideal_rows_match_pinned_hash(case):
+    make, n, digest = IDEAL_ROW_PINS[case]
+    a = make()
+    graded_dim(a, n)
+    assert row_digest({(m, p): row for m, rows in enumerate(a.ideal_rows) for p, row in rows.items()}) == digest

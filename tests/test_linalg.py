@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbwforge.linalg import (
+    _LAST,
     BasisCoordinates,
     Matrix,
     SparseEchelon,
     Subspace,
+    _eliminate_pivots,
     inverse,
     kernel,
     rank,
@@ -626,3 +628,33 @@ def test_oracle_quotient_dims_pinned(label, dims):
     assert oracle.quotient_dims == dims
     assert oracle.expected_dims == (1, 4, 13, 37, 101, 269)
     assert oracle.verdict == ("CONSISTENT" if label == "ok" else "FAIL")
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(rows, v): echelon rows over int keys or (degree, word) keys, each
+    row's least key its pivot with a positive entry, and an int row ``v``
+    over the same keys, sometimes with a scale entry at ``_LAST``."""
+    if draw(st.booleans()):
+        keys = list(range(draw(st.integers(1, 12))))
+    else:
+        words_ = st.lists(st.integers(0, 1), max_size=3).map(tuple)
+        keys = sorted({(len(w), w) for w in draw(st.lists(words_, min_size=1, max_size=12))})
+    entry = st.integers(-12, 12).filter(bool)
+    rows = {}
+    for i in sorted(draw(st.sets(st.integers(0, len(keys) - 1)))):
+        tail = draw(st.dictionaries(st.sampled_from(keys[i + 1 :]), entry)) if i + 1 < len(keys) else {}
+        rows[keys[i]] = {keys[i]: draw(st.integers(1, 12)), **tail}
+    v = draw(st.dictionaries(st.sampled_from(keys), entry))
+    if draw(st.booleans()):
+        v[_LAST] = draw(st.integers(1, 12))
+    return rows, v
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(elimination_inputs(), st.booleans())
+def test_elimination_loop_matches_the_heap_loop(inputs, full):
+    rows, v = inputs
+    want = dict(v)
+    assert _eliminate_pivots(rows, v, full) == reference.eliminate_pivots_heap(rows, want, full)
+    assert v == want
