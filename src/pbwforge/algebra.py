@@ -5,7 +5,7 @@ the overlap core shared by the PBW checker and the classifier.
 Graded dimensions are exact quotient dimensions dim V^n - dim I_n, with
 the ideal component built degree by degree from the recurrence
 I_n = V tensor I_(n-1) + R tensor V^(n-N): the left shifts of the echelon
-rows of I_(n-1) are kept as they are, and only the rows r b are
+rows of I_(n-1) are kept as views, and only the rows r b are
 eliminated.  A row r b whose right word b = u lt u'' contains a leading
 word lt, a pivot word of I_N, is never built.  With q the echelon row of
 pivot lt, q = c lt + q' and c r b = r u q u'' - r u q' u'': the first
@@ -20,6 +20,7 @@ pivot.  No Hilbert-series assumption ever enters the computation.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import combinations, permutations
 from math import gcd, lcm
@@ -115,24 +116,47 @@ def primitive_terms(p: TensorElement) -> list:
     return [(len(w), word_index(w, p.dim_v), c // content) for w, c in ints.items()]
 
 
-def left_shifts(rows: dict, dim_v: int, place: Sequence) -> dict:
-    """The rows x row for every stored row and letter x, keyed by pivot.
+class LeftShift(Mapping):
+    """x row as a read-only view of ``row`` (a dict or a view): key k of
+    ``row`` is read at ``place[k]``, the key of x w for the word w of k.
+    Only ``as_dict`` copies; the length and values are those of ``row``."""
+
+    __slots__ = ("row", "place")
+
+    def __init__(self, row, place: Sequence) -> None:
+        self.row, self.place = row, place
+
+    def as_dict(self) -> dict:
+        place, row = self.place, self.row
+        return {place[k]: c for k, c in (row if row.__class__ is dict else row.as_dict()).items()}
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def __iter__(self):
+        return iter(self.as_dict())
+
+    def __getitem__(self, key):
+        return self.as_dict()[key]
+
+    def items(self):
+        return self.as_dict().items()
+
+    def values(self):
+        return self.row.values()
+
+
+def left_shifts(rows: dict, place: Sequence) -> dict:
+    """The views x row (:class:`LeftShift`) of every row and letter x, by pivot.
 
     ``rows`` are the pivot -> row dict of a :class:`SparseEchelon` whose
-    key order is kept by prefixing a letter, and ``place[k]`` is the pair
-    (base, step) with key(x w) = base + x step for the word w of key k,
-    a table the caller builds once per key space.  So x row is again
-    primitive with a positive pivot entry at x pivot, and shifts of
-    distinct rows or by distinct letters have distinct pivots: the result
-    is an echelon with no elimination.
+    key order is kept by prefixing a letter, and ``place[x][k]`` is the
+    key of x w for the word w of key k, a table the caller builds once
+    per key space.  So x row is again primitive with a positive pivot
+    entry at x pivot, and shifts of distinct rows or by distinct letters
+    have distinct pivots: the result is an echelon with no elimination.
     """
-    out = {}
-    for p, row in rows.items():
-        placed = [(*place[k], c) for k, c in row.items()]
-        base, step = place[p]
-        for x in range(dim_v):
-            out[base + x * step] = {b + x * s: c for b, s, c in placed}
-    return out
+    return {table[p]: LeftShift(row, table) for p, row in rows.items() for table in place}
 
 
 def reducible_words(leading, dim_v: int, k_max: int) -> list:
@@ -159,14 +183,15 @@ def reducible_words(leading, dim_v: int, k_max: int) -> list:
 
 def _ideal_component_rows(a: AlgebraPresentation, n: int) -> dict:
     """Echelon rows of I_n, keyed by word index, from
-    I_m = V tensor I_(m-1) + R tensor V^(m-N), one degree m at a time,
-    skipping every r b whose right word b contains a pivot word of I_N."""
+    I_m = V tensor I_(m-1) + R tensor V^(m-N), one degree m at a time
+    (left shifts as views), skipping every r b whose right word b
+    contains a pivot word of I_N."""
     levels = a.ideal_rows
     while len(levels) <= n:
         m = len(levels)
         size = a.dim_v ** (m - 1)
         echelon = SparseEchelon()
-        echelon.rows = left_shifts(levels[-1], a.dim_v, [(k, size) for k in range(size)])
+        echelon.rows = left_shifts(levels[-1], [range(x * size, (x + 1) * size) for x in range(a.dim_v)])
         if m >= a.degree:
             k = m - a.degree
             right = a.dim_v**k

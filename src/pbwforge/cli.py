@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.resources
 import json
+import os
 import re
 import sys
 from typing import Optional
@@ -63,8 +63,8 @@ class ProblemError(Exception):
 
 
 def load_schema() -> dict:
-    text = importlib.resources.files("pbwforge").joinpath("problem.schema.json").read_text()
-    return json.loads(text)
+    with open(os.path.join(os.path.dirname(__file__), "problem.schema.json"), encoding="utf-8") as f:
+        return json.load(f)
 
 
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int}

@@ -4,12 +4,12 @@ Dense matrices over the rationals, canonical reduced-row-echelon
 subspaces, the usual lattice operations, coordinates in a fixed basis,
 and a sparse incremental echelon accumulator for large spanning sets.
 Every operation runs one fraction-free elimination loop on primitive
-integer rows, which never divides.  A head reduction stops at the row's
-first free key, the pivot, and leaves the tail as it is.  The canonical
-RREF behind ``Subspace``, ``kernel``, ``solve_affine`` and
-``inverse`` comes from back-substitution of those head-reduced rows in
-decreasing pivot order, then one division of each row by its pivot
-entry; ``residual`` needs no RREF, only the loop's scale.
+integer rows, which never divides and cancels the row's least key at
+each step.  A head reduction stops at the first free key, the pivot,
+and leaves the tail as it is.  The canonical RREF behind ``Subspace``,
+``kernel``, ``solve_affine`` and ``inverse`` comes from back-substitution
+of those head-reduced rows in decreasing pivot order, then one division
+of each row by its pivot entry; ``residual`` needs only the loop's scale.
 ``BasisCoordinates`` eliminates its basis once and then finds each
 vector's coordinates by an integer product and one exact comparison.  An
 intersection eliminates a kernel with one column per basis vector of the
@@ -22,7 +22,6 @@ construction and all operations are pure.
 
 from __future__ import annotations
 
-import heapq
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -368,14 +367,16 @@ class SparseEchelon:
     is the new pivot; the rest of the row is stored as it stands.  Under a
     fixed key order the pivot set of any echelon basis depends only on
     the span, so the pivots and the rank are those of the reduced echelon
-    form.  ``reduce`` still eliminates every pivot key.  Built for large,
-    very sparse spanning sets (ideal spans), where a dense matrix would be
-    mostly zeros.  Mutable, unlike the rest of this module; intended as a
-    local accumulator.
+    form.  ``reduce`` still eliminates every pivot key.  A stored row may
+    be a read-only mapping view with an ``as_dict()`` method (a left shift
+    of the ideal builders), replaced by that dict on first use.  Built for
+    large, very sparse spanning sets (ideal spans), where a dense matrix
+    would be mostly zeros.  Mutable, unlike the rest of this module;
+    intended as a local accumulator.
     """
 
     def __init__(self) -> None:
-        self.rows: dict = {}  # pivot key -> primitive {key: int}, row[pivot] > 0
+        self.rows: dict = {}  # pivot key -> primitive {key: int} or a view, row[pivot] > 0
 
     @property
     def rank(self) -> int:
@@ -404,43 +405,46 @@ class SparseEchelon:
 
 def _eliminate_pivots(rows: dict, v: dict, full: bool):
     """Eliminate the pivots of ``rows`` (pivot key -> primitive integer
-    row) from the integer row ``v`` in place, in increasing key order.
+    row) from the int row ``v`` with no zeros, in place, by increasing key.
 
     Elimination is fraction-free (cross-multiplying, after Bareiss,
     *Math. Comp.* 22 (1968)): only integer products and ``math.gcd`` run
     here, on either rational backend.  With ``full`` every pivot key is
-    eliminated and None is returned.  Without it the loop stops at the
-    least key of ``v`` with no row and returns it (None when ``v``
-    reduces to zero); the keys after it are left as they are.
+    eliminated (a key with no row is set aside, scaled with ``v``) and
+    None is returned.  Without it the loop stops at the least key of ``v``
+    with no row and returns it (None when ``v`` reduces to zero); the keys
+    after it are left as they are.  A view row becomes its ``as_dict()``.
     """
-    heap = sorted(v)
-    while heap:
-        k = heapq.heappop(heap)
-        c = v.get(k)
-        if not c:
-            continue
+    free = {}
+    get = v.get
+    while v:
+        k = min(v)
         row = rows.get(k)
         if row is None:
-            if full:
-                continue
-            return k
+            if not full:
+                return k
+            free[k] = v.pop(k)
+            continue
+        if row.__class__ is not dict:
+            rows[k] = row = row.as_dict()
         # v <- (a/g) v - (c/g) row cancels the key k, with a = row[k] > 0
-        a = row[k]
+        a, c = row[k], v[k]
         if a != 1:
             g = gcd(a, c)
             if g != a:
                 scale = a // g
                 for vk in v:
                     v[vk] *= scale
+                for fk in free:
+                    free[fk] *= scale
             c //= g
         for rk, rc in row.items():
-            nv = v.get(rk, 0) - c * rc
+            nv = get(rk, 0) - c * rc
             if nv:
-                if rk not in v and rk > k:
-                    heapq.heappush(heap, rk)
                 v[rk] = nv
-            else:
-                v.pop(rk, None)
+            else:  # only an entry of v cancels
+                del v[rk]
+    v.update(free)
     return None
 
 
@@ -506,7 +510,7 @@ def _integer_row(vec: dict) -> dict:
     """``vec`` without zeros, as integers: rational entries are scaled by
     the lcm of their denominators; int entries are kept as they are."""
     v = {k: c for k, c in vec.items() if c}
-    if all(type(c) is int for c in v.values()):
+    if set(map(type, v.values())) <= {int}:
         return v
     den = lcm(*(int(c.denominator) for c in v.values()))
     return {k: int(c.numerator) * (den // int(c.denominator)) for k, c in v.items()}

@@ -33,9 +33,9 @@ dimensions against the graded algebra.  It can refute the PBW property
 definitively at a finite cutoff, but can only ever report bounded
 consistency in the positive direction.  Its span (:class:`IdealSpan`)
 is built level by level: each level takes the left shifts of the level
-below and that level's other rows, the latter as they stand wherever no
-shift has their pivot, and eliminates only those rows that meet a
-shift's pivot and the products p b of its own right-word length.  It
+below, as views, and that level's other rows, the latter as they stand
+wherever no shift has their pivot, and eliminates only those rows that
+meet a shift's pivot and the products p b of its own right-word length.  It
 never builds a row p b whose right word b = u lt u'' contains a leading
 word lt of the relations at least as long as p (induction on b,
 Bergman's normal-word argument, *Adv. Math.* 29 (1978)).  Both rules
@@ -232,7 +232,7 @@ class IdealSpan:
     in the right-hand side, and J_t = V tensor J_(t-1) + J_(t-1) +
     span{p b : |b| = t} is all of it.  Prefixing a letter keeps the key
     order, so the left shifts of the echelon rows of J_(t-1) are echelon
-    rows of V tensor J_(t-1) as they stand
+    rows of V tensor J_(t-1), stored as views until first reduced by
     (:func:`~pbwforge.algebra.left_shifts`, each key's place read from a
     table built once per span).  A carried row whose pivot no shift has
     is stored as it stands, and the others are inserted; so each level
@@ -271,18 +271,19 @@ class IdealSpan:
         self.start = start = [0] * (cutoff + 1)
         for d in range(cutoff - 1, -1, -1):
             start[d] = start[d + 1] + dim_v ** (d + 1)
-        # place[k] = (start[d + 1] + index(w), dim^d) for the word w of degree
-        # d < cutoff with key k, so key(x w) = start[d + 1] + x dim^d + index(w)
-        place = [None] * dim_v**cutoff
+        # place[x][k] = start[d + 1] + x dim^d + index(w), the key of x w for the
+        # word w of degree d < cutoff with key k
+        place = [[None] * dim_v**cutoff for _ in range(dim_v)]
         for d in range(cutoff - 1, -1, -1):
-            place += [(start[d + 1] + i, dim_v**d) for i in range(dim_v**d)]
+            for x, table in enumerate(place):
+                table += range(start[d + 1] + x * dim_v**d, start[d + 1] + (x + 1) * dim_v**d)
 
         rows = [primitive_terms(p) for p in relations]
         self.echelon = echelon = SparseEchelon()
         carried = {}  # the echelon rows of J_(t-1) that are not left shifts
         skip = [[[False]]] * len(rows)  # level 0 has only the empty right word
         for t in range(cutoff - degree + 1):
-            shifts = left_shifts(echelon.rows, dim_v, place)
+            shifts = left_shifts(echelon.rows, place)
             echelon.rows = shifts | {p: row for p, row in carried.items() if p not in shifts}
             for p, row in carried.items():
                 if p in shifts:

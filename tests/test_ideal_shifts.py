@@ -3,6 +3,7 @@ loops, and the per-presentation cache of the graded ideal components."""
 
 import hashlib
 import random
+from collections.abc import Mapping
 from functools import cache
 
 import pytest
@@ -11,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbwforge.pbw
-from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations, graded_dim, ideal_component
+from pbwforge.algebra import (
+    AlgebraPresentation,
+    LeftShift,
+    build_antisymmetrizer_relations,
+    graded_dim,
+    ideal_component,
+)
 from pbwforge.linalg import SparseEchelon
 from pbwforge.pbw import IdealSpan, ResourceGuardError, brute_force_oracle
 from pbwforge.rationals import Q
@@ -131,9 +138,9 @@ def test_carried_rows_are_stored_or_inserted(monkeypatch):
     original_shifts = pbwforge.pbw.left_shifts
     original_insert = SparseEchelon.insert
 
-    def left_shifts(rows, dim_v, place):
+    def left_shifts(rows, place):
         levels.append(rows)
-        return original_shifts(rows, dim_v, place)
+        return original_shifts(rows, place)
 
     def insert(self, vec):
         inserted.append(vec)
@@ -159,6 +166,49 @@ def test_carried_rows_are_stored_or_inserted(monkeypatch):
     assert sum(stored.values()) > 0 and sum(collided.values()) > 0
     # the pinned report's current and the SYM j1 perturbation meet shifts' pivots
     assert collided["ym-random-s3"] == 3 and collided["sym-j1"] == 2
+
+
+def check_views(rows, rank, shift_key):
+    """Every row is a mapping of ints, one per pivot, and every view at
+    pivot p reads as x row, with x the first letter of p's word and each
+    key k of row placed at shift_key(p, k); returns the number of views."""
+    assert len(rows) == rank
+    views = 0
+    for p, row in rows.items():
+        assert isinstance(row, Mapping) and all(type(c) is int for c in row.values())
+        if isinstance(row, LeftShift):
+            views += 1
+            eager = {shift_key(p, k): c for k, c in row.row.items()}
+            assert row == eager and dict(row.items()) == eager
+            assert list(row) == list(eager) and list(row.values()) == list(eager.values())
+            assert min(row) == p
+    return views
+
+
+@pytest.mark.parametrize("case", ["ym-euclidean-s3", "sym-j1", "mixed-degree", "so3"])
+def test_left_shifts_are_views_of_the_eager_shifts(case):
+    make, cutoff = SPAN_CASES[case]
+    relations, dim_v = make()
+    span = IdealSpan(relations, dim_v, cutoff)
+    start = span.start
+
+    def degree(k):
+        return next(d for d in range(cutoff + 1) if start[d] <= k)
+
+    def shift_key(p, k):
+        x = (p - start[degree(p)]) // dim_v ** (degree(p) - 1)
+        return start[degree(k) + 1] + x * dim_v ** degree(k) + k - start[degree(k)]
+
+    assert check_views(span.echelon.rows, span.echelon.rank, shift_key) > 0
+
+
+def test_graded_left_shifts_are_views_of_the_eager_shifts():
+    a = build_ym(2, Metric.euclidean(3))
+    graded_dim(a, 6)
+    for n, rows in enumerate(a.ideal_rows[4:], 4):
+        size = a.dim_v ** (n - 1)
+        views = check_views(rows, a.dim_v**n - graded_dim(a, n), lambda p, k: p // size * size + k)
+        assert views > 0
 
 
 @st.composite
