@@ -134,7 +134,7 @@ class LeftShift(Mapping):
         return len(self.row)
 
     def __iter__(self):
-        return iter(self.as_dict())
+        return map(self.place.__getitem__, self.row)
 
     def __getitem__(self, key):
         return self.as_dict()[key]
