@@ -345,6 +345,8 @@ GOLDEN = (
     (["run", "--input", "ym_minkowski_identities.problem.json"], 0, "ym_minkowski_identities"),
     (["run", "--input", "sym_euclidean_identities.problem.json"], 0, "sym_euclidean_identities"),
     (["demo-lie", "--case", "broken"], 1, "demo_lie_broken"),
+    # a wrong positive: the chain accepts a tail that the oracle refutes
+    (["run", "--input", "custom_xyx_check.problem.json"], 0, "custom_xyx_check"),
 )
 @pytest.mark.parametrize("argv, code, name", GOLDEN, ids=[g[2] for g in GOLDEN])
 def test_golden_reports(tmp_path, argv, code, name):

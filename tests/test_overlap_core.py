@@ -11,6 +11,7 @@ import pbwforge.classify as classify
 import pbwforge.pbw as pbw
 import pbwforge.tensors as tensors
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations, overlap_space
+from pbwforge.linalg import Subspace
 from pbwforge.rationals import Q, format_rational, rational
 from pbwforge.sampling import (
     random_metric,
@@ -234,3 +235,61 @@ def test_verdicts_match_pinned_hash():
                 tally[key] = tally.get(key, 0) + 1
     assert tally == {(False, False): 9, (True, False): 28, (True, True): 17}
     assert h.hexdigest() == "547f91dfb927d95b030578ea0217aa06a3f73ad3b5977b48eda8ba2887b3fdfd"
+
+
+def xyx():
+    # R = span{xyx} on 2 letters: R (x) V and V (x) R meet only in 0
+    return AlgebraPresentation(2, 3, (TensorElement.from_terms(2, {(0, 1, 0): 1}),))
+
+
+def pinned_subspaces(a, n_max=5):
+    r = a.relation_space
+    yield r
+    yield tensors.side_tensor(r, a.dim_v, "right", degree=a.degree)
+    yield tensors.side_tensor(r, a.dim_v, "left", degree=a.degree)
+    yield overlap_space(a)
+    for n in range(n_max + 1):
+        yield algebra.ideal_component(a, n)
+
+
+# (dims, sha256 of the dense basis rows) of R, R (x) V, V (x) R, W and
+# I_0, ..., I_5, recorded while Subspace still stored a dense basis
+SUBSPACE_PINS = {
+    "custom-cubic": ((5, 10, 10, 5, 0, 0, 0, 5, 15, 32), "4c19d8d60c5a5106b1e5d73bd381c4a39183393b01a020def82d94b7cdd0c5e1"),
+    "so3": ((3, 9, 9, 1, 0, 0, 3, 17, 66, 222), "686168531a94ec9da80517cb19b29fbcadd8d0e9c5d61207eba636b5eac2a955"),
+    "sym-s2": ((3, 9, 9, 1, 0, 0, 0, 3, 17, 75), "740481bd759973b0edce5ce17a3e681dbff6e1e9a2e4455aa9d88ba041c03180"),
+    "sym-s3": ((4, 16, 16, 1, 0, 0, 0, 4, 31, 184), "4226ecd2a873f3e07a5dd73bc97a94cd64f964cdcd1c3b9cebf4fa79408a4f53"),
+    "xyx": ((1, 2, 2, 0, 0, 0, 0, 1, 4, 11), "56a7216da25c7f9ed060a4a3b588cca0507295f7a2334851933de00e3d203fa1"),
+    "ym-s2": ((3, 9, 9, 1, 0, 0, 0, 3, 17, 75), "24c816ebfbebe1208991c6a22a35c5d14beca77f49ff0e7101466bed8c56f3ba"),
+    "ym-s3": ((4, 16, 16, 1, 0, 0, 0, 4, 31, 184), "31b413da1cb81d567c4e56d6814a8ba28a52b4aea81b0cbadcf7d25eedae3575"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSPACE_PINS))
+def test_subspaces_match_pinned_digest(name):
+    a = {**PRESENTATIONS, "xyx": xyx}[name]()
+    dims = []
+    h = hashlib.sha256()
+    for space in pinned_subspaces(a):
+        dims.append(space.dim)
+        h.update(repr([[format_rational(c) for c in row] for row in space.basis]).encode())
+    assert (tuple(dims), h.hexdigest()) == SUBSPACE_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SUBSPACE_PINS))
+def test_equal_spans_are_equal_values(name):
+    # a subspace is its span: other spanning sets, and the intersection
+    # taken the other way round, give an equal value with an equal hash
+    a = {**PRESENTATIONS, "xyx": xyx}[name]()
+    rng = random.Random(name)
+    for space in pinned_subspaces(a, n_max=4):
+        rows = [list(row) for row in space.basis]
+        factors = [random_rational(rng, 9) or 1 for _ in rows]
+        scaled = [[f * x for x in row] for f, row in zip(factors, rows[::-1])]
+        sums = [[x + y for x, y in zip(p, q)] for p, q in zip(rows, rows[1:])]
+        again = Subspace.from_spanning(sums + scaled, space.ambient_dim)
+        assert again == space and hash(again) == hash(space)
+    right = tensors.side_tensor(a.relation_space, a.dim_v, "right", degree=a.degree)
+    left = tensors.side_tensor(a.relation_space, a.dim_v, "left", degree=a.degree)
+    w = left.intersect(right)
+    assert w == overlap_space(a) and hash(w) == hash(overlap_space(a))
