@@ -34,6 +34,7 @@ from .tensors import (
     side_decompose,
     side_tensor,
     word_index,
+    words,
 )
 
 
@@ -259,9 +260,8 @@ class OverlapData:
     def __init__(self, a: AlgebraPresentation):
         w = overlap_space(a)
         self.space = w
-        self.vectors = tuple(
-            TensorElement.from_degree_vector(a.dim_v, a.degree + 1, row) for row in w.basis
-        )
+        ws = tuple(words(a.dim_v, a.degree + 1))
+        self.vectors = tuple(TensorElement(a.dim_v, {ws[k]: row[k] for k in sorted(row)}) for _, row in w.rows)
         # per overlap vector, (k, prefix, suffix, c) for each nonzero entry: r_k (x) e_lam
         # on the right has suffix (lam,), e_lam (x) r_k on the left prefix (lam,), c negated,
         # each kept as an int over the vector's common denominator den: (den, entries)

@@ -10,12 +10,13 @@ conditions again: the columns of each system are the checker's own
 integer statements on the integer parts of unit blocks, the top brackets
 summed from the overlap core's entries (``AlgebraPresentation.overlap``)
 for stage 1 and :func:`pbwforge.pbw.level_numerators` for the lower
-levels, each row cleared of its denominators.
+levels.  Each equation is a sparse row, keyed by unknown, handed to the
+sparse kernel and affine cores of :mod:`pbwforge.linalg`; no stage builds
+a dense matrix.
 
 Coefficient coordinates: the degree-j block of a deformation is
 flattened as ``u[k * dim_v**j + word_index(w)]`` where k indexes the
-distinguished relation basis and w runs over degree-j words (see
-:func:`pbwforge.tensors.flatten_graded_map`).
+distinguished relation basis and w runs over degree-j words.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import AlgebraPresentation
-from .linalg import Matrix, Subspace, Vector, kernel, reduce_rows, rref_rows, solve_affine
+from .linalg import Subspace, Vector, reduce_rows, rref_rows, solve_rows
 from .pbw import deformation_from_tails, level_numerators
 from .rationals import ZERO
-from .tensors import add_images, words
-from .tensors import GradedMap, flatten_graded_map, unflatten_graded_map  # noqa: F401  (re-exported)
+from .tensors import GradedMap, add_images, words
+from .tensors import flatten_graded_map, unflatten_graded_map  # noqa: F401  (re-exported)
 
 
 class StageSolution(NamedTuple):
@@ -39,8 +40,8 @@ class StageSolution(NamedTuple):
 
 def _unit_blocks(a: AlgebraPresentation, j: int):
     """The integer images of the maps r_k -> w, r_l -> 0 (l != k) over the
-    degree-j words w, in ``flatten_graded_map`` order: one per coordinate
-    of the degree-j block."""
+    degree-j words w, in coefficient order: one per coordinate of the
+    degree-j block."""
     for k in range(len(a.relation_basis)):
         for w in words(a.dim_v, j):
             yield [[(w, 1)] if l == k else [] for l in range(len(a.relation_basis))]
@@ -54,19 +55,19 @@ def solve_stage1(a: AlgebraPresentation) -> StageSolution:
     """
     top = a.degree - 1
     cols = len(a.relation_basis) * a.dim_v**top
-    if cols == 0:
-        return StageSolution("stage1", Subspace.full(0), (), True)
     r = rref_rows(a.relation_frame.rows)
     units = list(_unit_blocks(a, top))
-    eq_rows = []
+    equations = []
     for _, entries in a.overlap.entries:
         # condition: the top bracket's residual modulo R vanishes.  Both are
-        # linear, so the matrix has the residuals of the unit blocks' integer
-        # brackets as columns, over the vector's one denominator
-        residuals = [reduce_rows(r, add_images({}, unit, entries)) for unit in units]
-        eq_rows.extend([res.get(w, 0) for res in residuals] for w in sorted(set().union(*residuals)))
-    sol = kernel(Matrix.from_rows(eq_rows)) if eq_rows else Subspace.full(cols)
-    return StageSolution("stage1", sol, (ZERO,) * cols, True)
+        # linear, so each word's equation holds the residuals of the unit
+        # blocks' integer brackets, over the vector's one denominator
+        by_word: dict = {}
+        for i, unit in enumerate(units):
+            for w, x in reduce_rows(r, add_images({}, unit, entries)).items():
+                by_word.setdefault(w, {})[i] = x
+        equations += by_word.values()
+    return StageSolution("stage1", solve_rows(equations, cols)[1], (ZERO,) * cols, True)
 
 
 def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
@@ -93,10 +94,11 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
     empty = [[] for _ in a.relation_basis]
     units = [(j, [unit if i == j else empty for i in range(n)]) for j in range(n - 1) for unit in _unit_blocks(a, j)]
 
-    eq_rows: list = []
-    rhs: list = []
+    # one sparse equation per overlap vector and word: the unit columns
+    # share the vector's denominator, the right-hand side (key len(units))
+    # has its own; both cleared
+    equations: list = []
     levels = list(range(n - 1, 0, -1))
-    sol = None
     for j in levels:
         # the scalar condition (level 0) is folded into level 1
         for level in (j, 0) if j == 1 else (j,):
@@ -104,33 +106,28 @@ def solve_stage2plus(a: AlgebraPresentation, phi_top: GradedMap) -> list:
             # every other unit block's column is zero
             live = [i for i, (degree, _) in enumerate(units) if degree in (level, level - 1)]
             columns = [level_numerators(a, coords, 1, units[i][1], level) for i in live]
-            # one row per overlap vector and word: the unit columns share the
-            # vector's denominator, the right-hand side has its own; both cleared
             rows = zip(level_numerators(a, coords, top.den, top.parts, level), *columns)
             for (top_den, top_terms), *cells in rows:
                 den = cells[0][0]
                 for w in sorted(set(top_terms).union(*(terms for _, terms in cells))):
-                    row = [0] * len(units)
-                    for i, (_, terms) in zip(live, cells):
-                        row[i] = top_den * terms.get(w, 0)
-                    eq_rows.append(row)
-                    rhs.append(-den * top_terms.get(w, 0))
-        sol = solve_affine(Matrix.from_rows(eq_rows), tuple(rhs)) if eq_rows else None
-        if eq_rows and sol is None:
+                    eq = {i: top_den * terms[w] for i, (_, terms) in zip(live, cells) if w in terms}
+                    eq[len(units)] = -den * top_terms.get(w, 0)
+                    equations.append(eq)
+        sol = solve_rows(equations, len(units))
+        if sol is None:
             return [StageSolution(f"level{j}", Subspace.zero(sizes[j - 1]), None, False)]
+    particular, homogeneous = sol
 
     def block_slice(j: int) -> StageSolution:
         off, size = offsets[j], sizes[j]
-        if sol is None:
-            return StageSolution(f"level{j + 1}", Subspace.full(size), (ZERO,) * size, True)
-        particular = sol.particular[off : off + size]
-        params = Subspace.from_spanning(
-            [row[off : off + size] for row in sol.homogeneous.basis], size
+        params = Subspace.from_sparse(
+            ({k - off: c for k, c in row.items() if off <= k < off + size} for _, row in homogeneous.rows), size
         )
-        return StageSolution(f"level{j + 1}", params, particular, True)
+        particular_slice = tuple(particular.get(k, ZERO) for k in range(off, off + size))
+        return StageSolution(f"level{j + 1}", params, particular_slice, True)
 
     solutions = [block_slice(j - 1) for j in levels]
-    low = solutions[-1] if solutions else StageSolution("level1", Subspace.zero(0), None, True)
+    low = solutions[-1]
     solutions.append(StageSolution("level0", low.parameters, low.particular, True))
     return solutions
 
@@ -155,11 +152,10 @@ def family_equals_solutions(
     of a parametrized family, given by generator coefficient vectors of
     the top-degree block.  ``stage1``, when given, is ``solve_stage1(a)``
     as the caller already computed it."""
-    vectors = [tuple(g) for g in family_generators]
     if stage1 is None:
         stage1 = solve_stage1(a)
     sols = stage1.parameters
-    family = Subspace.from_spanning(vectors, sols.ambient_dim)
-    forward = all(sols.contains(v) for v in vectors)
-    backward = all(family.contains(row) for row in sols.basis)
+    family = Subspace.from_spanning(family_generators, sols.ambient_dim)
+    forward = not any(reduce_rows(sols.rows, row) for _, row in family.rows)
+    backward = not any(reduce_rows(family.rows, row) for _, row in sols.rows)
     return FamilyComparison(family.dim, sols.dim, forward, backward)

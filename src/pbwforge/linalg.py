@@ -1,19 +1,22 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra on sparse rows.
 
-Dense matrices over the rationals, canonical reduced-row-echelon
-subspaces, the usual lattice operations, coordinates in a fixed basis,
-and a sparse incremental echelon accumulator for large spanning sets.
+A subspace (``Subspace``) is its canonical sparse rows: the reduced
+row-echelon form of any spanning set, as (pivot, {column: rational})
+pairs.  Its lattice operations, the solutions of a sparse system
+(``solve_rows``), coordinates in a fixed basis (``BasisCoordinates``) and
+an incremental echelon for large spanning sets (``SparseEchelon``) stay
+on such rows.  ``Matrix`` is the dense edge: ``kernel``, ``solve_affine``,
+``inverse``, ``rref`` and ``rank`` take one and ``Subspace.basis`` gives
+one, each converting once around the same sparse core.
+
 Every operation runs one fraction-free elimination loop on primitive
 integer rows, which never divides and cancels the row's least key at
 each step.  A head reduction stops at the first free key, the pivot,
-and leaves the tail as it is.  The canonical RREF behind ``Subspace``,
-``kernel``, ``solve_affine`` and ``inverse`` comes from back-substitution
+and leaves the tail as it is.  The canonical RREF is back-substitution
 of those head-reduced rows in decreasing pivot order, then one division
-of each row by its pivot entry; ``residual`` needs only the loop's scale.
-``BasisCoordinates`` eliminates its basis once and then finds each
-vector's coordinates by an integer product and one exact comparison.  An
-intersection eliminates a kernel with one column per basis vector of the
-first subspace, never a block over twice the ambient dimension.
+of each row by its pivot entry; ``residual`` needs only the loop's
+scale.  An intersection eliminates a kernel with one column per row of
+the first subspace, never a block over twice the ambient dimension.
 
 Everything is exact: a rank, a membership bit, or a solution vector is a
 theorem, not an approximation.  All values are immutable after
@@ -135,21 +138,27 @@ def rank(m: Matrix) -> int:
 
 
 class Subspace(FrozenValue):
-    """A subspace of a fixed coordinate space, in canonical RREF basis.
+    """A subspace of a fixed coordinate space, as its canonical sparse rows.
 
-    The basis rows have strictly increasing pivot columns, unit pivots and
-    zeros elsewhere in each pivot column, so two ``Subspace`` values are
-    equal iff their representations are equal.
+    ``rows`` are the (pivot, row) pairs of :func:`rref_rows`: strictly
+    increasing pivots, each row a dict {column < ambient_dim: rational}
+    with entry 1 at its pivot and none at another row's pivot.  That form
+    is unique, so two ``Subspace`` values are equal iff their rows are
+    equal.  ``basis`` is the same rows as a dense :class:`Matrix`, built
+    only when read: the dense edge for callers that want dense vectors.
     """
 
-    _fields = ("ambient_dim", "basis")
+    _fields = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim: int, basis: Matrix) -> None:
-        for row in basis.data:
-            if len(row) != ambient_dim:
+    def __init__(self, ambient_dim: int, rows: tuple) -> None:
+        for _, row in rows:
+            if not all(0 <= k < ambient_dim for k in row):
                 raise ValueError("basis row length does not match ambient dimension")
         self._set("ambient_dim", ambient_dim)
-        self._set("basis", basis)
+        self._set("rows", rows)
+
+    def __hash__(self):
+        return hash((self.ambient_dim, tuple((p, frozenset(row.items())) for p, row in self.rows)))
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Iterable], ambient_dim: int) -> "Subspace":
@@ -162,25 +171,27 @@ class Subspace(FrozenValue):
     @classmethod
     def from_sparse(cls, rows: Iterable[dict], ambient_dim: int) -> "Subspace":
         """Span of sparse rows {column index < ambient_dim: rational}."""
-        return cls(ambient_dim, Matrix(tuple(_dense(row, ambient_dim) for _, row in rref_rows(rows))))
+        return cls(ambient_dim, tuple(rref_rows(rows)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix(()))
+        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        return cls(ambient_dim, tuple((j, {j: ONE}) for j in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis.data)
+    @cached_property
+    def basis(self) -> Matrix:
+        """The rows as a dense matrix."""
+        return Matrix(tuple(_dense(row, self.ambient_dim) for _, row in self.rows))
 
     def reduce(self, v: Sequence) -> Vector:
-        """Residual of ``v`` after elimination against the RREF basis.
+        """Residual of the dense ``v`` after elimination against the rows.
 
         The residual is the canonical representative of ``v`` modulo this
         subspace (zero on all pivot columns); it is zero iff ``v`` lies in
@@ -188,74 +199,47 @@ class Subspace(FrozenValue):
         """
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return _dense(reduce_rows(self._rows, _sparse(v)), self.ambient_dim)
-
-    @cached_property
-    def _rows(self) -> tuple:
-        """The (pivot, nonzero entries) pairs of the basis rows."""
-        return tuple(zip(self.pivot_columns(), map(_sparse, self.basis.data)))
+        return _dense(reduce_rows(self.rows, _sparse(v)), self.ambient_dim)
 
     def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return not any(self.reduce(v))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_spanning(
-            list(self.basis.data) + list(other.basis.data), self.ambient_dim
-        )
+        return Subspace.from_sparse([row for _, row in self.rows + other.rows], self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection as the combinations of this basis that ``other`` absorbs.
+        """Intersection as the combinations of these rows that ``other`` absorbs.
 
-        With a_i this basis, A cap B = {sum c_i a_i : sum c_i
-        other.reduce(a_i) = 0}, because the residual is linear and zero
-        exactly on B.  So the only elimination is a kernel with dim A
-        columns, over the coordinates where some residual is nonzero.
+        With a_i these rows, A cap B = {sum c_i a_i : sum c_i
+        other's residual of a_i = 0}, because the residual is linear and
+        zero exactly on B.  So the only elimination is a kernel with dim A
+        columns, one sparse equation per key where some residual is nonzero.
         """
         self._check_ambient(other)
-        residuals = [other.reduce(a) for a in self.basis.data]
-        rows = tuple(row for row in zip(*residuals) if any(row))
-        if not rows:
+        equations: dict = {}
+        for i, (_, a) in enumerate(self.rows):
+            for k, x in reduce_rows(other.rows, a).items():
+                equations.setdefault(k, {})[i] = x
+        if not equations:
             return self
         combos = []
-        for coeffs in kernel(Matrix(rows)).basis.data:
-            v = [ZERO] * self.ambient_dim
-            for c, (_, row) in zip(coeffs, self._rows):
-                if c:
-                    for j, y in row.items():
-                        v[j] += c * y
+        for _, c in solve_rows(equations.values(), self.dim)[1].rows:
+            v: dict = {}
+            for i, ci in c.items():
+                for k, y in self.rows[i][1].items():
+                    v[k] = v.get(k, ZERO) + ci * y
             combos.append(v)
-        return Subspace.from_spanning(combos, self.ambient_dim)
+        return Subspace.from_sparse(combos, self.ambient_dim)
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
-            raise ValueError(
-                f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}"
-            )
+            raise ValueError(f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}")
 
 
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : M v = 0} as a canonical subspace of dimension cols - rank."""
-    n = m.cols
-    if m.rows == 0 or n == 0:
-        return Subspace.full(n) if n else Subspace.zero(0)
-    return _null_space(rref_rows(map(_sparse, m.data)), n)
-
-
-def _null_space(reduced: list, n: int) -> Subspace:
-    """Kernel of the first ``n`` columns of the (pivot, row) pairs of an RREF
-    whose pivots all lie below ``n``."""
-    pivots = {p for p, _ in reduced}
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [ZERO] * n
-        v[fc] = ONE
-        for p, row in reduced:
-            v[p] = -row.get(fc, ZERO)
-        basis.append(v)
-    return Subspace.from_spanning(basis, n)
+    return solve_rows(map(_sparse, m.data), m.cols)[1]
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
@@ -279,15 +263,32 @@ def solve_affine(m: Matrix, rhs: Sequence) -> Optional[AffineSolution]:
     """Full solution set of M x = rhs, or ``None`` when infeasible."""
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
-    n = m.cols
-    reduced = rref_rows(_sparse((*row, rational(b))) for row, b in zip(m.data, rhs))
+    sol = solve_rows((_sparse((*row, rational(b))) for row, b in zip(m.data, rhs)), m.cols)
+    return None if sol is None else AffineSolution(_dense(sol[0], m.cols), sol[1])
+
+
+def solve_rows(rows: Iterable[dict], n: int) -> Optional[tuple]:
+    """Solutions of the sparse system whose rows hold the coefficients of
+    x_0..x_(n-1) at keys below ``n`` and the right-hand side, if any, at
+    key n: (a particular solution {column: rational}, the homogeneous
+    :class:`Subspace`), or ``None`` when infeasible.  From the RREF, the
+    kernel has one vector per free column f: 1 at f and -row[f] at the
+    pivot of each row."""
+    reduced = rref_rows(rows)
     # RREF of [M | rhs]: infeasible iff the rhs column n is a pivot
     if reduced and reduced[-1][0] == n:
         return None
-    x = [ZERO] * n
+    free = {j: {j: ONE} for j in range(n)}
+    for p, _ in reduced:
+        del free[p]
+    particular = {}
     for p, row in reduced:
-        x[p] = row.get(n, ZERO)
-    return AffineSolution(tuple(x), _null_space(reduced, n))
+        for k, c in row.items():
+            if k in free:
+                free[k][p] = -c
+            elif k == n:
+                particular[p] = c
+    return particular, Subspace.from_sparse(free.values(), n)
 
 
 class BasisCoordinates:

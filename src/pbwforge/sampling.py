@@ -13,7 +13,7 @@ import random
 from itertools import combinations_with_replacement
 from typing import Optional
 
-from .linalg import Matrix, dot, kernel
+from .linalg import solve_rows
 from .rationals import ZERO, Q, rational
 from .yang_mills import CurrentParameters, Metric, freeze, nested_zeros
 
@@ -86,18 +86,12 @@ def _unflatten_symmetric(coords, n: int, rank: int):
 
 def _contraction_rows(n: int, rank: int, b: tuple) -> list:
     """The contraction s^{a...r} b_r over the last slot of a symmetric
-    tensor s, as a matrix on its multiset coordinates: one row per sorted
-    multiset of the free slots."""
-    multisets = _sym_multisets(n, rank)
-    col = {m: i for i, m in enumerate(multisets)}
-    rows = []
-    for free in _sym_multisets(n, rank - 1):
-        row = [ZERO] * len(multisets)
-        for r in range(n):
-            if b[r] != 0:
-                row[col[tuple(sorted(free + (r,)))]] += b[r]
-        rows.append(row)
-    return rows
+    tensor s, as sparse rows on its multiset coordinates: one row per
+    sorted multiset of the free slots."""
+    col = {m: i for i, m in enumerate(_sym_multisets(n, rank))}
+    return [
+        {col[tuple(sorted(free + (r,)))]: b[r] for r in range(n) if b[r] != 0} for free in _sym_multisets(n, rank - 1)
+    ]
 
 
 def _orthogonal_symmetric_sample(
@@ -109,11 +103,11 @@ def _orthogonal_symmetric_sample(
     The contraction is a linear condition on the multiset coordinates; we
     sample from its exact kernel.
     """
-    null = kernel(Matrix.from_rows(_contraction_rows(n, rank, b)))
-    coords = [ZERO] * null.ambient_dim
-    for basis_row in null.basis:
+    coords = [ZERO] * len(_sym_multisets(n, rank))
+    for _, row in solve_rows(_contraction_rows(n, rank, b), len(coords))[1].rows:
         c = random_rational(rng, bound)
-        coords = [x + c * y for x, y in zip(coords, basis_row)]
+        for k, y in row.items():
+            coords[k] += c * y
     return _unflatten_symmetric(coords, n, rank)
 
 
@@ -141,7 +135,7 @@ def sample_current_parameters(
         rows = _contraction_rows(n, rank, b)
         while True:
             coords = [random_rational(rng) for _ in _sym_multisets(n, rank)]
-            if any(dot(row, coords) != 0 for row in rows):
+            if any(sum(c * coords[k] for k, c in row.items()) for row in rows):
                 blocks[violate] = _unflatten_symmetric(coords, n, rank)
                 break
     return CurrentParameters(b, omega3, blocks["s3"], blocks["s2"], blocks["s1"])

@@ -209,30 +209,24 @@ def side_tensor(sub: Subspace, dim_v: int, side: str, degree: int) -> Subspace:
     """R (tensor) V or V (tensor) R: extend a pure-degree subspace one letter.
 
     ``sub`` must be a subspace of V^(tensor n) coordinates; the result
-    lives in V^(tensor n+1).  No elimination runs: with b_i the RREF
-    basis of ``sub`` and p_i its pivots, b_i (tensor) e_lam has its unit
+    lives in V^(tensor n+1).  No elimination runs: with b_i the canonical
+    rows of ``sub`` and p_i their pivots, b_i (tensor) e_lam has its unit
     pivot at p_i * dim_v + lam (right) or lam * dim^n + p_i (left), and no
     other extension is nonzero there, so the extensions sorted by pivot
-    are already the canonical basis.
+    are already the canonical rows; each row's keys are placed directly.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     size = dim_v**degree
     if sub.ambient_dim != size:
         raise ValueError("subspace ambient is not a tensor power of the given dim_v")
-    basis = sub.basis.data
     if side == "right":
-        pairs = [(b, lam) for b in basis for lam in range(dim_v)]
+        rows = [
+            (p * dim_v + lam, {k * dim_v + lam: c for k, c in row.items()}) for p, row in sub.rows for lam in range(dim_v)
+        ]
     else:
-        pairs = [(b, lam) for lam in range(dim_v) for b in basis]
-    rows = []
-    for b, lam in pairs:
-        vec = [ZERO] * (size * dim_v)
-        for idx, c in enumerate(b):
-            if c != 0:
-                vec[idx * dim_v + lam if side == "right" else lam * size + idx] = c
-        rows.append(tuple(vec))
-    return Subspace(size * dim_v, Matrix(tuple(rows)))
+        rows = [(lam * size + p, {lam * size + k: c for k, c in row.items()}) for lam in range(dim_v) for p, row in sub.rows]
+    return Subspace(size * dim_v, tuple(rows))
 
 
 class GradedMap(FrozenValue):

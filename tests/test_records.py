@@ -76,13 +76,15 @@ def test_matrix_is_a_value():
 def test_subspace_is_a_value():
     value_equal(lambda: Subspace.from_spanning([[1, 1, 0], [0, 2, 2]], 3))
     x = Subspace.from_spanning([[1, 0], [0, 1]], 2)
-    assert x.contains((ONE, ONE))  # fills the cached rows of x only
+    assert x.contains((ONE, ONE))
+    assert x.basis == Matrix.identity(2)  # fills the cached dense view of x only
     assert x == Subspace.full(2) and hash(x) == hash(Subspace.full(2))
     assert Subspace.zero(2) != Subspace.zero(3)
     frozen(x, "ambient_dim")
+    frozen(x, "rows")
     frozen(x, "basis")
     with pytest.raises(ValueError, match="^basis row length does not match ambient dimension$"):
-        Subspace(3, Matrix.identity(2))
+        Subspace(2, ((0, {0: ONE}), (2, {2: ONE})))  # key 2 lies outside Q^2
 
 
 def test_tensor_element_is_an_unhashable_value():
