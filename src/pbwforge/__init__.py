@@ -7,7 +7,6 @@ from .algebra import (
     build_antisymmetrizer_relations,
     graded_dim,
     ideal_component,
-    ideal_component_dim,
     overlap_space,
 )
 from .classify import (
@@ -79,7 +78,6 @@ __all__ = [
     "family_equals_solutions",
     "graded_dim",
     "ideal_component",
-    "ideal_component_dim",
     "kernel",
     "overlap_space",
     "pbw_verdict",

@@ -212,11 +212,6 @@ def ideal_component(a: AlgebraPresentation, n: int) -> Subspace:
     return Subspace.from_sparse(_ideal_component_rows(a, n).values(), a.dim_v**n)
 
 
-def ideal_component_dim(a: AlgebraPresentation, n: int) -> int:
-    """dim of the degree-n ideal component."""
-    return a.dim_v**n - graded_dim(a, n)
-
-
 def graded_dim(a: AlgebraPresentation, n: int) -> int:
     """Exact dimension of the degree-n part of T(V)/(R).
 

@@ -28,7 +28,6 @@ from .linalg import Subspace, Vector, reduce_rows, rref_rows, solve_rows
 from .pbw import deformation_from_tails, level_numerators
 from .rationals import ZERO
 from .tensors import GradedMap, add_images, words
-from .tensors import flatten_graded_map, unflatten_graded_map  # noqa: F401  (re-exported)
 
 
 class StageSolution(NamedTuple):

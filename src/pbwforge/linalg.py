@@ -38,10 +38,6 @@ def vector(entries: Iterable) -> Vector:
     return tuple(rational(e) for e in entries)
 
 
-def dot(a: Sequence, b: Sequence) -> Q:
-    return sum((x * y for x, y in zip(a, b) if x), ZERO)
-
-
 class Frozen:
     """Base of the package's immutable records.
 
@@ -106,11 +102,6 @@ class Matrix(FrozenValue):
     @property
     def cols(self) -> int:
         return len(self.data[0]) if self.data else 0
-
-    def mat_vec(self, v: Sequence) -> Vector:
-        if self.data and len(v) != self.cols:
-            raise ValueError(f"length {len(v)} vector against {self.cols} columns")
-        return tuple(dot(row, v) for row in self.data)
 
     def __iter__(self):
         return iter(self.data)

@@ -263,31 +263,6 @@ def add_images(terms: dict, images, entries, scale: int = 1) -> dict:
     return terms
 
 
-def flatten_graded_map(m: GradedMap) -> Vector:
-    """Column-stacked coefficients of a graded map.
-
-    The degree-j block is flattened as ``u[k * dim_v**j + word_index(w)]``
-    where k indexes the relation basis and w runs over degree-j words.
-    """
-    block = m.dim_v**m.target_degree
-    out = [ZERO] * (block * len(m.images))
-    for k, img in enumerate(m.images):
-        for w, c in img.terms.items():
-            out[k * block + word_index(w, m.dim_v)] = c
-    return tuple(out)
-
-
-def unflatten_graded_map(
-    dim_v: int, source_dim: int, target_degree: int, coeffs: Sequence
-) -> GradedMap:
-    block = dim_v**target_degree
-    images = tuple(
-        TensorElement.from_degree_vector(dim_v, target_degree, coeffs[k * block : (k + 1) * block])
-        for k in range(source_dim)
-    )
-    return GradedMap(dim_v, target_degree, images)
-
-
 def side_decompose(
     x: TensorElement, relation_basis: Sequence[TensorElement], side: str
 ) -> Matrix:

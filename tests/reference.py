@@ -21,7 +21,7 @@ from math import gcd
 
 from pbwforge.linalg import SparseEchelon
 from pbwforge.rationals import ZERO, rational
-from pbwforge.tensors import TensorElement, filtered_dim, word_index, words
+from pbwforge.tensors import GradedMap, TensorElement, filtered_dim, word_index, words
 
 
 def eliminate(rows, col_limit=None):
@@ -126,6 +126,34 @@ def inverse(rows):
     if len(pivots) < n:
         return None
     return [row[n:] for row in aug]
+
+
+def mat_vec(m, v):
+    """The product of the ``Matrix`` m with the dense vector v."""
+    if m.data and len(v) != m.cols:
+        raise ValueError(f"length {len(v)} vector against {m.cols} columns")
+    return tuple(sum((x * y for x, y in zip(row, v) if x), ZERO) for row in m.data)
+
+
+def flatten_graded_map(m):
+    """Column-stacked coefficients of a graded map: the degree-j block is
+    ``u[k * dim_v**j + word_index(w)]``, k indexing the relation basis and
+    w running over degree-j words."""
+    block = m.dim_v**m.target_degree
+    out = [ZERO] * (block * len(m.images))
+    for k, img in enumerate(m.images):
+        for w, c in img.terms.items():
+            out[k * block + word_index(w, m.dim_v)] = c
+    return tuple(out)
+
+
+def unflatten_graded_map(dim_v, source_dim, target_degree, coeffs):
+    block = dim_v**target_degree
+    images = tuple(
+        TensorElement.from_degree_vector(dim_v, target_degree, coeffs[k * block : (k + 1) * block])
+        for k in range(source_dim)
+    )
+    return GradedMap(dim_v, target_degree, images)
 
 
 def filtered_offset(dim_v, degree):

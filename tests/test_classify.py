@@ -4,19 +4,14 @@ import random
 import pytest
 
 from pbwforge.algebra import build_antisymmetrizer_relations
-from pbwforge.classify import (
-    family_equals_solutions,
-    flatten_graded_map,
-    solve_stage1,
-    solve_stage2plus,
-    unflatten_graded_map,
-)
+from pbwforge.classify import family_equals_solutions, solve_stage1, solve_stage2plus
 from pbwforge.pbw import check_j1, deformation_from_tails, pbw_verdict
 from pbwforge.rationals import format_rational, rational
 from pbwforge.sampling import random_metric, random_rational
 from pbwforge.super_ym import build_sym, isym_family_generators
 from pbwforge.tensors import GradedMap, TensorElement
 from pbwforge.yang_mills import Metric, build_ym, iym_family_generators
+from reference import flatten_graded_map, unflatten_graded_map
 from test_overlap_core import PRESENTATIONS
 
 
