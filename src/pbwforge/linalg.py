@@ -193,7 +193,7 @@ class Subspace(FrozenValue):
         return _dense(reduce_rows(self.rows, _sparse(v)), self.ambient_dim)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
+        return all(x == 0 for x in self.reduce(v))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -225,7 +225,9 @@ class Subspace(FrozenValue):
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
-            raise ValueError(f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}")
+            raise ValueError(
+                f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}"
+            )
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -225,7 +225,9 @@ def side_tensor(sub: Subspace, dim_v: int, side: str, degree: int) -> Subspace:
             (p * dim_v + lam, {k * dim_v + lam: c for k, c in row.items()}) for p, row in sub.rows for lam in range(dim_v)
         ]
     else:
-        rows = [(lam * size + p, {lam * size + k: c for k, c in row.items()}) for lam in range(dim_v) for p, row in sub.rows]
+        rows = [
+            (lam * size + p, {lam * size + k: c for k, c in row.items()}) for lam in range(dim_v) for p, row in sub.rows
+        ]
     return Subspace(size * dim_v, tuple(rows))
 
 
