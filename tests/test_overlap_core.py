@@ -293,3 +293,85 @@ def test_equal_spans_are_equal_values(name):
     left = tensors.side_tensor(a.relation_space, a.dim_v, "left", degree=a.degree)
     w = left.intersect(right)
     assert w == overlap_space(a) and hash(w) == hash(overlap_space(a))
+
+
+def entries_digest(a):
+    # the raw integer entries of the core: each vector's den, then its
+    # (k, prefix, suffix, int) list, in order
+    return hashlib.sha256(repr([(den, entries) for den, entries in a.overlap.entries]).encode()).hexdigest()
+
+
+def stage1_digest(a):
+    rows = classify.solve_stage1(a).parameters.rows
+    flat = [(p, sorted((k, format_rational(c)) for k, c in row.items())) for p, row in rows]
+    return hashlib.sha256(repr(flat).encode()).hexdigest()
+
+
+# (sha256 of the raw entries, sha256 of the stage-1 rows) of the
+# CORE_PINS presentations, which include the six of PRESENTATIONS,
+# recorded while side_decompose built its own relation frame on every
+# call and stage 1 reduced its brackets against a second RREF of R
+ENTRIES_PINS = {
+    "custom-cubic": (
+        "db4a09717529ff49dc59f5de909b42326b2bb015e7701158b5e8325d6a776cd3",
+        "3df9e10705706cbe5ca17753416a179f6fbf2dddc57f67811233a60270cd0ca3",
+    ),
+    "so3": (
+        "024e45abfec7292a8c1016c87860785213f948a11a3b2b3cfb9877b9f6ffc783",
+        "c94a35ede8972978b0b027cbd74f54548fca0252c578447bfc5910a37ec2f3e9",
+    ),
+    "sym-s2-euclidean": (
+        "29852d8c1238c71a2fae371935d1a3019293755adccc8dc1880602c89dfec43a",
+        "577afe60e8ecae41b715d51738ea1d11a25b8d2972951f2accb788af46a788ec",
+    ),
+    "sym-s2-minkowski": (
+        "eccdc482758c5bb4611cd2aa93a6cfff5f8de74edd0ef13b07b940708954fb4d",
+        "ac09d52eeb889b1556425904afd1686eb452c476ec63209b346a08f04a92ec76",
+    ),
+    "sym-s2-random": (
+        "92aab86a3758032ac4adeb85d343eb75a2c7adbb302eaed5a55d357865d74642",
+        "07c8ec90ec3b867102b797e6721289527933d22bef4432d4a3882a69ceacdb03",
+    ),
+    "sym-s3-euclidean": (
+        "2f7a56ccf44590df66ea54d019201345cd3767a183d352f675f61bd562d1cb08",
+        "939f123c84b3e6ac68a89375fc334a6d3cd46294b1fa3f6513ae12728c915e2e",
+    ),
+    "sym-s3-minkowski": (
+        "fbd2df7688393c73c36c760fafc54085c3cdf9f7a0c3399a757f86f329731178",
+        "c2f840537a109fe8a1b3e3fe762c39e376c0111a01f9ad0db781af355015d5ab",
+    ),
+    "sym-s3-random": (
+        "ada89ce08949e225324d17108070856ba78a31053c47519d17412ab41a028161",
+        "b52d2036e75e6145da2025596898892544604b627010dccd184afdc800095086",
+    ),
+    "ym-s2-euclidean": (
+        "7501bbdec9df4927b201e8e142c52c0126fff00f54d02bb804fbf328e2b9aaab",
+        "c2dda1a4b14a21dbe2132b8b61a2f41ea772e9b686d6cf7df65c36c4a4c97948",
+    ),
+    "ym-s2-minkowski": (
+        "42e9f0db3e918319789eb34d598e84bfd8136dbca3d95f5d6d1e6b7ed4137283",
+        "6e090c4bfa62452d5c578621a1cdd8286921cb96eec2322d00026dec1e03bbe6",
+    ),
+    "ym-s2-random": (
+        "c34e109ec45585777bb7653f62b680341e1ae344ad960066a2ae2555efa895e6",
+        "5d2bbf7713ff4c34d9e5f6481be6b71aef549bdca159d762611337ce255d0844",
+    ),
+    "ym-s3-euclidean": (
+        "260351bb35506d17c4ace8d77020a8fbe4b007df1a3d6d39f0b2e1334eb480ab",
+        "3ced9053c5514dd1f052fabf037e63d5e69dcce6b17874927a241943d9a2e611",
+    ),
+    "ym-s3-minkowski": (
+        "b14d7b108fba9b8fa7c0a48c9740c4364c9c08f8041e4b24e3b0bf5195373d25",
+        "2a0ed4ebb078d5f6aa3b2ad8385eadedd82aa2e2cadfcaee36dc191845d4e391",
+    ),
+    "ym-s3-random": (
+        "d01c47ff7f08af7383eef04ae67c3da95075bb3cf02e936d95ae8f13396f023d",
+        "736b79f0a350aaacf7ef59a717fe9422f7dbcf57350c6807ae630ecd9f24f5c5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES_PINS))
+def test_entries_and_stage1_match_pinned_digest(name):
+    a = pinned_presentation(name)
+    assert (entries_digest(a), stage1_digest(a)) == ENTRIES_PINS[name]
