@@ -69,8 +69,7 @@ class AlgebraPresentation(Frozen):
 
     @cached_property
     def relation_space(self) -> Subspace:
-        rows = ({word_index(w, self.dim_v): c for w, c in r.terms.items()} for r in self.relation_basis)
-        return Subspace.from_sparse(rows, self.dim_v**self.degree)
+        return Subspace.from_sparse((r.indexed() for r in self.relation_basis), self.dim_v**self.degree)
 
     def relation_coords(self, x: TensorElement):
         """Coordinates of x in the distinguished relation basis.
@@ -243,8 +242,9 @@ class OverlapData:
     Everything the PBW conditions and the classifier need from W depends
     on the presentation alone, so it is computed once here: the canonical
     basis x_i of W (``vectors``) and, per x_i, the nonzero coefficients
-    of x_i in R (tensor) V and in V (tensor) R (:func:`side_decompose`)
-    as ints over one denominator (``entries``, the input of
+    of x_i in R (tensor) V and in V (tensor) R (:func:`side_decompose` on
+    the one ``relation_frame``, whatever dim W is) as ints over one
+    denominator (``entries``, the input of
     :func:`~pbwforge.tensors.add_images`).  Summed over the images of a
     map phi, they give (phi tensor I - I tensor phi)(x_i).  The checker
     reads them on a deformation's integer parts, and the classifier on
@@ -262,8 +262,8 @@ class OverlapData:
         # each kept as an int over the vector's common denominator den: (den, entries)
         self.entries = []
         for x in self.vectors:
-            r = side_decompose(x, a.relation_basis, "right")
-            l = side_decompose(x, a.relation_basis, "left")
+            r = side_decompose(x, a.relation_frame, "right")
+            l = side_decompose(x, a.relation_frame, "left")
             entries = [(k, (), (lam,), c) for k, row in enumerate(r.data) for lam, c in enumerate(row) if c]
             entries += [(k, (lam,), (), -c) for k, row in enumerate(l.data) for lam, c in enumerate(row) if c]
             den = lcm(*(int(e[3].denominator) for e in entries))

@@ -7,12 +7,12 @@ a concrete stage-1 point and solving each lower level as an affine
 linear system, then comparing the resulting spaces against a supplied
 closed-form family by two-sided inclusion.  Neither stage writes the
 conditions again: the columns of each system are the checker's own
-integer statements on the integer parts of unit blocks, the top brackets
-summed from the overlap core's entries (``AlgebraPresentation.overlap``)
-for stage 1 and :func:`pbwforge.pbw.level_numerators` for the lower
-levels.  Each equation is a sparse row, keyed by unknown, handed to the
-sparse kernel and affine cores of :mod:`pbwforge.linalg`; no stage builds
-a dense matrix.
+integer statements on the integer parts of unit blocks: for stage 1 the
+residuals modulo R (``AlgebraPresentation.relation_frame``) of the top
+brackets summed from the overlap core's entries, for the lower levels
+:func:`pbwforge.pbw.level_numerators`.  Each equation is a sparse row,
+keyed by unknown, handed to the sparse kernel and affine cores of
+:mod:`pbwforge.linalg`; no stage builds a dense matrix.
 
 Coefficient coordinates: the degree-j block of a deformation is
 flattened as ``u[k * dim_v**j + word_index(w)]`` where k indexes the
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .algebra import AlgebraPresentation
-from .linalg import Subspace, Vector, reduce_rows, rref_rows, solve_rows
+from .linalg import Subspace, Vector, reduce_rows, solve_rows
 from .pbw import deformation_from_tails, level_numerators
 from .rationals import ZERO
 from .tensors import GradedMap, add_images, words
@@ -50,20 +50,19 @@ def solve_stage1(a: AlgebraPresentation) -> StageSolution:
     """All top-degree blocks satisfying the first PBW condition.
 
     Returns the exact solution subspace of the coefficient space of
-    dimension dim_v^(N-1) * dim R.
+    dimension dim_v^(N-1) * dim R.  The equations are the checker's: the
+    ``rest`` of ``relation_frame.integer_coordinates`` on each unit
+    block's top bracket, word by word, as that residual is linear.
     """
     top = a.degree - 1
     cols = len(a.relation_basis) * a.dim_v**top
-    r = rref_rows(a.relation_frame.rows)
+    frame = a.relation_frame
     units = list(_unit_blocks(a, top))
     equations = []
     for _, entries in a.overlap.entries:
-        # condition: the top bracket's residual modulo R vanishes.  Both are
-        # linear, so each word's equation holds the residuals of the unit
-        # blocks' integer brackets, over the vector's one denominator
         by_word: dict = {}
         for i, unit in enumerate(units):
-            for w, x in reduce_rows(r, add_images({}, unit, entries)).items():
+            for w, x in frame.integer_coordinates(add_images({}, unit, entries))[1].items():
                 by_word.setdefault(w, {})[i] = x
         equations += by_word.values()
     return StageSolution("stage1", solve_rows(equations, cols)[1], (ZERO,) * cols, True)

@@ -159,7 +159,7 @@ def load_problem(path: str) -> dict:
             doc = json.load(fh)
     except OSError as e:
         raise ProblemError(f"cannot read problem file: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer literal past CPython's digit limit
         raise ProblemError(f"malformed JSON: {e}") from e
     except RecursionError as e:
         raise ProblemError("malformed JSON: nested too deeply") from e

@@ -294,9 +294,10 @@ class BasisCoordinates:
     where S[j][k] is entry P_j of b_k, and S is invertible; its inverse is
     computed once and cleared to integers T = D S^-1 over one lcm D
     (``den``).  So for an integer vector v the only candidate coordinates
-    are c = T v_P over D, and v = sum (c_k / D) b_k iff L D v = sum c_k
-    B_k, one exact comparison on sparse ints (:meth:`integer_coordinates`).
-    The rational :meth:`coordinates` divides that same result.
+    are c = T v_P over D, and :meth:`integer_coordinates` returns them with
+    rest = L D v - sum c_k B_k, linear in v and with no key in P (there
+    sum c_k B_k = L S T v_P = L D v_P): L D times the canonical residual
+    of v, empty iff v lies in the span.  :meth:`coordinates` divides it.
     """
 
     def __init__(self, vectors: Sequence[dict]):
@@ -309,9 +310,10 @@ class BasisCoordinates:
         self.den = lcm(*(int(c.denominator) for row in inv for c in row))
         self._inverse_ints = tuple([(p, times(c, self.den)) for p, c in zip(pivots, row) if c] for row in inv)
 
-    def integer_coordinates(self, v: dict) -> Optional[list]:
-        """The ints c with sum (c_k / ``den``) b_k = v for the int dict v,
-        or ``None`` when v is outside the span."""
+    def integer_coordinates(self, v: dict) -> tuple:
+        """(c, rest) for the int dict v: the ints c of the only candidate
+        sum (c_k / ``den``) b_k, and rest = ``lcm`` ``den`` v - sum c_k B_k,
+        an int dict with no zeros, empty iff v is that combination."""
         c = [sum(t * v.get(p, 0) for p, t in row) for row in self._inverse_ints]
         scale = self.lcm * self.den
         rest = {k: scale * x for k, x in v.items() if x}
@@ -323,13 +325,13 @@ class BasisCoordinates:
                         rest[k] = y
                     else:
                         del rest[k]
-        return None if rest else c
+        return c, rest
 
     def coordinates(self, v: dict) -> Optional[Vector]:
         """The unique c with sum c_i b_i = v, or ``None`` when v is outside the span."""
         den = lcm(*(int(x.denominator) for x in v.values() if x))
-        c = self.integer_coordinates({k: times(x, den) for k, x in v.items() if x})
-        return None if c is None else tuple(Q(x, den * self.den) for x in c)
+        c, rest = self.integer_coordinates({k: times(x, den) for k, x in v.items() if x})
+        return None if rest else tuple(Q(x, den * self.den) for x in c)
 
 
 def reduce_rows(rows: Sequence, vec: dict) -> dict:

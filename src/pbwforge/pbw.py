@@ -16,9 +16,10 @@ integers on unit parts for the unknown lower blocks.  Because the
 deformed relations are graphs {x - phi(x)}, the ideal meets F^(N-1)
 trivially by construction; that condition needs no computation.
 
-The top brackets, their relation coordinates
+The top brackets, their relation coordinates and residuals modulo R
 (``AlgebraPresentation.relation_frame``, an integer product and one
-exact comparison each), the level residuals and the conservation check
+sparse difference each; the residuals are also the classifier's stage-1
+equations), the level residuals and the conservation check
 use only ring operations on the numerators, and a rational is built only
 for an output: a j1 witness, a conservation residual that is read, or
 the tails for the oracle.  The conservation law decides from the
@@ -100,9 +101,9 @@ class DeformationMap(Frozen):
         top = []
         for bracket_den, entries in self.algebra.overlap.entries:
             terms = add_images({}, self.parts[-1], entries)
-            coords = frame.integer_coordinates(terms)
+            coords, rest = frame.integer_coordinates(terms)
             bracket_den *= self.den
-            top.append((bracket_den, terms, None if coords is None else (frame.den * bracket_den, coords)))
+            top.append((bracket_den, terms, None if rest else (frame.den * bracket_den, coords)))
         return tuple(top)
 
     @property
@@ -426,14 +427,14 @@ def conservation_residual(d: DeformationMap) -> ConservationResult:
                 divergence[left] = divergence.get(left, 0) + c
                 divergence[right] = divergence.get(right, 0) - c
     frame = a.relation_frame
-    coords = frame.integer_coordinates(top)
-    if coords is not None:
+    coords, rest = frame.integer_coordinates(top)
+    if not rest:
         # the coefficients are coords / (frame.den den); scaled by frame.den den^2,
         # the lower parts must cancel
-        rest = {w: frame.den * d.den * c for w, c in low.items() if c}
+        lower = {w: frame.den * d.den * c for w, c in low.items() if c}
         entries = [(k, (), (), ck) for k, ck in enumerate(coords) if ck]
         for images in d.parts:
-            add_images(rest, images, entries)
-        if not any(rest.values()):
+            add_images(lower, images, entries)
+        if not any(lower.values()):
             return ConservationResult(True, d, {})
     return ConservationResult(False, d, top | low)

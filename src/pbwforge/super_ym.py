@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraPresentation, ideal_component
-from .linalg import Subspace, rref_rows
+from .linalg import Subspace, reduce_rows, rref_rows
 from .rationals import HALF, ONE, ZERO, rational
 from .tensors import TensorElement, anticommutator, commutator, filtered_terms, words
 from .yang_mills import (
@@ -124,15 +124,14 @@ def centrality_check(a: AlgebraPresentation, metric: Metric, n_max: int = 3) -> 
     n = a.dim_v
     q = quadratic_casimir(metric)
     gens = [TensorElement.generator(n, i) for i in range(n)]
-    span = [commutator(q, g).to_degree_vector(3) for g in gens]
-    if Subspace.from_spanning(span, n**3) != a.relation_space:
+    span = [commutator(q, g).indexed() for g in gens]
+    if Subspace.from_sparse(span, n**3) != a.relation_space:
         return False
     for deg in range(4, n_max + 1):
         component = ideal_component(a, deg)
         for word in words(n, deg - 2):
             monomial = TensorElement.from_terms(n, {word: ONE})
-            c = commutator(q, monomial)
-            if not component.contains(c.to_degree_vector(deg)):
+            if reduce_rows(component.rows, commutator(q, monomial).indexed()):
                 return False
     return True
 

@@ -14,7 +14,7 @@ import os
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from .linalg import BasisCoordinates, FrozenValue, Matrix, Subspace, Vector
+from .linalg import BasisCoordinates, FrozenValue, Matrix, Subspace
 from .rationals import ONE, ZERO, Q, rational
 
 Word = tuple  # tuple of generator indices
@@ -36,14 +36,21 @@ def guard_tensor_dim(dim_v: int, degree: int) -> None:
     """Raise ResourceGuardError when V^(tensor degree) exceeds the limit.
 
     Called wherever a task sizes a tensor space: ideal components, the
-    overlap space and the filtered ideal span.
+    overlap space and the filtered ideal span.  For dim_v >= 2 every
+    degree from the limit's bit length on exceeds it (2^degree > limit),
+    so the power is built only below that; the message prints no integer
+    longer than 64 bits (:func:`_shown`).
     """
     limit = tensor_dim_limit()
-    if dim_v**degree > limit:
+    if dim_v >= 2 and degree >= limit.bit_length() or dim_v**degree > limit:
         raise ResourceGuardError(
-            f"tensor space of dimension {dim_v**degree} (degree {degree}) "
-            f"exceeds the limit {limit}"
+            f"tensor space of dimension {_shown(dim_v)}^{_shown(degree)} exceeds the limit {limit}"
         )
+
+
+def _shown(n: int) -> str:
+    """``n`` in decimal, or its bit length when it has more than 64 bits."""
+    return str(n) if n.bit_length() <= 64 else f"({n.bit_length()}-bit integer)"
 
 
 def words(dim_v: int, degree: int) -> Iterator[Word]:
@@ -166,24 +173,10 @@ class TensorElement(FrozenValue):
                     terms.pop(w, None)
         return TensorElement(self.dim_v, terms)
 
-    def to_degree_vector(self, degree: int) -> Vector:
-        """Coordinates of the pure degree component in V^(tensor degree)."""
-        for w in self.terms:
-            if len(w) != degree:
-                raise ValueError("element is not homogeneous of the requested degree")
-        vec = [ZERO] * self.dim_v**degree
-        for w, c in self.terms.items():
-            vec[word_index(w, self.dim_v)] = c
-        return tuple(vec)
-
-    @classmethod
-    def from_degree_vector(cls, dim_v: int, degree: int, vec: Sequence) -> "TensorElement":
-        terms = {}
-        for w in words(dim_v, degree):
-            c = rational(vec[word_index(w, dim_v)])
-            if c != 0:
-                terms[w] = c
-        return cls(dim_v, terms)
+    def indexed(self) -> dict:
+        """The terms keyed by word index: a homogeneous element's sparse
+        coordinates in the lexicographic basis of its tensor power."""
+        return {word_index(w, self.dim_v): c for w, c in self.terms.items()}
 
     def _check(self, other: "TensorElement") -> None:
         if self.dim_v != other.dim_v:
@@ -265,33 +258,25 @@ def add_images(terms: dict, images, entries, scale: int = 1) -> dict:
     return terms
 
 
-def side_decompose(
-    x: TensorElement, relation_basis: Sequence[TensorElement], side: str
-) -> Matrix:
+def side_decompose(x: TensorElement, relations: BasisCoordinates, side: str) -> Matrix:
     """Write x in R (tensor) V (side='right') or V (tensor) R (side='left').
 
-    Returns the coefficient matrix c[k][lam] with
+    ``relations`` is the frame of R's basis r_k (for a presentation, its
+    ``relation_frame``).  Returns the coefficient matrix c[k][lam] with
     x = sum c[k][lam] r_k (tensor) e_lam (right) or e_lam (tensor) r_k
     (left).  Raises ValueError when x is not in the stated subspace; this
     is the explicit change of basis the evaluation of phi (tensor) I
     requires.  The system splits by the letter lam: column lam of c is
     the relation coordinates of the slice of x on the words that end
-    (right) or start (left) with lam, so the relation basis (which must
-    be linearly independent) is eliminated once and each letter is one
-    :meth:`~pbwforge.linalg.BasisCoordinates.coordinates` call.
+    (right) or start (left) with lam, one
+    :meth:`~pbwforge.linalg.BasisCoordinates.coordinates` call each.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if not relation_basis:
-        if x.is_zero():
-            return Matrix(())
-        raise ValueError("nonzero element against an empty relation basis")
-    degree = relation_basis[0].max_degree
-    relations = BasisCoordinates([r.terms for r in relation_basis])
     parts: list = [{} for _ in range(x.dim_v)]
     for w, c in x.terms.items():
-        if len(w) != degree + 1:
-            raise ValueError("element is not homogeneous of the requested degree")
+        if not w:
+            raise ValueError(f"element is not in the {side}-side relation product space")
         lam, rest = (w[-1], w[:-1]) if side == "right" else (w[0], w[1:])
         parts[lam][rest] = c
     columns = []
@@ -313,14 +298,14 @@ def apply_graded_side(
     where phi sends the k-th relation basis vector to ``images[k]``.
 
     ``x`` must lie in R (tensor) V resp. V (tensor) R; it is first
-    factorized against the relation basis (ValueError otherwise), then
-    phi acts on the relation factor.  This is the direct evaluation; the
-    checker and the classifier use ``AlgebraPresentation.overlap``, whose
-    side decompositions are computed once per presentation, and the tests
-    compare the two.
+    factorized against the relation basis, whose frame each call builds
+    (ValueError otherwise), then phi acts on the relation factor.  This is
+    the direct evaluation; the checker and the classifier use
+    ``AlgebraPresentation.overlap``, whose side decompositions are
+    computed once per presentation, and the tests compare the two.
     """
     dim_v = x.dim_v
-    coeffs = side_decompose(x, relation_basis, side)
+    coeffs = side_decompose(x, BasisCoordinates([r.terms for r in relation_basis]), side)
     result = TensorElement.zero(dim_v)
     for k, image in enumerate(images):
         for lam in range(dim_v):

@@ -22,7 +22,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraPresentation, permutation_sign
-from .linalg import Frozen, FrozenValue, Matrix, inverse
+from .linalg import Frozen, FrozenValue, Matrix, inverse, reduce_rows
 from .pbw import DeformationMap, deformation_from_tails
 from .rationals import HALF, ONE, ZERO, rational
 from .tensors import TensorElement, commutator
@@ -180,9 +180,7 @@ def overlap_identities(w, sign: int, presentation=None) -> tuple:
     try:
         a = presentation if presentation is not None else AlgebraPresentation(n, 3, basis)
         wspace = a.overlap.space
-        overlap_ok = (
-            wspace.dim == 1 and not element.is_zero() and wspace.contains(element.to_degree_vector(4))
-        )
+        overlap_ok = wspace.dim == 1 and not element.is_zero() and not reduce_rows(wspace.rows, element.indexed())
     except ValueError:
         overlap_ok = False
     return basis, two_sided, overlap_ok

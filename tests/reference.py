@@ -4,8 +4,10 @@ Textbook Gauss-Jordan elimination over ``fractions.Fraction`` on dense
 rows: it shares no code with ``pbwforge.linalg``, so comparisons against
 it check the library's fraction-free engine from outside.
 
-The filtered converters lay an element of F^n out as a dense vector,
-degree blocks in increasing order and words lexicographically in each.
+The degree converters lay a homogeneous element out as a dense vector,
+words in lexicographic order, and the filtered converters an element of
+F^n, degree blocks in increasing order and words lexicographically in
+each.
 
 The ideal references at the end are the all-products loops that the
 level-by-level ideal builders replace: every spanning product, placed
@@ -150,10 +152,29 @@ def flatten_graded_map(m):
 def unflatten_graded_map(dim_v, source_dim, target_degree, coeffs):
     block = dim_v**target_degree
     images = tuple(
-        TensorElement.from_degree_vector(dim_v, target_degree, coeffs[k * block : (k + 1) * block])
+        from_degree_vector(dim_v, target_degree, coeffs[k * block : (k + 1) * block])
         for k in range(source_dim)
     )
     return GradedMap(dim_v, target_degree, images)
+
+
+def to_degree_vector(x, degree):
+    """The dense coordinates of the homogeneous ``x`` in V^(tensor degree)."""
+    if not x.is_homogeneous(degree):
+        raise ValueError("element is not homogeneous of the requested degree")
+    vec = [ZERO] * x.dim_v**degree
+    for w, c in x.terms.items():
+        vec[word_index(w, x.dim_v)] = c
+    return tuple(vec)
+
+
+def from_degree_vector(dim_v, degree, vec):
+    terms = {}
+    for w in words(dim_v, degree):
+        c = rational(vec[word_index(w, dim_v)])
+        if c != 0:
+            terms[w] = c
+    return TensorElement(dim_v, terms)
 
 
 def filtered_offset(dim_v, degree):

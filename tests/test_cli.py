@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from pbwforge.cli import main
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, doc):
@@ -102,6 +107,18 @@ def test_deeply_nested_file_is_invalid_input(tmp_path, capsys):
     assert main(["run", "--input", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: malformed JSON")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_integer_literal_past_the_digit_limit_is_invalid_input(tmp_path, capsys):
+    # CPython refuses to parse an integer of more than 4,300 digits with a
+    # plain ValueError, not a JSONDecodeError: still a bad file, exit 2
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(ym_problem()).replace('"seed": 0', '"seed": ' + "7" * 5000))
+    assert main(["run", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed JSON: ")
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
 
@@ -240,6 +257,39 @@ def test_summary_lines(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["run", "--input", path, "--out", str(out), "--summary"]) == 0
     assert "check: pass" in capsys.readouterr().out
+def run_cli(path):
+    """(exit code, stderr, stdout) of ``pbwforge run`` on ``path`` in a
+    fresh interpreter, which is killed after 30 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pbwforge.cli", "run", "--input", str(path)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+    return out.returncode, out.stderr, out.stdout
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        DATA / "antisymmetrizer_degree_9100.problem.json",
+        ym_problem(
+            current={"parameters": {"b": [1, 0, 0]}},
+            tasks=[{"task": "oracle", "n_max": 3, "cutoff": 100_000_000}],
+        ),
+    ],
+    ids=["antisymmetrizer-N-9100", "oracle-cutoff-1e8"],
+)
+def test_resource_guard_decides_without_the_power(tmp_path, problem):
+    # 3^9100 has more decimal digits than CPython will format, and 3^(10^8)
+    # takes minutes to build: the guard decides from the degree alone, at once
+    path = problem if isinstance(problem, Path) else write(tmp_path, "p.json", problem)
+    start = time.monotonic()
+    code, err, out = run_cli(path)
+    assert code == 3
+    assert time.monotonic() - start < 10
+    assert len(err.splitlines()) == 1 and err.startswith("resource guard: ")
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "task",
     [{"task": "hilbert", "n_max": 6}, {"task": "classify"}, {"task": "check"}, {"task": "identities"}],

@@ -281,10 +281,12 @@ def _check_integer_coordinates(basis, keys, rng):
     """BasisCoordinates on the sparse ``basis`` (dicts over ``keys``, in
     order) against the reference solve of sum c_k b_k = v on dense rows:
     vectors inside the span, the zero vector, each with explicit zero
-    entries, and vectors one entry off the span, at a pivot and off one."""
+    entries, and vectors one entry off the span, at a pivot and off one.
+    The integer path's rest is empty exactly inside the span, has no pivot
+    key, is linear, and is the reference residual times its scale."""
     frame = BasisCoordinates(basis)
     columns = [[b.get(key, 0) for b in basis] for key in keys]
-    pivots = reference.rref([[b.get(key, 0) for key in keys] for b in basis])[1]
+    reduced, pivots = reference.rref([[b.get(key, 0) for key in keys] for b in basis])
     inside = [{}]
     for _ in range(3):
         c = [rational(rng.randint(-9, 9)) / rng.randint(1, 4) for _ in basis]
@@ -297,6 +299,7 @@ def _check_integer_coordinates(basis, keys, rng):
             if j is not None:
                 tests.append(v | {keys[j]: v.get(keys[j], ZERO) + rational(rng.randint(1, 5)) / 3})
     outside = 0
+    cleared = []
     for v in tests:
         want = reference.solve_affine(columns, [v.get(key, 0) for key in keys], len(basis))
         outside += want is None
@@ -304,12 +307,23 @@ def _check_integer_coordinates(basis, keys, rng):
         assert got == (None if want is None else tuple(want[0]))
         # the integer path, with the vector cleared the way rationals.times clears it
         den = lcm(*(int(x.denominator) for x in v.values() if x)) * rng.randint(1, 3)
-        ints = frame.integer_coordinates({k: int(x.numerator) * (den // int(x.denominator)) for k, x in v.items()})
-        if want is None:
-            assert ints is None
-        else:
-            assert all(type(x) is int for x in ints)
-            assert [Fraction(x, frame.den * den) for x in ints] == want[0]
+        ints = {k: int(x.numerator) * (den // int(x.denominator)) for k, x in v.items()}
+        cleared.append(ints)
+        c, rest = frame.integer_coordinates(ints)
+        assert (not rest) == (want is not None)
+        assert not set(rest) & {keys[j] for j in pivots}
+        assert all(type(x) is int and x for x in rest.values())
+        scale = frame.lcm * frame.den * den
+        residual = reference.residual(reduced, pivots, [v.get(key, 0) for key in keys])
+        assert rest == {key: scale * x for key, x in zip(keys, residual) if x}
+        if want is not None:
+            assert all(type(x) is int for x in c)
+            assert [Fraction(x, frame.den * den) for x in c] == want[0]
+    for u, v in zip(cleared, cleared[1:] + cleared[:1]):
+        rest_u, rest_v = frame.integer_coordinates(u)[1], frame.integer_coordinates(v)[1]
+        total = {k: u.get(k, 0) + v.get(k, 0) for k in u.keys() | v.keys()}
+        both = {k: rest_u.get(k, 0) + rest_v.get(k, 0) for k in rest_u.keys() | rest_v.keys()}
+        assert frame.integer_coordinates(total)[1] == {k: x for k, x in both.items() if x}
     return outside
 
 

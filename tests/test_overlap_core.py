@@ -5,9 +5,11 @@ import hashlib
 import random
 
 import pytest
+import reference
 
 import pbwforge.algebra as algebra
 import pbwforge.classify as classify
+import pbwforge.linalg as linalg
 import pbwforge.pbw as pbw
 import pbwforge.tensors as tensors
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations, overlap_space
@@ -59,7 +61,7 @@ def random_graded_map(rng, a, j):
     cols = len(a.relation_basis)
     entries = [[random_rational(rng, 9) for _ in range(cols)] for _ in range(rows)]
     images = tuple(
-        TensorElement.from_degree_vector(a.dim_v, j, [row[k] for row in entries]) for k in range(cols)
+        reference.from_degree_vector(a.dim_v, j, [row[k] for row in entries]) for k in range(cols)
     )
     return GradedMap(a.dim_v, j, images)
 
@@ -101,6 +103,25 @@ def test_side_decompose_runs_once_per_presentation(monkeypatch):
         pbw.pbw_verdict(current_to_deformation(current, a))
     classify.solve_stage1(a)
     assert sorted(calls) == sorted(["left", "right"] * overlap_space(a).dim)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_one_relation_frame_per_presentation(name, monkeypatch):
+    # R's basis is inverted once, for relation_frame, and the side
+    # decompositions of every overlap vector and stage 1 read that frame
+    # (a metric's inverse is bound in yang_mills and not counted here)
+    calls = []
+    real = linalg.inverse
+
+    def counting(m):
+        calls.append(m.rows)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "inverse", counting)
+    a = PRESENTATIONS[name]()
+    assert a.overlap.entries
+    classify.solve_stage1(a)
+    assert calls == [len(a.relation_basis)]
 
 
 def test_top_bracket_outside_r_raises_in_check_j2():

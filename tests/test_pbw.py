@@ -466,10 +466,9 @@ def test_chain_and_conservation_run_on_sparse_rows(monkeypatch):
     pbw_verdict(warm)
     conservation_residual(warm)
 
+    assert not hasattr(TensorElement, "to_degree_vector")
     dense = []
     for owner, name in (
-        (TensorElement, "to_degree_vector"),
-        (TensorElement, "from_degree_vector"),
         (Subspace, "from_spanning"),
         (Subspace, "from_sparse"),
         (Subspace, "reduce"),

@@ -3,14 +3,16 @@ import random
 import pytest
 import reference
 
-from pbwforge.linalg import Subspace
+from pbwforge.linalg import BasisCoordinates, Subspace
 from pbwforge.rationals import ONE, rational
 from pbwforge.tensors import (
     GradedMap,
+    ResourceGuardError,
     TensorElement,
     anticommutator,
     commutator,
     filtered_terms,
+    guard_tensor_dim,
     side_decompose,
     side_tensor,
     word_index,
@@ -75,7 +77,7 @@ def test_filtered_keys_sort_as_filtered_coordinates():
 def test_degree_vector_requires_homogeneous():
     a = TensorElement.from_terms(2, {(0,): 1, (1, 0): 1})
     with pytest.raises(ValueError):
-        a.to_degree_vector(2)
+        reference.to_degree_vector(a, 2)
 
 
 def test_commutators():
@@ -94,14 +96,14 @@ def test_side_tensor_zero_and_full():
 
 def test_side_tensor_dim_multiplies():
     r = TensorElement.from_terms(2, {(0, 1): 1, (1, 0): -1})
-    sub = Subspace.from_spanning([r.to_degree_vector(2)], 4)
+    sub = Subspace.from_spanning([reference.to_degree_vector(r, 2)], 4)
     right = side_tensor(sub, 2, "right", degree=2)
     assert right.dim == 2
     again = side_tensor(right, 2, "right", degree=3)
     assert again.dim == 4
     # right extension contains r (x) e_0
     e0 = TensorElement.generator(2, 0)
-    assert right.contains(r.tensor(e0).to_degree_vector(3))
+    assert right.contains(reference.to_degree_vector(r.tensor(e0), 3))
 
 
 def _extensions(sub, dim_v, side):
@@ -153,12 +155,16 @@ def test_graded_map_from_images():
     assert TensorElement.from_integers(2, {(0,): 6, (1,): 0}, 4) == img.scale("3/4")
 
 
+def frame(*relations):
+    return BasisCoordinates([r.terms for r in relations])
+
+
 def test_side_decompose_round_trip():
     r = TensorElement.from_terms(2, {(0, 1): 1, (1, 0): -1})
     e0 = TensorElement.generator(2, 0)
     e1 = TensorElement.generator(2, 1)
     x = r.tensor(e0) + r.tensor(e1).scale(rational(-2))
-    coords = side_decompose(x, (r,), "right")
+    coords = side_decompose(x, frame(r), "right")
     assert coords.data == ((ONE, rational(-2)),)
     # reassemble
     rebuilt = TensorElement.zero(2)
@@ -171,7 +177,9 @@ def test_side_decompose_rejects_outsiders():
     r = TensorElement.from_terms(2, {(0, 1): 1, (1, 0): -1})
     bad = TensorElement.from_terms(2, {(0, 0, 0): 1})
     with pytest.raises(ValueError):
-        side_decompose(bad, (r,), "right")
+        side_decompose(bad, frame(r), "right")
+    with pytest.raises(ValueError):
+        side_decompose(TensorElement.unit(2), frame(r), "right")
 
 
 def test_side_decompose_left_round_trip():
@@ -184,11 +192,11 @@ def test_side_decompose_left_round_trip():
     for k, r in enumerate((r1, r2)):
         for lam, gen in enumerate((e0, e1)):
             x = x + gen.tensor(r).scale(want[k][lam])
-    coords = side_decompose(x, (r1, r2), "left")
+    coords = side_decompose(x, frame(r1, r2), "left")
     assert coords.data == want
     # the same element is not in R (x) V
     with pytest.raises(ValueError):
-        side_decompose(x, (r1, r2), "right")
+        side_decompose(x, frame(r1, r2), "right")
 
 
 def test_side_decompose_left_rejects_outsiders():
@@ -196,9 +204,16 @@ def test_side_decompose_left_rejects_outsiders():
     e0 = TensorElement.generator(2, 0)
     inside_right = r.tensor(e0)  # (01 - 10) 0, not of the form e (x) r
     with pytest.raises(ValueError):
-        side_decompose(inside_right, (r,), "left")
+        side_decompose(inside_right, frame(r), "left")
     with pytest.raises(ValueError):
-        side_decompose(TensorElement.from_terms(2, {(0, 0, 0): 1}), (r,), "left")
+        side_decompose(TensorElement.from_terms(2, {(0, 0, 0): 1}), frame(r), "left")
+
+
+def test_side_decompose_against_an_empty_basis():
+    # the free algebra: only zero lies in R (x) V = 0
+    assert side_decompose(TensorElement.zero(2), frame(), "right").data == ()
+    with pytest.raises(ValueError):
+        side_decompose(TensorElement.generator(2, 0).tensor(TensorElement.generator(2, 1)), frame(), "left")
 
 
 def test_apply_graded_side_rank_one():
@@ -222,3 +237,18 @@ def test_apply_graded_side_matches_kronecker():
     x = r1.tensor(e1) + r2.tensor(e1).scale(rational(4))
     expected = img1.tensor(e1) + img2.tensor(e1).scale(rational(4))
     assert apply_graded_side((img1, img2), (r1, r2), x, "right") == expected
+
+
+def test_guard_decides_and_reports_without_large_numbers(monkeypatch):
+    # the default limit is 10,000: 3^8 = 6,561 passes and 3^9 does not; past
+    # the limit's bit length (14) no power is built, and a dim_v too long to
+    # print is named by its bit length
+    monkeypatch.delenv("PBWFORGE_MAX_TENSOR_DIM", raising=False)
+    guard_tensor_dim(3, 8)
+    guard_tensor_dim(1, 10**8)
+    with pytest.raises(ResourceGuardError, match=r"dimension 3\^9 exceeds the limit 10000$"):
+        guard_tensor_dim(3, 9)
+    with pytest.raises(ResourceGuardError, match=r"dimension 2\^\(333-bit integer\) exceeds"):
+        guard_tensor_dim(2, 10**100)
+    with pytest.raises(ResourceGuardError, match=r"dimension \(16610-bit integer\)\^2 exceeds"):
+        guard_tensor_dim(10**5000 + 1, 2)
