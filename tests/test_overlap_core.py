@@ -228,11 +228,10 @@ def _perturbed(c, rng, block):
     return Current(freeze(j3), freeze(j2), tuple(j1))
 
 
-def test_verdicts_match_pinned_hash():
-    # 54 seeded currents: YM with each side condition met or broken, YM
-    # and SYM with a perturbed top or j2 block, at s=2,3 over three metrics
-    h = hashlib.sha256()
-    tally: dict = {}
+def verdict_cases():
+    # 54 seeded (presentation, current) pairs: YM with each side condition
+    # met or broken, YM and SYM with a perturbed top or j2 block, at s=2,3
+    # over three metrics
     for s in (2, 3):
         for name, metric in pinned_metrics(s).items():
             rng = random.Random(f"{s}-{name}")
@@ -246,14 +245,18 @@ def test_verdicts_match_pinned_hash():
             b, omega2 = sample_super_parameters(rng, s + 1)
             sc = super_current_from_parameters(b, omega2, metric)
             cases += [(sym, sc), (sym, _perturbed(sc, rng, "top")), (sym, _perturbed(sc, rng, "j2"))]
-            for a, current in cases:
-                v = pbw.pbw_verdict(current_to_deformation(current, a))
-                witness = None if v.witness is None else sorted(
-                    (w, format_rational(c)) for w, c in v.witness.terms.items()
-                )
-                h.update(repr((v.j1_holds, v.j2_holds, v.j3_holds, witness, v.overall)).encode())
-                key = (v.j1_holds, v.overall)
-                tally[key] = tally.get(key, 0) + 1
+            yield from cases
+
+
+def test_verdicts_match_pinned_hash():
+    h = hashlib.sha256()
+    tally: dict = {}
+    for a, current in verdict_cases():
+        v = pbw.pbw_verdict(current_to_deformation(current, a))
+        witness = None if v.witness is None else sorted((w, format_rational(c)) for w, c in v.witness.terms.items())
+        h.update(repr((v.j1_holds, v.j2_holds, v.j3_holds, witness, v.overall)).encode())
+        key = (v.j1_holds, v.overall)
+        tally[key] = tally.get(key, 0) + 1
     assert tally == {(False, False): 9, (True, False): 28, (True, True): 17}
     assert h.hexdigest() == "547f91dfb927d95b030578ea0217aa06a3f73ad3b5977b48eda8ba2887b3fdfd"
 

@@ -11,7 +11,7 @@ import pbwforge.linalg as linalg
 import pbwforge.pbw as pbw
 import pbwforge.rationals as rationals
 import pbwforge.tensors as tensors
-from test_overlap_core import _perturbed, pinned_metrics
+from test_overlap_core import _perturbed, pinned_metrics, verdict_cases
 
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations
 from pbwforge.linalg import Matrix, Subspace, inverse
@@ -332,11 +332,10 @@ def test_deformation_tail_shape_checked():
             deformation_from_tails(a, tails)
 
 
-def test_conservation_residuals_match_pinned_hash():
-    # 108 seeded YM currents at s=1..3 over three metrics, two rounds of:
-    # admissible, each side condition broken, a perturbed top and j2 block
-    h = hashlib.sha256()
-    tally: dict = {}
+def conservation_cases():
+    # 108 seeded (presentation, current) pairs: YM at s=1..3 over three
+    # metrics, two rounds of: admissible, each side condition broken, a
+    # perturbed top and j2 block
     for s in (1, 2, 3):
         for name, metric in pinned_metrics(s).items():
             rng = random.Random(f"conservation-{s}-{name}")
@@ -348,12 +347,37 @@ def test_conservation_residuals_match_pinned_hash():
                 ]
                 currents += [_perturbed(currents[0], rng, "top"), _perturbed(currents[0], rng, "j2")]
                 for current in currents:
-                    res = conservation_residual(current_to_deformation(current, a))
-                    terms = sorted((w, format_rational(c)) for w, c in res.residual.terms.items())
-                    h.update(repr((res.conserved, terms)).encode())
-                    tally[res.conserved] = tally.get(res.conserved, 0) + 1
+                    yield a, current
+
+
+def test_conservation_residuals_match_pinned_hash():
+    h = hashlib.sha256()
+    tally: dict = {}
+    for a, current in conservation_cases():
+        res = conservation_residual(current_to_deformation(current, a))
+        terms = sorted((w, format_rational(c)) for w, c in res.residual.terms.items())
+        h.update(repr((res.conserved, terms)).encode())
+        tally[res.conserved] = tally.get(res.conserved, 0) + 1
     assert tally == {False: 86, True: 22}
     assert h.hexdigest() == "03f9460846d8b76d499643f06aa7729c5eca9ef61653079029945533ed8abb89"
+
+
+def deformation_digest(cases):
+    # per case the den, the integer parts of each degree in order, each
+    # pair with its word, and the rational tails
+    h = hashlib.sha256()
+    for a, current in cases:
+        d = current_to_deformation(current, a)
+        parts = [[list(image) for image in images] for images in d.parts]
+        tails = [sorted((w, format_rational(c)) for w, c in t.terms.items()) for t in d.tails]
+        h.update(repr((d.den, parts, tails)).encode())
+    return h.hexdigest()
+
+
+def test_current_deformations_match_pinned_hash():
+    # the 54 currents of the verdict pin and the 108 of the conservation pin
+    assert deformation_digest(verdict_cases()) == "b6a301b2ee33daee25829707121c38c807b0071be9125190a60da8714baa74cd"
+    assert deformation_digest(conservation_cases()) == "8335e4593297ea76eb0d8812f156d89ad79689801ddc8b75f065427a9c724801"
 
 
 def test_conservation_agrees_with_the_verdict():
