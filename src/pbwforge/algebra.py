@@ -34,7 +34,7 @@ from .tensors import (
     side_decompose,
     side_tensor,
     word_index,
-    words,
+    word_table,
 )
 
 
@@ -64,8 +64,9 @@ class AlgebraPresentation(Frozen):
 
     @cached_property
     def relation_frame(self) -> BasisCoordinates:
-        """R's basis as integer rows keyed by word, and relation coordinates in it."""
-        return BasisCoordinates([r.terms for r in self.relation_basis])
+        """R's basis as integer rows keyed by the index of a degree-N word,
+        and relation coordinates in it."""
+        return BasisCoordinates([r.indexed() for r in self.relation_basis])
 
     @cached_property
     def relation_space(self) -> Subspace:
@@ -78,7 +79,7 @@ class AlgebraPresentation(Frozen):
         (:meth:`~pbwforge.linalg.BasisCoordinates.coordinates`).
         Raises ValueError when x is not in R.
         """
-        coords = self.relation_frame.coordinates(x.terms)
+        coords = self.relation_frame.coordinates(x.indexed()) if x.is_homogeneous(self.degree) else None
         if coords is None:
             raise ValueError("element is not in the relation space")
         return coords
@@ -245,29 +246,31 @@ class OverlapData:
     of x_i in R (tensor) V and in V (tensor) R (:func:`side_decompose` on
     the one ``relation_frame``, whatever dim W is) as ints over one
     denominator (``entries``, the input of
-    :func:`~pbwforge.tensors.add_images`).  Summed over the images of a
-    map phi, they give (phi tensor I - I tensor phi)(x_i).  The checker
-    reads them on a deformation's integer parts, and the classifier on
-    unit parts, through the same top brackets and level residuals
-    (:func:`pbwforge.pbw.level_numerators`).
+    :func:`~pbwforge.tensors.add_images`): the coefficient c of
+    r_k (tensor) e_lam is the entry (k, "right", lam, c), and that of
+    e_lam (tensor) r_k the entry (k, "left", lam, -c).  Summed over the
+    images of a map phi, they give (phi tensor I - I tensor phi)(x_i).
+    The checker reads them on a deformation's integer parts, and the
+    classifier on unit parts, through the same top brackets and level
+    residuals (:func:`pbwforge.pbw.level_numerators`).
     """
 
     def __init__(self, a: AlgebraPresentation):
         w = overlap_space(a)
         self.space = w
-        ws = tuple(words(a.dim_v, a.degree + 1))
+        ws = word_table(a.dim_v, a.degree + 1)
         self.vectors = tuple(TensorElement(a.dim_v, {ws[k]: row[k] for k in sorted(row)}) for _, row in w.rows)
-        # per overlap vector, (k, prefix, suffix, c) for each nonzero entry: r_k (x) e_lam
-        # on the right has suffix (lam,), e_lam (x) r_k on the left prefix (lam,), c negated,
-        # each kept as an int over the vector's common denominator den: (den, entries)
+        # per overlap vector, (k, side, lam, c) for each nonzero entry, the left
+        # ones negated, each kept as an int over the vector's common denominator
+        # den: (den, entries)
         self.entries = []
         for x in self.vectors:
-            r = side_decompose(x, a.relation_frame, "right")
-            l = side_decompose(x, a.relation_frame, "left")
-            entries = [(k, (), (lam,), c) for k, row in enumerate(r.data) for lam, c in enumerate(row) if c]
-            entries += [(k, (lam,), (), -c) for k, row in enumerate(l.data) for lam, c in enumerate(row) if c]
+            r = side_decompose(x, a.relation_frame, "right", a.degree)
+            l = side_decompose(x, a.relation_frame, "left", a.degree)
+            entries = [(k, "right", lam, c) for k, row in enumerate(r.data) for lam, c in enumerate(row) if c]
+            entries += [(k, "left", lam, -c) for k, row in enumerate(l.data) for lam, c in enumerate(row) if c]
             den = lcm(*(int(e[3].denominator) for e in entries))
-            self.entries.append((den, [(k, pre, suf, times(c, den)) for k, pre, suf, c in entries]))
+            self.entries.append((den, [(k, side, lam, times(c, den)) for k, side, lam, c in entries]))
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

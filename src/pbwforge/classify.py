@@ -27,7 +27,7 @@ from .algebra import AlgebraPresentation
 from .linalg import Subspace, Vector, reduce_rows, solve_rows
 from .pbw import deformation_from_tails, level_numerators
 from .rationals import ZERO
-from .tensors import GradedMap, add_images, words
+from .tensors import GradedMap, add_images
 
 
 class StageSolution(NamedTuple):
@@ -39,11 +39,11 @@ class StageSolution(NamedTuple):
 
 def _unit_blocks(a: AlgebraPresentation, j: int):
     """The integer images of the maps r_k -> w, r_l -> 0 (l != k) over the
-    degree-j words w, in coefficient order: one per coordinate of the
-    degree-j block."""
+    degree-j words w, by word index, in coefficient order: one per
+    coordinate of the degree-j block."""
     for k in range(len(a.relation_basis)):
-        for w in words(a.dim_v, j):
-            yield [[(w, 1)] if l == k else [] for l in range(len(a.relation_basis))]
+        for i in range(a.dim_v**j):
+            yield [[(i, 1)] if l == k else [] for l in range(len(a.relation_basis))]
 
 
 def solve_stage1(a: AlgebraPresentation) -> StageSolution:
@@ -62,7 +62,7 @@ def solve_stage1(a: AlgebraPresentation) -> StageSolution:
     for _, entries in a.overlap.entries:
         by_word: dict = {}
         for i, unit in enumerate(units):
-            for w, x in frame.integer_coordinates(add_images({}, unit, entries))[1].items():
+            for w, x in frame.integer_coordinates(add_images({}, unit, entries, a.dim_v, top))[1].items():
                 by_word.setdefault(w, {})[i] = x
         equations += by_word.values()
     return StageSolution("stage1", solve_rows(equations, cols)[1], (ZERO,) * cols, True)

@@ -39,7 +39,7 @@ from .super_ym import (
     super_current_from_parameters,
     verify_super_identities,
 )
-from .tensors import ResourceGuardError, TensorElement, guard_tensor_dim
+from .tensors import ResourceGuardError, TensorElement, guard_tensor_dim, tensor_dim_limit
 from .yang_mills import (
     CurrentParameters,
     Metric,
@@ -490,6 +490,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    try:
+        tensor_dim_limit()
+    except ValueError as e:  # a limit that is no integer >= 1 is invalid input, found before any task
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     try:
         if args.command == "demo-lie":
             return run_demo_lie(args)

@@ -5,14 +5,17 @@ space W = (R tensor V) intersect (V tensor R): the top-level bracket
 image must land in R, the intermediate composites must vanish, and the
 scalar composite must vanish.  A deformation is its tails, one per
 relation basis vector, held as ints over one denominator and split by
-degree (``DeformationMap.parts``; :func:`deformation_from_tails` is the
-one converter from rational tails).  Every bracket is one sparse integer
-combination of tails read off the presentation's overlap core
-(``AlgebraPresentation.overlap``), so W and its side decompositions are
-computed once per presentation, not once per deformation.  The lower
-conditions are written once, as :func:`level_numerators`: the checker
-tests that its integers vanish, and the classifier solves the same
-integers on unit parts for the unknown lower blocks.  Because the
+degree, each word keyed by its index (``DeformationMap.parts``;
+:func:`deformation_from_tails` is the one converter from rational
+tails).  Every bracket is one sparse integer combination of tails read
+off the presentation's overlap core (``AlgebraPresentation.overlap``),
+with a letter put before or after a word by index arithmetic
+(:func:`~pbwforge.tensors.add_images`), so W and its side
+decompositions are computed once per presentation, not once per
+deformation.  The lower conditions are written once, as
+:func:`level_numerators`: the checker tests that its integers vanish,
+and the classifier solves the same integers on unit parts for the
+unknown lower blocks.  Because the
 deformed relations are graphs {x - phi(x)}, the ideal meets F^(N-1)
 trivially by construction; that condition needs no computation.
 
@@ -55,9 +58,12 @@ from .rationals import times
 from .tensors import (
     ResourceGuardError,  # noqa: F401  (re-exported for callers of the oracle)
     TensorElement,
+    add_combination,
     add_images,
     filtered_dim,
     guard_tensor_dim,
+    word_index,
+    word_table,
 )
 
 
@@ -65,10 +71,11 @@ class DeformationMap(Frozen):
     """phi(r_k) = tails[k] in F^(N-1), one tail per vector r_k of the
     algebra's distinguished relation basis, held as integers.
 
-    ``parts[j][k]`` holds the (word, int) pairs of the degree-j part of
-    tails[k], every int over the one denominator ``den``; parts[j] is the
-    graded map phi_j : R -> V^(tensor j).  The chain and the conservation
-    law read only these ints, so a numerator needs only ring operations.
+    ``parts[j][k]`` holds the (word index, int) pairs of the degree-j part
+    of tails[k], the index in the lexicographic basis of V^(tensor j) and
+    every int over the one denominator ``den``; parts[j] is the graded map
+    phi_j : R -> V^(tensor j).  The chain and the conservation law read
+    only these ints, so a numerator needs only ring operations.
     :func:`deformation_from_tails` builds them from rational tails.  The
     deformed relations r_k - tails[k] form a graph over R, so the ideal's
     intersection with F^(N-1) is automatically zero.
@@ -83,10 +90,13 @@ class DeformationMap(Frozen):
 
     @cached_property
     def tails(self) -> tuple:
-        """The tails as rationals, built on first read (outputs and the oracle)."""
+        """The tails as rationals, built on first read (outputs)."""
         dim_v = self.algebra.dim_v
+        tables = [word_table(dim_v, j) for j in range(len(self.parts))]
         return tuple(
-            TensorElement.from_integers(dim_v, {w: x for part in self.parts for w, x in part[k]}, self.den)
+            TensorElement.from_integers(
+                dim_v, {table[i]: x for table, part in zip(tables, self.parts) for i, x in part[k]}, self.den
+            )
             for k in range(len(self.algebra.relation_basis))
         )
 
@@ -94,13 +104,15 @@ class DeformationMap(Frozen):
     def _top(self) -> tuple:
         """(den, numerators, coords) for the top bracket (phi_(N-1) tensor I
         - I tensor phi_(N-1))(x) = numerators / den of each x in W, in overlap
-        basis order, with coords its relation coordinates as (den, ints)
+        basis order, the numerators keyed by degree-N word index, with coords
+        its relation coordinates as (den, ints)
         (:meth:`~pbwforge.linalg.BasisCoordinates.integer_coordinates`), or
         None outside R; computed once per deformation."""
-        frame = self.algebra.relation_frame
+        a = self.algebra
+        frame = a.relation_frame
         top = []
-        for bracket_den, entries in self.algebra.overlap.entries:
-            terms = add_images({}, self.parts[-1], entries)
+        for bracket_den, entries in a.overlap.entries:
+            terms = add_images({}, self.parts[-1], entries, a.dim_v, a.degree - 1)
             coords, rest = frame.integer_coordinates(terms)
             bracket_den *= self.den
             top.append((bracket_den, terms, None if rest else (frame.den * bracket_den, coords)))
@@ -126,20 +138,21 @@ def level_numerators(a: AlgebraPresentation, coords: Sequence, den: int, parts, 
     j >= 1 and phi_0(c_i) for j = 0, where c_i = ``coords[i]``, as (den,
     ints), are the relation coordinates of the top bracket of x_i and
     phi_j is ``parts[j]`` over ``den`` (the layout of
-    :attr:`DeformationMap.parts`).  Each residual is (den, {word: int}),
-    one integer sum over a common denominator, zeros dropped.  The
-    deformation is PBW at level j iff every residual vanishes; for fixed
-    c_i they are linear in the parts, which the classifier solves for.
+    :attr:`DeformationMap.parts`).  Each residual is (den, {word index:
+    int}) in degree j, one integer sum over a common denominator, zeros
+    dropped.  The deformation is PBW at level j iff every residual
+    vanishes; for fixed c_i they are linear in the parts, which the
+    classifier solves for.
     """
     out = []
     for (coord_den, c), (bracket_den, entries) in zip(coords, a.overlap.entries):
         coord_den *= den
         bracket_den *= den
         common = lcm(coord_den, bracket_den) if j else coord_den
-        terms = add_images({}, parts[j], [(k, (), (), ck) for k, ck in enumerate(c) if ck], common // coord_den)
+        terms = add_combination({}, parts[j], c, common // coord_den)
         if j:
-            add_images(terms, parts[j - 1], entries, common // bracket_den)
-        out.append((common, {w: x for w, x in terms.items() if x}))
+            add_images(terms, parts[j - 1], entries, a.dim_v, j - 1, common // bracket_den)
+        out.append((common, {i: x for i, x in terms.items() if x}))
     return out
 
 
@@ -159,7 +172,7 @@ def deformation_from_tails(
     parts = tuple([[] for _ in tails] for _ in range(algebra.degree))
     for k, t in enumerate(tails):
         for w, c in t.terms.items():
-            parts[len(w)][k].append((w, times(c, den)))
+            parts[len(w)][k].append((word_index(w, algebra.dim_v), times(c, den)))
     return DeformationMap(algebra, den, parts)
 
 
@@ -168,9 +181,11 @@ def check_j1(d: DeformationMap) -> tuple[bool, Optional[TensorElement]]:
 
     Returns (holds, witness); the witness is an offending image vector.
     """
+    a = d.algebra
     for den, terms, coords in d._top:
         if coords is None:
-            return False, TensorElement.from_integers(d.algebra.dim_v, terms, den)
+            table = word_table(a.dim_v, a.degree)
+            return False, TensorElement.from_integers(a.dim_v, {table[i]: x for i, x in terms.items()}, den)
     return True, None
 
 
@@ -339,13 +354,15 @@ def brute_force_oracle(d: DeformationMap, n_max: int, cutoff: Optional[int] = No
         raise ValueError("cutoff must be at least n_max")
     a = d.algebra
     # the deformed relations r_k - tails[k] times frame.lcm den, with int
-    # coefficients: R's integer rows and the deformation's parts, no rational
+    # coefficients: R's integer rows and the deformation's parts, no rational;
+    # each index read back as its word
     frame = a.relation_frame
+    tables = [word_table(a.dim_v, j) for j in range(a.degree + 1)]
     relations = []
     for k, row in enumerate(frame.rows):
-        terms = {w: d.den * c for w, c in row.items()}
-        for images in d.parts:
-            terms.update((w, -frame.lcm * c) for w, c in images[k])
+        terms = {tables[a.degree][i]: d.den * c for i, c in row.items()}
+        for j, images in enumerate(d.parts):
+            terms.update((tables[j][i], -frame.lcm * c) for i, c in images[k])
         relations.append(TensorElement(a.dim_v, terms))
     span = IdealSpan(relations, a.dim_v, cutoff)
     quotients = []
@@ -373,7 +390,8 @@ class ConservationResult(Frozen):
     deformed relations.  ``residual``, the canonical remainder
     (:func:`~pbwforge.linalg.residual`), is computed on first read, so a
     caller that reads only ``conserved`` never pays for it.  ``divergence``
-    is the divergence times the deformation's den, keyed by word."""
+    is the divergence times the deformation's den, by degree:
+    divergence[j] is its degree-j part keyed by word index."""
 
     _fields = ("conserved", "deformation", "divergence")
 
@@ -388,15 +406,16 @@ class ConservationResult(Frozen):
         a = d.algebra
         if self.conserved:
             return TensorElement.zero(a.dim_v)
-        # the deformed relations frame.lcm den (r_k - tails[k]), keyed (degree, word)
+        # the deformed relations frame.lcm den (r_k - tails[k]), keyed (degree, word
+        # index): lowest degree first, lexicographic within each degree
         frame = a.relation_frame
-        relations = [{(a.degree, w): d.den * c for w, c in row.items()} for row in frame.rows]
-        for images in d.parts:
+        relations = [{(a.degree, i): d.den * c for i, c in row.items()} for row in frame.rows]
+        for j, images in enumerate(d.parts):
             for row, image in zip(relations, images):
-                row.update(((len(w), w), -frame.lcm * c) for w, c in image)
-        divergence = {(len(w), w): c for w, c in self.divergence.items()}
+                row.update(((j, i), -frame.lcm * c) for i, c in image)
+        divergence = {(j, i): c for j, part in enumerate(self.divergence) for i, c in part.items()}
         res = residual(relations, divergence, d.den)
-        return TensorElement(a.dim_v, {w: c for (_, w), c in res.items()})
+        return TensorElement(a.dim_v, {word_table(a.dim_v, j)[i]: c for (j, i), c in res.items()})
 
 
 def conservation_residual(d: DeformationMap) -> ConservationResult:
@@ -418,23 +437,20 @@ def conservation_residual(d: DeformationMap) -> ConservationResult:
     a = d.algebra
     if not a.two_sided_identity:
         raise ValueError("conservation requires one relation per generator and the two-sided identity")
-    top, low = {}, {}  # the divergence times den, its degree-N part apart
-    for j, images in enumerate(d.parts):
-        divergence = top if j == a.degree - 1 else low
-        for rho, image in enumerate(images):
-            for w, c in image:
-                left, right = (rho,) + w, w + (rho,)
-                divergence[left] = divergence.get(left, 0) + c
-                divergence[right] = divergence.get(right, 0) - c
+    # the divergence sum_rho (e_rho J^rho - J^rho e_rho) times den, by degree:
+    # its degree-(j + 1) part comes from the degree-j parts
+    sides = [(rho, "left", rho, 1) for rho in range(a.dim_v)]
+    sides += [(rho, "right", rho, -1) for rho in range(a.dim_v)]
+    divergence = [{}] + [add_images({}, images, sides, a.dim_v, j) for j, images in enumerate(d.parts)]
     frame = a.relation_frame
-    coords, rest = frame.integer_coordinates(top)
+    coords, rest = frame.integer_coordinates(divergence[-1])
     if not rest:
         # the coefficients are coords / (frame.den den); scaled by frame.den den^2,
-        # the lower parts must cancel
-        lower = {w: frame.den * d.den * c for w, c in low.items() if c}
-        entries = [(k, (), (), ck) for k, ck in enumerate(coords) if ck]
-        for images in d.parts:
-            add_images(lower, images, entries)
-        if not any(lower.values()):
-            return ConservationResult(True, d, {})
-    return ConservationResult(False, d, top | low)
+        # each lower part must cancel
+        scale = frame.den * d.den
+        for part, images in zip(divergence, d.parts):
+            if any(add_combination({i: scale * c for i, c in part.items() if c}, images, coords).values()):
+                break
+        else:
+            return ConservationResult(True, d, ())
+    return ConservationResult(False, d, tuple(divergence))

@@ -5,12 +5,16 @@ the canonical basis of V^(tensor n) in lexicographic order, fixed once
 and used globally so canonical subspace forms are comparable across
 modules.  Elements of F^n are keyed (degree, word) where an order is
 needed (:func:`filtered_terms`): lowest degree first, lexicographic
-within each degree.
+within each degree.  The integer layers key a word of degree n by its
+index in that basis (:func:`word_index`), so a letter is prefixed or
+appended by index arithmetic; :func:`word_table` turns an index back
+into its word where a rational element is built for a caller.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
@@ -28,8 +32,14 @@ class ResourceGuardError(RuntimeError):
 
 
 def tensor_dim_limit() -> int:
+    """The limit from the environment, or the default; raises ValueError
+    when it is set to anything but a decimal integer >= 1."""
     raw = os.environ.get(DIM_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_DIM_LIMIT
+    if not raw:
+        return DEFAULT_DIM_LIMIT
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{DIM_LIMIT_ENV} must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def guard_tensor_dim(dim_v: int, degree: int) -> None:
@@ -66,6 +76,13 @@ def word_index(word: Word, dim_v: int) -> int:
             raise ValueError(f"letter {letter} out of range for dim_v={dim_v}")
         idx = idx * dim_v + letter
     return idx
+
+
+@lru_cache(maxsize=64)
+def word_table(dim_v: int, degree: int) -> tuple:
+    """The words of the given degree in lexicographic order: the word of
+    index i is ``word_table(dim_v, degree)[i]``."""
+    return tuple(words(dim_v, degree))
 
 
 def filtered_dim(dim_v: int, max_degree: int) -> int:
@@ -244,41 +261,62 @@ class GradedMap(FrozenValue):
         self._set("images", images)
 
 
-def add_images(terms: dict, images, entries, scale: int = 1) -> dict:
-    """Add scale c prefix images[k] suffix to the int dict ``terms`` for
-    every (k, prefix, suffix, c) of ``entries``, where images[k] is a list
-    of (word, int) pairs (a part of ``pbw.DeformationMap.parts``): int
-    products only, no division.  Returns ``terms``, zeros included."""
-    for k, prefix, suffix, c in entries:
+def add_images(terms: dict, images, entries, dim_v: int, degree: int, scale: int = 1) -> dict:
+    """Add scale c images[k] (tensor) e_letter (side "right") or scale c
+    e_letter (tensor) images[k] (side "left") to the int dict ``terms`` for
+    every (k, side, letter, c) of ``entries``, where images[k] is a list of
+    (word index, int) pairs of the given degree (a part of
+    ``pbw.DeformationMap.parts``).  The word of index i extends to index
+    i dim_v + letter on the right and letter dim_v^degree + i on the left,
+    so ``terms`` is keyed by word index in degree + 1: int products only,
+    no division.  Returns ``terms``, zeros included."""
+    size = dim_v**degree
+    get = terms.get
+    for k, side, letter, c in entries:
         c *= scale
-        for w, x in images[k]:
-            key = prefix + w + suffix
-            old = terms.get(key)
-            terms[key] = c * x if old is None else old + c * x
+        mul, add = (dim_v, letter) if side == "right" else (1, letter * size)
+        for i, x in images[k]:
+            key = i * mul + add
+            terms[key] = get(key, 0) + c * x
     return terms
 
 
-def side_decompose(x: TensorElement, relations: BasisCoordinates, side: str) -> Matrix:
+def add_combination(terms: dict, images, coeffs, scale: int = 1) -> dict:
+    """Add scale sum_k coeffs[k] images[k] to the int dict ``terms``, with
+    images[k] a list of (key, int) pairs: the image of the combination
+    sum_k coeffs[k] r_k under a map given by its images.  Returns
+    ``terms``, zeros included."""
+    get = terms.get
+    for ck, image in zip(coeffs, images):
+        if ck:
+            ck *= scale
+            for i, x in image:
+                terms[i] = get(i, 0) + ck * x
+    return terms
+
+
+def side_decompose(x: TensorElement, relations: BasisCoordinates, side: str, degree: int) -> Matrix:
     """Write x in R (tensor) V (side='right') or V (tensor) R (side='left').
 
-    ``relations`` is the frame of R's basis r_k (for a presentation, its
-    ``relation_frame``).  Returns the coefficient matrix c[k][lam] with
-    x = sum c[k][lam] r_k (tensor) e_lam (right) or e_lam (tensor) r_k
-    (left).  Raises ValueError when x is not in the stated subspace; this
-    is the explicit change of basis the evaluation of phi (tensor) I
-    requires.  The system splits by the letter lam: column lam of c is
-    the relation coordinates of the slice of x on the words that end
-    (right) or start (left) with lam, one
+    ``relations`` is the frame of R's basis r_k in V^(tensor degree), keyed
+    by word index (for a presentation, its ``relation_frame``), so every
+    word of x must have degree + 1.  Returns the coefficient matrix
+    c[k][lam] with x = sum c[k][lam] r_k (tensor) e_lam (right) or e_lam
+    (tensor) r_k (left).  Raises ValueError when x is not in the stated
+    subspace; this is the explicit change of basis the evaluation of
+    phi (tensor) I requires.  The system splits by the letter lam: column
+    lam of c is the relation coordinates of the slice of x on the words
+    that end (right) or start (left) with lam, one
     :meth:`~pbwforge.linalg.BasisCoordinates.coordinates` call each.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     parts: list = [{} for _ in range(x.dim_v)]
     for w, c in x.terms.items():
-        if not w:
+        if len(w) != degree + 1:
             raise ValueError(f"element is not in the {side}-side relation product space")
         lam, rest = (w[-1], w[:-1]) if side == "right" else (w[0], w[1:])
-        parts[lam][rest] = c
+        parts[lam][word_index(rest, x.dim_v)] = c
     columns = []
     for part in parts:
         coords = relations.coordinates(part)
@@ -297,15 +335,17 @@ def apply_graded_side(
     """Evaluate phi (tensor) I (side='right') or I (tensor) phi (side='left'),
     where phi sends the k-th relation basis vector to ``images[k]``.
 
-    ``x`` must lie in R (tensor) V resp. V (tensor) R; it is first
-    factorized against the relation basis, whose frame each call builds
-    (ValueError otherwise), then phi acts on the relation factor.  This is
-    the direct evaluation; the checker and the classifier use
-    ``AlgebraPresentation.overlap``, whose side decompositions are
-    computed once per presentation, and the tests compare the two.
+    ``x`` must lie in R (tensor) V resp. V (tensor) R, with R spanned by
+    the homogeneous ``relation_basis``; it is first factorized against
+    that basis, whose frame each call builds (ValueError otherwise), then
+    phi acts on the relation factor.  This is the direct evaluation; the
+    checker and the classifier use ``AlgebraPresentation.overlap``, whose
+    side decompositions are computed once per presentation, and the tests
+    compare the two.
     """
     dim_v = x.dim_v
-    coeffs = side_decompose(x, BasisCoordinates([r.terms for r in relation_basis]), side)
+    degree = max((r.max_degree for r in relation_basis), default=0)
+    coeffs = side_decompose(x, BasisCoordinates([r.indexed() for r in relation_basis]), side, degree)
     result = TensorElement.zero(dim_v)
     for k, image in enumerate(images):
         for lam in range(dim_v):

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraPresentation, permutation_sign
 from .linalg import Frozen, FrozenValue, Matrix, inverse, reduce_rows
-from .pbw import DeformationMap, deformation_from_tails
+from .pbw import DeformationMap
 from .rationals import HALF, ONE, ZERO, rational
 from .tensors import TensorElement, commutator
 
@@ -336,10 +337,34 @@ def current_from_parameters(p: CurrentParameters, metric: Metric) -> Current:
 
 
 def current_to_deformation(c: Current, a: AlgebraPresentation) -> DeformationMap:
-    """Deformation with phi(W^rho) = J^rho, per the relation-label convention."""
-    if c.dim != a.dim_v or len(a.relation_basis) != a.dim_v:
+    """Deformation with phi(W^rho) = J^rho, per the relation-label convention.
+
+    The arrays are read straight into integer parts over the lcm of the
+    denominators: j1[rho] at word index 0 of degree 0, j2[mu][rho] at index
+    mu and j3[mu][nu][rho] at index mu dim + nu, zeros dropped, in the order
+    of :func:`~pbwforge.pbw.deformation_from_tails` on ``c.tails()``.  Each
+    numerator and denominator is read once, as an int.
+    """
+    n = a.dim_v
+    if c.dim != n or len(a.relation_basis) != n:
         raise ValueError("current shape does not match the presentation")
-    return deformation_from_tails(a, c.tails())
+    # (degree, word index, the coefficients over rho) of each word, words in order
+    columns = [(0, 0, c.j1)]
+    columns += [(1, mu, column) for mu, column in enumerate(c.j2)]
+    columns += [(2, mu * n + nu, column) for mu, block in enumerate(c.j3) for nu, column in enumerate(block)]
+    ratios = []  # (degree, rho, word index, numerator, denominator) of each nonzero coefficient
+    for j, i, column in columns:
+        for rho, x in enumerate(column):
+            num = x.numerator
+            if num:
+                ratios.append((j, rho, i, int(num), int(x.denominator)))
+    den = lcm(*{ratio[4] for ratio in ratios})
+    parts = [[[] for _ in range(n)] for _ in range(max(a.degree, 3))]
+    for j, rho, i, num, d in ratios:
+        parts[j][rho].append((i, num * (den // d)))
+    if any(any(part) for part in parts[a.degree :]):
+        raise ValueError("tails must lie in F^(N-1)")
+    return DeformationMap(a, den, tuple(parts[: a.degree]))
 
 
 def flatten_top_block(j3, dim: int) -> tuple:

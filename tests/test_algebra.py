@@ -118,3 +118,9 @@ def test_relation_coords_round_trip():
     outside = TensorElement.from_terms(3, {(0, 0, 0): 1})
     with pytest.raises(ValueError):
         a.relation_coords(outside)
+    # the frame is keyed by word index: a word of another degree is not in R,
+    # though (1,) has the index of the relation word (0, 1)
+    monomial = AlgebraPresentation(2, 2, (TensorElement.from_terms(2, {(0, 1): 1}),))
+    assert list(monomial.relation_coords(monomial.relation_basis[0].scale(3))) == [3]
+    with pytest.raises(ValueError):
+        monomial.relation_coords(TensorElement.generator(2, 1))

@@ -151,6 +151,22 @@ def test_metric_of_the_wrong_size_is_invalid_input(tmp_path, capsys, family, siz
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("limit", ["abc", "-5", "0", "1e4"])
+@pytest.mark.parametrize("command", ["run", "demo-lie"])
+def test_a_limit_that_is_no_positive_integer_is_invalid_input(tmp_path, capsys, monkeypatch, limit, command):
+    # not a ValueError traceback (exit 1, a failed check's code) and not
+    # the resource guard (exit 3): exit 2 with one error line and no report
+    monkeypatch.setenv("PBWFORGE_MAX_TENSOR_DIM", limit)
+    out = tmp_path / "report.json"
+    path = write(tmp_path, "p.json", ym_problem())
+    argv = ["run", "--input", path] if command == "run" else ["demo-lie"]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: PBWFORGE_MAX_TENSOR_DIM must be an integer >= 1, got {limit!r}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_wrong_size_metric_problem_file(capsys):
     assert main(["run", "--input", str(DATA / "ym_wrong_size_metric.problem.json")]) == 2
     captured = capsys.readouterr()

@@ -22,7 +22,7 @@ from pbwforge.sampling import (
     sample_super_parameters,
 )
 from pbwforge.super_ym import build_sym, super_current_from_parameters
-from pbwforge.tensors import GradedMap, TensorElement, add_images, apply_graded_side
+from pbwforge.tensors import GradedMap, TensorElement, add_images, apply_graded_side, word_table
 from pbwforge.yang_mills import (
     Current,
     Metric,
@@ -68,17 +68,20 @@ def random_graded_map(rng, a, j):
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_core_brackets_match_side_evaluation(name):
-    # the entries summed over a map's integer images are its brackets
+    # the entries summed over a map's integer images are its brackets,
+    # keyed by word index in degree j + 1
     a = PRESENTATIONS[name]()
     core = a.overlap
     assert len(core.vectors) == len(core.entries) == overlap_space(a).dim > 0
     rng = random.Random(name)
     for j in range(a.degree):
+        table = word_table(a.dim_v, j + 1)
         for _ in range(2):
             phi = random_graded_map(rng, a, j)
             d = pbw.deformation_from_tails(a, phi.images)
             for x, (den, entries) in zip(core.vectors, core.entries):
-                got = TensorElement.from_integers(a.dim_v, add_images({}, d.parts[j], entries), den * d.den)
+                terms = add_images({}, d.parts[j], entries, a.dim_v, j)
+                got = TensorElement.from_integers(a.dim_v, {table[i]: c for i, c in terms.items()}, den * d.den)
                 want = apply_graded_side(phi.images, a.relation_basis, x, "right") - apply_graded_side(
                     phi.images, a.relation_basis, x, "left"
                 )
@@ -196,11 +199,11 @@ def core_digest(a):
     rights, lefts = [], []
     for den, entries in core.entries:
         right, left = ([[Q(0)] * a.dim_v for _ in a.relation_basis] for _ in range(2))
-        for k, prefix, suffix, c in entries:
-            if suffix:
-                right[k][suffix[0]] = Q(c, den)
+        for k, side, letter, c in entries:
+            if side == "right":
+                right[k][letter] = Q(c, den)
             else:
-                left[k][prefix[0]] = Q(-c, den)
+                left[k][letter] = Q(-c, den)
         rights.append(right)
         lefts.append(left)
     for m in rights + lefts:
@@ -321,8 +324,14 @@ def test_equal_spans_are_equal_values(name):
 
 def entries_digest(a):
     # the raw integer entries of the core: each vector's den, then its
-    # (k, prefix, suffix, int) list, in order
-    return hashlib.sha256(repr([(den, entries) for den, entries in a.overlap.entries]).encode()).hexdigest()
+    # entries in order, each (k, side, letter, int) written as
+    # (k, prefix, suffix, int): (k, (), (letter,), int) on the right,
+    # (k, (letter,), (), int) on the left
+    words = [
+        (den, [(k, (), (lam,), c) if side == "right" else (k, (lam,), (), c) for k, side, lam, c in entries])
+        for den, entries in a.overlap.entries
+    ]
+    return hashlib.sha256(repr(words).encode()).hexdigest()
 
 
 def stage1_digest(a):

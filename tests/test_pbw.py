@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 import random
 import sys
 
@@ -11,6 +12,7 @@ import pbwforge.linalg as linalg
 import pbwforge.pbw as pbw
 import pbwforge.rationals as rationals
 import pbwforge.tensors as tensors
+import pbwforge.yang_mills as yang_mills
 from test_overlap_core import _perturbed, pinned_metrics, verdict_cases
 
 from pbwforge.algebra import AlgebraPresentation, build_antisymmetrizer_relations
@@ -30,7 +32,7 @@ from pbwforge.pbw import (
 from pbwforge.rationals import Q, format_rational, rational
 from pbwforge.sampling import sample_current_parameters
 from pbwforge.super_ym import build_sym
-from pbwforge.tensors import GradedMap, TensorElement, words
+from pbwforge.tensors import GradedMap, TensorElement, word_index, word_table, words
 from pbwforge.yang_mills import (
     Current,
     CurrentParameters,
@@ -38,6 +40,7 @@ from pbwforge.yang_mills import (
     build_ym,
     current_from_parameters,
     current_to_deformation,
+    freeze,
 )
 
 
@@ -364,11 +367,12 @@ def test_conservation_residuals_match_pinned_hash():
 
 def deformation_digest(cases):
     # per case the den, the integer parts of each degree in order, each
-    # pair with its word, and the rational tails
+    # pair with its word (read back from its index), and the rational tails
     h = hashlib.sha256()
     for a, current in cases:
         d = current_to_deformation(current, a)
-        parts = [[list(image) for image in images] for images in d.parts]
+        tables = [word_table(a.dim_v, j) for j in range(a.degree)]
+        parts = [[[(table[i], x) for i, x in image] for image in images] for table, images in zip(tables, d.parts)]
         tails = [sorted((w, format_rational(c)) for w, c in t.terms.items()) for t in d.tails]
         h.update(repr((d.den, parts, tails)).encode())
     return h.hexdigest()
@@ -420,7 +424,7 @@ def test_a_deformation_built_from_integer_parts(monkeypatch):
         parts = tuple([[] for _ in tails] for _ in range(a.degree))
         for k, t in enumerate(tails):
             for w, c in t.terms.items():
-                parts[len(w)][k].append((w, c.numerator * (den // c.denominator)))
+                parts[len(w)][k].append((word_index(w, a.dim_v), c.numerator * (den // c.denominator)))
         converted = deformation_from_tails(a, tails)
         assert (converted.den, converted.parts) == (den, parts)
         want.append((pbw_verdict(converted), conservation_residual(converted).conserved))
@@ -437,19 +441,41 @@ def test_a_deformation_built_from_integer_parts(monkeypatch):
     assert [c for _, c in got] == [True, False]
 
 
+class CountedRational(Fraction):
+    """A rational that records each read of its numerator."""
+
+    reads: list = []
+
+    @property
+    def numerator(self):
+        CountedRational.reads.append(self)
+        return Fraction.numerator.fget(self)
+
+
+def counted(current):
+    def wrap(x):
+        return [wrap(y) for y in x] if isinstance(x, tuple) else CountedRational(int(x.numerator), int(x.denominator))
+
+    return Current(*(freeze(wrap(block)) for block in current))
+
+
 def test_a_verdict_builds_each_graded_part_once(monkeypatch):
-    # the tails are cleared to ints once per deformation: on a warmed
-    # presentation, verdicts and conservation checks convert each tail
-    # coefficient exactly once and build no rational graded map
+    # the tails are cleared to ints once per deformation: the current is
+    # read once, each coefficient's numerator once, and on a warmed
+    # presentation verdicts and conservation checks convert no coefficient
+    # and build no rational graded map; the converter from rational tails
+    # clears each tail coefficient exactly once
     metric = Metric.minkowski(4)
     a = build_ym(3, metric)
     rng = random.Random(43)
     currents = [
-        current_from_parameters(sample_current_parameters(rng, metric, violate=v), metric) for v in (None, "s2")
+        counted(current_from_parameters(sample_current_parameters(rng, metric, violate=v), metric))
+        for v in (None, "s2")
     ]
     pbw_verdict(current_to_deformation(currents[0], a))
     conversions = []
-    assert not hasattr(tensors, "times")  # no other module converts a coefficient
+    # no other module converts a coefficient; the current is read in yang_mills
+    assert not hasattr(tensors, "times") and not hasattr(yang_mills, "times")
     for module in (pbw, algebra, linalg):
 
         def spy(c, den, real=module.times):
@@ -462,10 +488,14 @@ def test_a_verdict_builds_each_graded_part_once(monkeypatch):
     verdicts = []
     for current in currents:
         conversions.clear()
+        CountedRational.reads.clear()
         d = current_to_deformation(current, a)
         for _ in range(2):
             verdicts.append(pbw_verdict(d).overall)
             conservation_residual(d)
+        assert conversions == []
+        assert len(CountedRational.reads) == len({id(x) for x in CountedRational.reads}) == 4 + 4**2 + 4**3
+        deformation_from_tails(a, current.tails())
         assert len(conversions) == sum(len(t.terms) for t in d.tails) > 0
     assert verdicts == [True, True, False, False]
     assert built == []

@@ -9,13 +9,16 @@ from pbwforge.tensors import (
     GradedMap,
     ResourceGuardError,
     TensorElement,
+    add_images,
     anticommutator,
     commutator,
     filtered_terms,
     guard_tensor_dim,
     side_decompose,
     side_tensor,
+    tensor_dim_limit,
     word_index,
+    word_table,
     words,
 )
 
@@ -34,6 +37,8 @@ def test_word_index_s2_last():
 def test_word_index_round_trip():
     # the lexicographic enumeration and the index are inverse
     assert [word_index(w, 3) for w in words(3, 3)] == list(range(27))
+    assert [word_index(w, 3) for w in word_table(3, 3)] == list(range(27))
+    assert word_table(2, 0) == ((),)
 
 
 def test_tensor_product_words():
@@ -155,8 +160,25 @@ def test_graded_map_from_images():
     assert TensorElement.from_integers(2, {(0,): 6, (1,): 0}, 4) == img.scale("3/4")
 
 
+def test_add_images_puts_the_letter_by_index_arithmetic():
+    # on the right a word w of index i becomes w + (letter,), on the left
+    # (letter,) + w, read back through the word table of one degree more
+    rng = random.Random(3)
+    dim_v, degree = 3, 2
+    table, longer = word_table(dim_v, degree), word_table(dim_v, degree + 1)
+    images = [[(i, rng.randint(-5, 5)) for i in rng.sample(range(dim_v**degree), 4)] for _ in range(2)]
+    entries = [(0, "right", 2, 3), (1, "left", 1, -2), (0, "left", 0, 1), (1, "right", 0, 4)]
+    want: dict = {}
+    for k, side, letter, c in entries:
+        for i, x in images[k]:
+            w = table[i] + (letter,) if side == "right" else (letter,) + table[i]
+            want[w] = want.get(w, 0) + 7 * c * x
+    got = add_images({}, images, entries, dim_v, degree, 7)
+    assert {longer[i]: x for i, x in got.items()} == want
+
+
 def frame(*relations):
-    return BasisCoordinates([r.terms for r in relations])
+    return BasisCoordinates([r.indexed() for r in relations])
 
 
 def test_side_decompose_round_trip():
@@ -164,7 +186,7 @@ def test_side_decompose_round_trip():
     e0 = TensorElement.generator(2, 0)
     e1 = TensorElement.generator(2, 1)
     x = r.tensor(e0) + r.tensor(e1).scale(rational(-2))
-    coords = side_decompose(x, frame(r), "right")
+    coords = side_decompose(x, frame(r), "right", 2)
     assert coords.data == ((ONE, rational(-2)),)
     # reassemble
     rebuilt = TensorElement.zero(2)
@@ -177,9 +199,17 @@ def test_side_decompose_rejects_outsiders():
     r = TensorElement.from_terms(2, {(0, 1): 1, (1, 0): -1})
     bad = TensorElement.from_terms(2, {(0, 0, 0): 1})
     with pytest.raises(ValueError):
-        side_decompose(bad, frame(r), "right")
+        side_decompose(bad, frame(r), "right", 2)
     with pytest.raises(ValueError):
-        side_decompose(TensorElement.unit(2), frame(r), "right")
+        side_decompose(TensorElement.unit(2), frame(r), "right", 2)
+    # a frame is keyed by word index: a word of another degree is rejected,
+    # not read as the degree-2 word of the same index ((1,) and (0, 1) are both 1)
+    monomial = TensorElement.from_terms(2, {(0, 1): 1})
+    assert side_decompose(monomial.tensor(TensorElement.generator(2, 0)), frame(monomial), "right", 2).data == (
+        (ONE, rational(0)),
+    )
+    with pytest.raises(ValueError):
+        side_decompose(TensorElement.from_terms(2, {(1, 0): 1}), frame(monomial), "right", 2)
 
 
 def test_side_decompose_left_round_trip():
@@ -192,11 +222,11 @@ def test_side_decompose_left_round_trip():
     for k, r in enumerate((r1, r2)):
         for lam, gen in enumerate((e0, e1)):
             x = x + gen.tensor(r).scale(want[k][lam])
-    coords = side_decompose(x, frame(r1, r2), "left")
+    coords = side_decompose(x, frame(r1, r2), "left", 2)
     assert coords.data == want
     # the same element is not in R (x) V
     with pytest.raises(ValueError):
-        side_decompose(x, frame(r1, r2), "right")
+        side_decompose(x, frame(r1, r2), "right", 2)
 
 
 def test_side_decompose_left_rejects_outsiders():
@@ -204,16 +234,16 @@ def test_side_decompose_left_rejects_outsiders():
     e0 = TensorElement.generator(2, 0)
     inside_right = r.tensor(e0)  # (01 - 10) 0, not of the form e (x) r
     with pytest.raises(ValueError):
-        side_decompose(inside_right, frame(r), "left")
+        side_decompose(inside_right, frame(r), "left", 2)
     with pytest.raises(ValueError):
-        side_decompose(TensorElement.from_terms(2, {(0, 0, 0): 1}), frame(r), "left")
+        side_decompose(TensorElement.from_terms(2, {(0, 0, 0): 1}), frame(r), "left", 2)
 
 
 def test_side_decompose_against_an_empty_basis():
     # the free algebra: only zero lies in R (x) V = 0
-    assert side_decompose(TensorElement.zero(2), frame(), "right").data == ()
+    assert side_decompose(TensorElement.zero(2), frame(), "right", 2).data == ()
     with pytest.raises(ValueError):
-        side_decompose(TensorElement.generator(2, 0).tensor(TensorElement.generator(2, 1)), frame(), "left")
+        side_decompose(TensorElement.generator(2, 0).tensor(TensorElement.generator(2, 1)), frame(), "left", 2)
 
 
 def test_apply_graded_side_rank_one():
@@ -237,6 +267,24 @@ def test_apply_graded_side_matches_kronecker():
     x = r1.tensor(e1) + r2.tensor(e1).scale(rational(4))
     expected = img1.tensor(e1) + img2.tensor(e1).scale(rational(4))
     assert apply_graded_side((img1, img2), (r1, r2), x, "right") == expected
+
+
+@pytest.mark.parametrize("limit", ["abc", "-5", "0", "1e4"])
+def test_a_limit_that_is_no_positive_integer_is_rejected(monkeypatch, limit):
+    monkeypatch.setenv("PBWFORGE_MAX_TENSOR_DIM", limit)
+    with pytest.raises(ValueError, match="PBWFORGE_MAX_TENSOR_DIM must be an integer >= 1"):
+        tensor_dim_limit()
+    with pytest.raises(ValueError):
+        guard_tensor_dim(3, 2)
+
+
+def test_the_limit_is_read_from_the_environment(monkeypatch):
+    monkeypatch.setenv("PBWFORGE_MAX_TENSOR_DIM", "1")
+    assert tensor_dim_limit() == 1
+    monkeypatch.setenv("PBWFORGE_MAX_TENSOR_DIM", "")
+    assert tensor_dim_limit() == 10_000
+    monkeypatch.delenv("PBWFORGE_MAX_TENSOR_DIM")
+    assert tensor_dim_limit() == 10_000
 
 
 def test_guard_decides_and_reports_without_large_numbers(monkeypatch):

@@ -3,8 +3,10 @@ import random
 import pytest
 import reference
 
-from pbwforge.algebra import overlap_space
-from pbwforge.pbw import brute_force_oracle, conservation_residual, pbw_verdict
+from test_overlap_core import _perturbed, pinned_metrics
+
+from pbwforge.algebra import build_antisymmetrizer_relations, overlap_space
+from pbwforge.pbw import brute_force_oracle, conservation_residual, deformation_from_tails, pbw_verdict
 from pbwforge.rationals import ONE, Q, rational
 from pbwforge.sampling import (
     random_antisymmetric3,
@@ -12,7 +14,8 @@ from pbwforge.sampling import (
     sample_current_parameters,
     sample_super_parameters,
 )
-from pbwforge.super_ym import super_current_from_parameters
+from pbwforge.sampling import random_rational
+from pbwforge.super_ym import build_sym, super_current_from_parameters
 from pbwforge.tensors import TensorElement, commutator
 from pbwforge.yang_mills import (
     Current,
@@ -298,3 +301,63 @@ def test_physics_current_inside_family_shape():
         om = random_antisymmetric3(rng, 3)
         current, _ = physics_current(b, om, (Q(0),) * 3, metric)
         assert stage1.parameters.contains(flatten_top_block(current.j3, 3))
+
+
+def _random_current(rng, n, zero_block=None):
+    # every entry a small random rational, about a third of them zero
+    def draw():
+        return random_rational(rng, 9) if rng.random() < 0.7 else Q(0)
+
+    j3 = freeze([[[draw() for _ in range(n)] for _ in range(n)] for _ in range(n)])
+    j2 = freeze([[draw() for _ in range(n)] for _ in range(n)])
+    j1 = tuple(draw() for _ in range(n))
+    if zero_block == "j3":
+        j3 = zero3(n)
+    elif zero_block == "j2":
+        j2 = zero2(n)
+    elif zero_block == "j1":
+        j1 = (Q(0),) * n
+    return Current(j3, j2, j1)
+
+
+def _same_deformation(d, want):
+    # the same den and the same parts in the same order, all plain ints
+    assert (d.den, d.parts) == (want.den, want.parts)
+    assert type(d.den) is int
+    assert all(type(i) is int and type(x) is int for images in d.parts for image in images for i, x in image)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_current_read_into_parts_matches_the_tails(s):
+    # the direct read of the arrays against clearing the rational tails,
+    # and the tails read back from the parts against the parts
+    for name, metric in pinned_metrics(s).items():
+        rng = random.Random(f"direct-{s}-{name}")
+        n = s + 1
+        ym, sym = build_ym(s, metric), build_sym(s, metric)
+        admissible = current_from_parameters(sample_current_parameters(rng, metric), metric)
+        cases = [
+            (ym, admissible),
+            (ym, current_from_parameters(sample_current_parameters(rng, metric, violate="s3"), metric)),
+            (ym, _perturbed(admissible, rng, "j1")),
+            (sym, super_current_from_parameters(*sample_super_parameters(rng, n), metric)),
+            (ym, Current(zero3(n), zero2(n), (Q(0),) * n)),
+        ]
+        cases += [(a, _random_current(rng, n, block)) for a in (ym, sym) for block in (None, "j3", "j2", "j1")]
+        for a, current in cases:
+            d = current_to_deformation(current, a)
+            _same_deformation(d, deformation_from_tails(a, current.tails()))
+            _same_deformation(deformation_from_tails(a, d.tails), d)
+
+
+def test_current_read_into_parts_of_a_quadratic_presentation():
+    # three relations on three generators of degree 2: a current with a
+    # degree-2 part is rejected, as its tails are, and one without is read
+    a = build_antisymmetrizer_relations(3, 2)
+    rng = random.Random(7)
+    with pytest.raises(ValueError):
+        current_to_deformation(_random_current(rng, 3), a)
+    with pytest.raises(ValueError):
+        deformation_from_tails(a, _random_current(rng, 3).tails())
+    current = _random_current(rng, 3, "j3")
+    _same_deformation(current_to_deformation(current, a), deformation_from_tails(a, current.tails()))
