@@ -410,6 +410,8 @@ GOLDEN = (
     (["run", "--input", "ym_random_metric_s3_oracle.problem.json"], 1, "ym_random_metric_s3_oracle"),
     (["run", "--input", "ym_minkowski_identities.problem.json"], 0, "ym_minkowski_identities"),
     (["run", "--input", "sym_euclidean_identities.problem.json"], 0, "sym_euclidean_identities"),
+    # the SYM family on a rational, non-diagonal inverse metric
+    (["run", "--input", "sym_random_metric_identities.problem.json"], 0, "sym_random_metric_identities"),
     (["demo-lie", "--case", "broken"], 1, "demo_lie_broken"),
     # a wrong positive: the chain accepts a tail that the oracle refutes
     (["run", "--input", "custom_xyx_check.problem.json"], 0, "custom_xyx_check"),
