@@ -12,7 +12,8 @@ integer-only on either backend.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Iterable, Union
 
 try:
     from gmpy2 import mpq as Q
@@ -49,6 +50,19 @@ def rational(value: RationalLike) -> Q:
 def times(c, den: int) -> int:
     """c * den as a Python int, for a rational c whose denominator divides den."""
     return int(c.numerator) * (den // int(c.denominator))
+
+
+def cleared(values: Iterable) -> tuple:
+    """(numerators, den) of the rationals ``values`` over the lcm ``den``
+    of their denominators, all Python ints: values[i] = numerators[i] / den."""
+    values = list(values)
+    den = lcm(*(int(c.denominator) for c in values))
+    return [times(c, den) for c in values], den
+
+
+def ratio(num: int, den: int) -> Q:
+    """num / den as a rational, for ints num and den > 0 (``ZERO`` when num is 0)."""
+    return Q(num, den) if num else ZERO
 
 
 def format_rational(value) -> str:

@@ -10,17 +10,18 @@ approximately.
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from typing import Optional
 
 from .linalg import solve_rows
-from .rationals import ZERO, Q, rational
-from .yang_mills import CurrentParameters, Metric, freeze, nested_zeros
+from .rationals import ZERO, Q, cleared, ratio
+from .yang_mills import CurrentParameters, Metric, freeze, nested_zeros, reshape
 
 
 def random_rational(rng: random.Random, bound: int = 20) -> Q:
-    """A rational p/q with |p| <= bound and 1 <= q <= bound."""
-    return rational(rng.randint(-bound, bound)) / rational(rng.randint(1, bound))
+    """A rational p/q with |p| <= bound and 1 <= q <= bound (p drawn first)."""
+    return Q(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 def random_vector(rng: random.Random, n: int, bound: int = 20) -> tuple:
@@ -68,20 +69,22 @@ def random_antisymmetric3(rng: random.Random, n: int, bound: int = 20) -> tuple:
     return freeze(t)
 
 
-def _sym_multisets(n: int, rank: int) -> list:
-    return list(combinations_with_replacement(range(n), rank))
+@lru_cache(maxsize=None)
+def _sym_multisets(n: int, rank: int) -> tuple:
+    return tuple(combinations_with_replacement(range(n), rank))
+
+
+@lru_cache(maxsize=None)
+def _symmetric_slots(n: int, rank: int) -> tuple:
+    """The multiset coordinate of each entry of a symmetric tensor, entries
+    in index order."""
+    col = {m: i for i, m in enumerate(_sym_multisets(n, rank))}
+    return tuple(col[tuple(sorted(idx))] for idx in product(range(n), repeat=rank))
 
 
 def _unflatten_symmetric(coords, n: int, rank: int):
     """Full symmetric tensor from one coordinate per sorted multiset."""
-    lookup = {m: c for m, c in zip(_sym_multisets(n, rank), coords)}
-
-    def entries(prefix: tuple):
-        if len(prefix) == rank:
-            return lookup[tuple(sorted(prefix))]
-        return tuple(entries(prefix + (a,)) for a in range(n))
-
-    return entries(())
+    return reshape([coords[k] for k in _symmetric_slots(n, rank)], n, rank)
 
 
 def _contraction_rows(n: int, rank: int, b: tuple) -> list:
@@ -101,14 +104,17 @@ def _orthogonal_symmetric_sample(
     (at rank 1, a vector orthogonal to b).
 
     The contraction is a linear condition on the multiset coordinates; we
-    sample from its exact kernel.
+    sample from its exact kernel: one draw c_i per kernel row y_i, in row
+    order, and sum c_i y_i in ints over the draws' and the rows' lcms.
     """
-    coords = [ZERO] * len(_sym_multisets(n, rank))
-    for _, row in solve_rows(_contraction_rows(n, rank, b), len(coords))[1].rows:
-        c = random_rational(rng, bound)
-        for k, y in row.items():
-            coords[k] += c * y
-    return _unflatten_symmetric(coords, n, rank)
+    rows = solve_rows(_contraction_rows(n, rank, b), len(_sym_multisets(n, rank)))[1].rows
+    draws, draw_den = cleared(random_rational(rng, bound) for _ in rows)
+    terms = [(c, k, y) for c, (_, row) in zip(draws, rows) for k, y in row.items()]
+    ys, den = cleared(y for _, _, y in terms)
+    coords = [0] * len(_sym_multisets(n, rank))
+    for (c, k, _), y in zip(terms, ys):
+        coords[k] += c * y
+    return _unflatten_symmetric([ratio(x, draw_den * den) for x in coords], n, rank)
 
 
 # the rank of each symmetric block of the current parameters, in draw order
@@ -129,13 +135,16 @@ def sample_current_parameters(
     n = metric.dim
     b = random_nonzero_vector(rng, n)
     omega3 = random_antisymmetric3(rng, n)
-    blocks = {name: _orthogonal_symmetric_sample(rng, n, rank, b) for name, rank in _BLOCK_RANKS.items()}
+    # b's numerators over one denominator: the same contraction kernel as b
+    b_nums = cleared(b)[0]
+    blocks = {name: _orthogonal_symmetric_sample(rng, n, rank, b_nums) for name, rank in _BLOCK_RANKS.items()}
     if violate is not None:
         rank = _BLOCK_RANKS[violate]
-        rows = _contraction_rows(n, rank, b)
+        rows = _contraction_rows(n, rank, b_nums)
         while True:
             coords = [random_rational(rng) for _ in _sym_multisets(n, rank)]
-            if any(sum(c * coords[k] for k, c in row.items()) for row in rows):
+            nums = cleared(coords)[0]
+            if any(sum(c * nums[k] for k, c in row.items()) for row in rows):
                 blocks[violate] = _unflatten_symmetric(coords, n, rank)
                 break
     return CurrentParameters(b, omega3, blocks["s3"], blocks["s2"], blocks["s1"])

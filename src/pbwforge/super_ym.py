@@ -15,7 +15,8 @@ from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraPresentation, ideal_component
 from .linalg import Subspace, reduce_rows, rref_rows
-from .rationals import HALF, ONE, ZERO, rational
+from .pbw import DeformationMap
+from .rationals import HALF, ONE, cleared, ratio, rational
 from .tensors import TensorElement, anticommutator, commutator, filtered_terms, words
 from .yang_mills import (
     Current,
@@ -23,8 +24,9 @@ from .yang_mills import (
     b_family_block,
     b_family_generators,
     build_cubic,
-    current_to_deformation,
+    flatten,
     overlap_identities,
+    _read_current,
     swap_sign_holds,
 )
 
@@ -32,11 +34,12 @@ from .yang_mills import (
 def sym_coefficients(metric: Metric) -> tuple:
     """The relation coefficient array Wt[rho][lam][mu][nu]."""
     n = metric.dim
-    G = metric.g_inv.data
+    G, d = metric.integer_inverse
+    den = d * d
     return tuple(
         tuple(
             tuple(
-                tuple(G[rho][lam] * G[mu][nu] - G[rho][nu] * G[lam][mu] for nu in range(n))
+                tuple(ratio(G[rho][lam] * G[mu][nu] - G[rho][nu] * G[lam][mu], den) for nu in range(n))
                 for mu in range(n)
             )
             for lam in range(n)
@@ -144,10 +147,11 @@ def super_current_from_parameters(b: Sequence, omega2, metric: Metric) -> Curren
         raise ValueError("omega2 must be antisymmetric")
     j3 = b_family_block(b, metric, -1)
     j2 = tuple(tuple(rational(omega2[a][b_]) for b_ in range(n)) for a in range(n))
-    # the scalar part contracts b against the *first* slot of omega2
-    j1 = tuple(
-        HALF * sum((rational(omega2[a][r]) * b[r] for r in range(n)), ZERO) for a in range(n)
-    )
+    # the scalar part contracts b against the *first* slot of omega2:
+    # j1[a] = omega2[a][r] b[r] / 2, one int sum over 2 den bd
+    omega, den = cleared(flatten(j2, 2))
+    b_nums, bd = cleared(b)
+    j1 = tuple(ratio(sum(omega[a * n + r] * b_nums[r] for r in range(n)), 2 * den * bd) for a in range(n))
     return Current(j3, j2, j1)
 
 
@@ -157,8 +161,11 @@ def isym_family_generators(metric: Metric) -> list:
     return b_family_generators(metric, -1)
 
 
-# A super current attaches its tails by the same relation-label convention.
-super_current_to_deformation = current_to_deformation
+def super_current_to_deformation(c: Current, a: AlgebraPresentation) -> DeformationMap:
+    """Deformation with phi(Wt^rho) = J^rho: a super current attaches its
+    tails by the same relation-label convention as a Yang-Mills one (see
+    :func:`~pbwforge.yang_mills.current_to_deformation`)."""
+    return _read_current(c, a)
 
 
 class ShiftReport(NamedTuple):

@@ -25,12 +25,13 @@ from typing import NamedTuple, Sequence
 from .algebra import AlgebraPresentation, permutation_sign
 from .linalg import Frozen, FrozenValue, Matrix, inverse, reduce_rows
 from .pbw import DeformationMap
-from .rationals import HALF, ONE, ZERO, rational
+from .rationals import ONE, ZERO, cleared, ratio, rational
 from .tensors import TensorElement, commutator
 
 
 class Metric(Frozen):
-    """Nondegenerate symmetric bilinear form g with its exact inverse."""
+    """Nondegenerate symmetric bilinear form g with its exact inverse, also
+    held as ints over one denominator (``integer_inverse``)."""
 
     _fields = ("g",)
 
@@ -69,16 +70,32 @@ class Metric(Frozen):
             raise ValueError("metric is degenerate")
         return inv
 
+    @cached_property
+    def integer_inverse(self) -> tuple:
+        """g^{-1} as (rows, den): int rows with g^{ab} = rows[a][b] / den,
+        den the lcm of its denominators."""
+        nums, den = cleared(x for row in self.g_inv.data for x in row)
+        return reshape(nums, self.dim, 2), den
+
+
+def reshape(flat: list, n: int, rank: int) -> tuple:
+    """The rank-``rank`` array of nested tuples, ``n`` per axis, whose
+    entries in index order are ``flat``."""
+    for _ in range(rank - 1):
+        flat = [tuple(flat[i : i + n]) for i in range(0, len(flat), n)]
+    return tuple(flat)
+
 
 def ym_coefficients(metric: Metric) -> tuple:
     """The relation coefficient array W[rho][lam][mu][nu]."""
     n = metric.dim
-    G = metric.g_inv.data
+    G, d = metric.integer_inverse
+    den = d * d
     return tuple(
         tuple(
             tuple(
                 tuple(
-                    G[rho][lam] * G[mu][nu] + G[rho][nu] * G[lam][mu] - 2 * G[rho][mu] * G[lam][nu]
+                    ratio(G[rho][lam] * G[mu][nu] + G[rho][nu] * G[lam][mu] - 2 * G[rho][mu] * G[lam][nu], den)
                     for nu in range(n)
                 )
                 for mu in range(n)
@@ -263,7 +280,8 @@ def swap_sign_holds(t, n: int, rank: int, sign: int) -> bool:
         for p in range(rank - 1):
             if idx[p] <= idx[p + 1]:
                 other = _entry(t, idx[:p] + (idx[p + 1], idx[p]) + idx[p + 2 :])
-                if entry != (other if sign == 1 else -other):
+                # rationals in lowest terms: equal iff numerators and denominators are
+                if entry.numerator != sign * other.numerator or entry.denominator != other.denominator:
                     return False
     return True
 
@@ -303,41 +321,59 @@ class CurrentParameters(FrozenValue):
         return len(self.b)
 
 
+def flatten(t, rank: int) -> list:
+    """The entries of a rank-``rank`` array of nested sequences, in index order."""
+    for _ in range(rank - 1):
+        t = [x for row in t for x in row]
+    return list(t)
+
+
+def _b_block_numerators(b_nums: list, metric: Metric, sign: int) -> list:
+    """The entries of :func:`b_family_block`, in index order, as ints over
+    d^2 bd for b = ``b_nums`` / bd and the metric's ``integer_inverse`` G / d."""
+    G = metric.integer_inverse[0]
+    n = len(G)
+    u = [sum(G[a][r] * b_nums[r] for r in range(n)) for a in range(n)]
+    return [sign * (G[b_][c] * u[a] - G[a][c] * u[b_]) for a in range(n) for b_ in range(n) for c in range(n)]
+
+
 def b_family_block(b: Sequence, metric: Metric, sign: int = 1) -> tuple:
     """The b-family top block j3[a][b][c] = sign * (g^{ar} g^{bc} - g^{ac}
     g^{br}) b_r = sign * (g^{bc} u_a - g^{ac} u_b) with u = g^{-1} b; the
     super family's is the negative (sign -1)."""
-    n = metric.dim
-    G = metric.g_inv.data
-    u = [sum((G[a][r] * b[r] for r in range(n)), ZERO) for a in range(n)]
-    return tuple(
-        tuple(tuple(sign * (G[b_][c] * u[a] - G[a][c] * u[b_]) for c in range(n)) for b_ in range(n))
-        for a in range(n)
-    )
+    b_nums, bd = cleared(b)
+    den = metric.integer_inverse[1] ** 2 * bd
+    return reshape([ratio(x, den) for x in _b_block_numerators(b_nums, metric, sign)], metric.dim, 3)
 
 
 def current_from_parameters(p: CurrentParameters, metric: Metric) -> Current:
-    """Assemble the closed-form current from its parameters."""
+    """Assemble the closed-form current from its parameters: j3 = omega3 +
+    s3 + the b-family block, j2 = s2 - omega3 b / 2 and j1 = s1, each
+    entry an int sum over one denominator."""
     n = p.dim
     if metric.dim != n:
         raise ValueError("metric dimension mismatch")
-    bj3 = b_family_block(p.b, metric)
-    j3 = tuple(
-        tuple(tuple(p.omega3[a][b_][c] + p.s3[a][b_][c] + bj3[a][b_][c] for c in range(n)) for b_ in range(n))
-        for a in range(n)
-    )
-    j2 = nested_zeros(n, 2)
-    for a in range(n):
-        for b_ in range(n):
-            acc = p.s2[a][b_]
-            for r in range(n):
-                acc = acc - HALF * p.omega3[a][b_][r] * p.b[r]
-            j2[a][b_] = acc
-    return Current(j3, freeze(j2), tuple(p.s1))
+    m = n**3
+    nums, den = cleared(flatten(p.omega3, 3) + flatten(p.s3, 3) + flatten(p.s2, 2))
+    omega3, s3, s2 = nums[:m], nums[m : 2 * m], nums[2 * m :]
+    b_nums, bd = cleared(p.b)
+    block_den = metric.integer_inverse[1] ** 2 * bd
+    common = lcm(den, block_den)
+    f, g = common // den, common // block_den
+    block = _b_block_numerators(b_nums, metric, 1)
+    j3 = [ratio((omega3[i] + s3[i]) * f + block[i] * g, common) for i in range(m)]
+    # j2[a][b] = (2 bd s2[a][b] - omega3[a][b][r] b_nums[r]) / (2 den bd)
+    j2 = [ratio(2 * bd * s2[i] - sum(omega3[i * n + r] * b_nums[r] for r in range(n)), 2 * den * bd) for i in range(n * n)]
+    return Current(reshape(j3, n, 3), reshape(j2, n, 2), tuple(p.s1))
 
 
 def current_to_deformation(c: Current, a: AlgebraPresentation) -> DeformationMap:
-    """Deformation with phi(W^rho) = J^rho, per the relation-label convention.
+    """Deformation with phi(W^rho) = J^rho, per the relation-label convention."""
+    return _read_current(c, a)
+
+
+def _read_current(c: Current, a: AlgebraPresentation) -> DeformationMap:
+    """The deformation of ``a`` whose tail of relation rho is J^rho.
 
     The arrays are read straight into integer parts over the lcm of the
     denominators: j1[rho] at word index 0 of degree 0, j2[mu][rho] at index

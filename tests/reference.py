@@ -15,14 +15,20 @@ word by word, goes through ``SparseEchelon.insert``.  They share the
 elimination with the library and check how the spans are built.  Last
 comes a copy of the library's earlier, heap-driven elimination loop,
 which the present loop must match pivot for pivot and entry for entry.
+
+The family references after it are the Yang-Mills and super Yang-Mills
+constructors and the seeded symmetric sampler as they were written
+before they summed ints over one denominator: one rational operation per
+term.  The integer constructors must match them in value and in type.
 """
 
 import heapq
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import gcd
 
-from pbwforge.linalg import SparseEchelon
-from pbwforge.rationals import ZERO, rational
+from pbwforge.linalg import SparseEchelon, solve_rows
+from pbwforge.rationals import HALF, ZERO, rational
 from pbwforge.tensors import GradedMap, TensorElement, filtered_dim, word_index, words
 
 
@@ -282,3 +288,115 @@ def eliminate_pivots_heap(rows, v, full):
             else:
                 v.pop(rk, None)
     return None
+
+
+def ym_coefficients(metric):
+    """The YM relation array W[rho][lam][mu][nu] from g^-1, term by term."""
+    n = metric.dim
+    G = metric.g_inv.data
+    r = range(n)
+    return tuple(
+        tuple(
+            tuple(
+                tuple(G[rho][lam] * G[mu][nu] + G[rho][nu] * G[lam][mu] - 2 * G[rho][mu] * G[lam][nu] for nu in r)
+                for mu in r
+            )
+            for lam in r
+        )
+        for rho in r
+    )
+
+
+def sym_coefficients(metric):
+    """The SYM relation array Wt[rho][lam][mu][nu] from g^-1, term by term."""
+    n = metric.dim
+    G = metric.g_inv.data
+    r = range(n)
+    return tuple(
+        tuple(tuple(tuple(G[rho][lam] * G[mu][nu] - G[rho][nu] * G[lam][mu] for nu in r) for mu in r) for lam in r)
+        for rho in r
+    )
+
+
+def b_family_block(b, metric, sign=1):
+    """j3[a][b][c] = sign * (g^{bc} u_a - g^{ac} u_b) with u = g^-1 b."""
+    n = metric.dim
+    G = metric.g_inv.data
+    u = [sum((G[a][r] * b[r] for r in range(n)), ZERO) for a in range(n)]
+    return tuple(
+        tuple(tuple(sign * (G[b_][c] * u[a] - G[a][c] * u[b_]) for c in range(n)) for b_ in range(n))
+        for a in range(n)
+    )
+
+
+def current_from_parameters(p, metric):
+    """(j3, j2, j1) = (omega3 + s3 + the b-family block, s2 - omega3 b / 2, s1)."""
+    n = p.dim
+    bj3 = b_family_block(p.b, metric)
+    r = range(n)
+    j3 = tuple(tuple(tuple(p.omega3[a][b_][c] + p.s3[a][b_][c] + bj3[a][b_][c] for c in r) for b_ in r) for a in r)
+    j2 = []
+    for a in r:
+        row = []
+        for b_ in r:
+            acc = p.s2[a][b_]
+            for k in r:
+                acc = acc - HALF * p.omega3[a][b_][k] * p.b[k]
+            row.append(acc)
+        j2.append(tuple(row))
+    return j3, tuple(j2), tuple(p.s1)
+
+
+def super_current_from_parameters(b, omega2, metric):
+    """(j3, j2, j1) = (minus the b-family block, omega2, omega2 b / 2)."""
+    n = metric.dim
+    b = tuple(rational(x) for x in b)
+    j2 = tuple(tuple(rational(omega2[a][b_]) for b_ in range(n)) for a in range(n))
+    j1 = tuple(HALF * sum((j2[a][r] * b[r] for r in range(n)), ZERO) for a in range(n))
+    return b_family_block(b, metric, -1), j2, j1
+
+
+def swap_sign_holds(t, n, rank, sign):
+    """Whether every swap of two indices multiplies ``t`` by ``sign``."""
+
+    def entry(idx):
+        x = t
+        for i in idx:
+            x = x[i]
+        return x
+
+    for idx in product(range(n), repeat=rank):
+        for p in range(rank - 1):
+            other = entry(idx[:p] + (idx[p + 1], idx[p]) + idx[p + 2 :])
+            if entry(idx) != (other if sign == 1 else -other):
+                return False
+    return True
+
+
+def random_rational(rng, bound=20):
+    """p/q with p drawn first from [-bound, bound], then q from [1, bound]."""
+    return rational(rng.randint(-bound, bound)) / rational(rng.randint(1, bound))
+
+
+def orthogonal_symmetric_sample(rng, n, rank, b, bound=20):
+    """A symmetric tensor s with s(..., b) = 0: one draw c_i per row y_i of
+    the contraction's kernel from ``solve_rows``, accumulated as sum c_i y_i
+    one product at a time."""
+    multisets = list(combinations_with_replacement(range(n), rank))
+    col = {m: i for i, m in enumerate(multisets)}
+    rows = [
+        {col[tuple(sorted(free + (r,)))]: b[r] for r in range(n) if b[r] != 0}
+        for free in combinations_with_replacement(range(n), rank - 1)
+    ]
+    coords = [ZERO] * len(multisets)
+    for _, row in solve_rows(rows, len(coords))[1].rows:
+        c = random_rational(rng, bound)
+        for k, y in row.items():
+            coords[k] += c * y
+
+    def entries(prefix):
+        if len(prefix) == rank:
+            return coords[col[tuple(sorted(prefix))]]
+        return tuple(entries(prefix + (a,)) for a in range(n))
+
+    return entries(())

@@ -19,7 +19,7 @@ from pbwforge.super_ym import (
     verify_super_identities,
 )
 from pbwforge.tensors import TensorElement
-from pbwforge.yang_mills import Current, Metric, build_ym
+from pbwforge.yang_mills import Current, Metric, build_ym, current_to_deformation
 
 
 def test_sym_coefficients_s1_identity_metric():
@@ -105,6 +105,20 @@ def test_family_forward():
             b, om = sample_super_parameters(rng, 3)
             c = super_current_from_parameters(b, om, metric)
             assert pbw_verdict(super_current_to_deformation(c, a)).overall
+
+
+def test_super_and_ym_readers_are_distinct_and_agree():
+    # two function objects, so a tracer can tell the families apart, over
+    # one reader: the same den and parts for every super current
+    assert super_current_to_deformation is not current_to_deformation
+    rng = random.Random(56)
+    for s in (1, 2, 3):
+        metric = random_metric(rng, s + 1)
+        a = build_sym(s, metric)
+        for _ in range(2):
+            c = super_current_from_parameters(*sample_super_parameters(rng, s + 1), metric)
+            d, want = super_current_to_deformation(c, a), current_to_deformation(c, a)
+            assert (d.den, d.parts) == (want.den, want.parts)
 
 
 def test_family_forward_oracle_agrees():
