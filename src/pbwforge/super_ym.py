@@ -21,12 +21,12 @@ from .tensors import TensorElement, anticommutator, commutator, filtered_terms, 
 from .yang_mills import (
     Current,
     Metric,
+    _read_current,
     b_family_block,
     b_family_generators,
     build_cubic,
     flatten,
     overlap_identities,
-    _read_current,
     swap_sign_holds,
 )
 

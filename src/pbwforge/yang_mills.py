@@ -328,22 +328,23 @@ def flatten(t, rank: int) -> list:
     return list(t)
 
 
-def _b_block_numerators(b_nums: list, metric: Metric, sign: int) -> list:
-    """The entries of :func:`b_family_block`, in index order, as ints over
-    d^2 bd for b = ``b_nums`` / bd and the metric's ``integer_inverse`` G / d."""
-    G = metric.integer_inverse[0]
+def _b_block(b: Sequence, metric: Metric, sign: int) -> tuple:
+    """The entries of :func:`b_family_block` in index order, as (ints,
+    d^2 bd) with g^{-1} = G / d (``integer_inverse``) and bd the lcm of
+    the denominators of b."""
+    G, d = metric.integer_inverse
+    b_nums, bd = cleared(b)
     n = len(G)
     u = [sum(G[a][r] * b_nums[r] for r in range(n)) for a in range(n)]
-    return [sign * (G[b_][c] * u[a] - G[a][c] * u[b_]) for a in range(n) for b_ in range(n) for c in range(n)]
+    return [sign * (G[b_][c] * u[a] - G[a][c] * u[b_]) for a in range(n) for b_ in range(n) for c in range(n)], d * d * bd
 
 
 def b_family_block(b: Sequence, metric: Metric, sign: int = 1) -> tuple:
     """The b-family top block j3[a][b][c] = sign * (g^{ar} g^{bc} - g^{ac}
     g^{br}) b_r = sign * (g^{bc} u_a - g^{ac} u_b) with u = g^{-1} b; the
     super family's is the negative (sign -1)."""
-    b_nums, bd = cleared(b)
-    den = metric.integer_inverse[1] ** 2 * bd
-    return reshape([ratio(x, den) for x in _b_block_numerators(b_nums, metric, sign)], metric.dim, 3)
+    nums, den = _b_block(b, metric, sign)
+    return reshape([ratio(x, den) for x in nums], metric.dim, 3)
 
 
 def current_from_parameters(p: CurrentParameters, metric: Metric) -> Current:
@@ -356,13 +357,12 @@ def current_from_parameters(p: CurrentParameters, metric: Metric) -> Current:
     m = n**3
     nums, den = cleared(flatten(p.omega3, 3) + flatten(p.s3, 3) + flatten(p.s2, 2))
     omega3, s3, s2 = nums[:m], nums[m : 2 * m], nums[2 * m :]
-    b_nums, bd = cleared(p.b)
-    block_den = metric.integer_inverse[1] ** 2 * bd
+    block, block_den = _b_block(p.b, metric, 1)
     common = lcm(den, block_den)
     f, g = common // den, common // block_den
-    block = _b_block_numerators(b_nums, metric, 1)
     j3 = [ratio((omega3[i] + s3[i]) * f + block[i] * g, common) for i in range(m)]
     # j2[a][b] = (2 bd s2[a][b] - omega3[a][b][r] b_nums[r]) / (2 den bd)
+    b_nums, bd = cleared(p.b)
     j2 = [ratio(2 * bd * s2[i] - sum(omega3[i * n + r] * b_nums[r] for r in range(n)), 2 * den * bd) for i in range(n * n)]
     return Current(reshape(j3, n, 3), reshape(j2, n, 2), tuple(p.s1))
 
