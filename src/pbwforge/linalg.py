@@ -15,8 +15,12 @@ each step.  A head reduction stops at the first free key, the pivot,
 and leaves the tail as it is.  The canonical RREF is back-substitution
 of those head-reduced rows in decreasing pivot order, then one division
 of each row by its pivot entry; ``residual`` needs only the loop's
-scale.  An intersection eliminates a kernel with one column per row of
-the first subspace, never a block over twice the ambient dimension.
+scale.  A kernel is one elimination of M under reversed keys, whose
+free-column vectors are the kernel's canonical rows (``solve_rows``
+proves it); an affine solution adds the forward RREF of [M | rhs] and
+sets the free columns to 0.  An intersection eliminates a kernel with
+one column per row of the first subspace, never a block over twice the
+ambient dimension.
 
 Everything is exact: a rank, a membership bit, or a solution vector is a
 theorem, not an approximation.  All values are immutable after
@@ -215,7 +219,8 @@ class Subspace(FrozenValue):
         if not equations:
             return self
         combos = []
-        for _, c in solve_rows(equations.values(), self.dim)[1].rows:
+        # each kernel row scaled by its den: the same span, in int coefficients
+        for _, c, _ in kernel_rows(equations.values(), self.dim):
             v: dict = {}
             for i, ci in c.items():
                 for k, y in self.rows[i][1].items():
@@ -264,24 +269,53 @@ def solve_rows(rows: Iterable[dict], n: int) -> Optional[tuple]:
     """Solutions of the sparse system whose rows hold the coefficients of
     x_0..x_(n-1) at keys below ``n`` and the right-hand side, if any, at
     key n: (a particular solution {column: rational}, the homogeneous
-    :class:`Subspace`), or ``None`` when infeasible.  From the RREF, the
-    kernel has one vector per free column f: 1 at f and -row[f] at the
-    pivot of each row."""
-    reduced = rref_rows(rows)
-    # RREF of [M | rhs]: infeasible iff the rhs column n is a pivot
-    if reduced and reduced[-1][0] == n:
-        return None
-    free = {j: {j: ONE} for j in range(n)}
-    for p, _ in reduced:
-        del free[p]
+    :class:`Subspace`), or ``None`` when infeasible.
+
+    The homogeneous rows take one elimination (:func:`kernel_rows`): in
+    least-key order, the canonical RREF of ker M is the free-column basis
+    of the RREF of M under reversed keys (k -> n-1-k), where each row's
+    pivot is its greatest column.  Proof: for a free column f of that
+    RREF, v_f = e_f - sum of row[f] e_p over its rows (pivot p) lies in
+    the kernel, and the v_f span it.  A row has entries only before its
+    pivot and at no other pivot, so v_f is 0 before f and at every other
+    free column: the v_f are the kernel's RREF, with the free columns as
+    pivots.  Only a system with a nonzero right-hand side is also reduced
+    forward: it is infeasible iff key n is a pivot of the RREF of
+    [M | rhs], and the particular solution is the one that RREF gives,
+    with every free column of M in least-key order set to 0.
+    """
+    rows = list(rows)
     particular = {}
+    if any(row.get(n) for row in rows):
+        reduced = rref_rows(rows)
+        if reduced[-1][0] == n:
+            return None
+        particular = {p: row[n] for p, row in reduced if n in row}
+    kernel = tuple((f, {k: Q(c, den) for k, c in row.items()}) for f, row, den in kernel_rows(rows, n))
+    return particular, Subspace(n, kernel)
+
+
+def kernel_rows(rows: Iterable[dict], n: int) -> list:
+    """The canonical rows of {x : M x = 0}, for the sparse rows of M (keys
+    below ``n``; a key n is ignored), as (pivot, {column: int}, den)
+    triples in increasing pivot order: row / den has entry 1 at its pivot
+    and none at another row's pivot.  They are the free-column vectors of
+    the RREF of M under reversed keys (see :func:`solve_rows`).
+    """
+    last = n - 1
+    reduced = list(_back_substituted(_head_reduced({last - k: c for k, c in row.items() if k < n} for row in rows)))
+    pivots = {last - p for p, _ in reduced}
+    entries = {f: [] for f in range(n) if f not in pivots}
     for p, row in reduced:
+        a = row[p]
         for k, c in row.items():
-            if k in free:
-                free[k][p] = -c
-            elif k == n:
-                particular[p] = c
-    return particular, Subspace.from_sparse(free.values(), n)
+            if k != p:
+                entries[last - k].append((last - p, c, a))
+    kernel = []
+    for f, terms in entries.items():
+        den = lcm(*(a for _, _, a in terms))
+        kernel.append((f, {f: den, **{q: -c * (den // a) for q, c, a in terms}}, den))
+    return kernel
 
 
 class BasisCoordinates:
@@ -458,21 +492,24 @@ def rref_rows(vectors: Iterable[dict]) -> list:
     total order), as (pivot, row) pairs in increasing pivot order: each row
     is a dict of rationals with entry 1 at its pivot and none at another.
 
-    The rows are head-reduced into a local pivot dict, then
-    back-substituted in decreasing pivot order, so each row is reduced
-    only by rows that are already fully reduced, and last divided by its
-    pivot entry.
+    The rows are head-reduced into a local pivot dict, back-substituted
+    (:func:`_back_substituted`) and each divided by its pivot entry.
     """
-    rows = _head_reduced(vectors)
-    reduced = []
+    reduced = [(p, {k: Q(c, row[p]) for k, c in row.items()}) for p, row in _back_substituted(_head_reduced(vectors))]
+    reduced.reverse()
+    return reduced
+
+
+def _back_substituted(rows: dict):
+    """Yield (pivot, primitive integer row) for the head-reduced ``rows``
+    (pivot key -> primitive integer row) in decreasing pivot order, each
+    fully reduced: it is reduced only by rows that already are, and
+    stored back under its pivot."""
     for p in sorted(rows, reverse=True):
         v = rows.pop(p)
         _eliminate_pivots(rows, v, full=True)
         _store(rows, v, p)
-        a = rows[p][p]
-        reduced.append((p, {k: Q(c, a) for k, c in rows[p].items()}))
-    reduced.reverse()
-    return reduced
+        yield p, rows[p]
 
 
 def _head_reduced(vectors: Iterable[dict]) -> dict:

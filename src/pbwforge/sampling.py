@@ -2,9 +2,9 @@
 
 Everything is driven by ``random.Random`` with an explicit seed, so any
 sample is reproducible from (seed, shape) alone.  Constrained parameter
-blocks are drawn from the exact kernel of the constraint map, never by
-projection, so side conditions hold identically rather than
-approximately.
+blocks are drawn from the exact kernel of the constraint map, read as
+integer rows (``linalg.kernel_rows``), never by projection, so side
+conditions hold identically rather than approximately.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from math import lcm
 from typing import Optional
 
-from .linalg import solve_rows
+from .linalg import kernel_rows
 from .rationals import ZERO, Q, cleared, ratio
 from .yang_mills import CurrentParameters, Metric, freeze, nested_zeros, reshape
 
@@ -75,10 +76,16 @@ def _sym_multisets(n: int, rank: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _multiset_columns(n: int, rank: int) -> dict:
+    """The coordinate of each sorted multiset (read only: the dict is shared)."""
+    return {m: i for i, m in enumerate(_sym_multisets(n, rank))}
+
+
+@lru_cache(maxsize=None)
 def _symmetric_slots(n: int, rank: int) -> tuple:
     """The multiset coordinate of each entry of a symmetric tensor, entries
     in index order."""
-    col = {m: i for i, m in enumerate(_sym_multisets(n, rank))}
+    col = _multiset_columns(n, rank)
     return tuple(col[tuple(sorted(idx))] for idx in product(range(n), repeat=rank))
 
 
@@ -91,7 +98,7 @@ def _contraction_rows(n: int, rank: int, b: tuple) -> list:
     """The contraction s^{a...r} b_r over the last slot of a symmetric
     tensor s, as sparse rows on its multiset coordinates: one row per
     sorted multiset of the free slots."""
-    col = {m: i for i, m in enumerate(_sym_multisets(n, rank))}
+    col = _multiset_columns(n, rank)
     return [
         {col[tuple(sorted(free + (r,)))]: b[r] for r in range(n) if b[r] != 0} for free in _sym_multisets(n, rank - 1)
     ]
@@ -104,17 +111,21 @@ def _orthogonal_symmetric_sample(
     (at rank 1, a vector orthogonal to b).
 
     The contraction is a linear condition on the multiset coordinates; we
-    sample from its exact kernel: one draw c_i per kernel row y_i, in row
-    order, and sum c_i y_i in ints over the draws' and the rows' lcms.
+    sample from its exact kernel, read as the integer rows y_i over d_i of
+    :func:`pbwforge.linalg.kernel_rows`: one draw p_i / q_i per row, in row
+    order (the two ``randint`` calls of :func:`random_rational`), and the
+    sum of (p_i / q_i) (y_i / d_i) in ints over the lcm of the q_i d_i.
     """
-    rows = solve_rows(_contraction_rows(n, rank, b), len(_sym_multisets(n, rank)))[1].rows
-    draws, draw_den = cleared(random_rational(rng, bound) for _ in rows)
-    terms = [(c, k, y) for c, (_, row) in zip(draws, rows) for k, y in row.items()]
-    ys, den = cleared(y for _, _, y in terms)
-    coords = [0] * len(_sym_multisets(n, rank))
-    for (c, k, _), y in zip(terms, ys):
-        coords[k] += c * y
-    return _unflatten_symmetric([ratio(x, draw_den * den) for x in coords], n, rank)
+    size = len(_sym_multisets(n, rank))
+    kernel = kernel_rows(_contraction_rows(n, rank, b), size)
+    draws = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in kernel]
+    den = lcm(*(q * d for (_, q), (_, _, d) in zip(draws, kernel)))
+    coords = [0] * size
+    for (p, q), (_, row, d) in zip(draws, kernel):
+        c = p * (den // (q * d))
+        for k, y in row.items():
+            coords[k] += c * y
+    return _unflatten_symmetric([ratio(x, den) for x in coords], n, rank)
 
 
 # the rank of each symmetric block of the current parameters, in draw order

@@ -25,6 +25,7 @@ from .yang_mills import (
     b_family_block,
     b_family_generators,
     build_cubic,
+    check_shape,
     flatten,
     overlap_identities,
     swap_sign_holds,
@@ -142,6 +143,9 @@ def centrality_check(a: AlgebraPresentation, metric: Metric, n_max: int = 3) -> 
 def super_current_from_parameters(b: Sequence, omega2, metric: Metric) -> Current:
     """The closed-form regular super current for parameters (b, omega2)."""
     n = metric.dim
+    of = f"a metric of dimension {n}"
+    check_shape(b, n, 1, "b", of)
+    check_shape(omega2, n, 2, "omega2", of)
     b = tuple(rational(x) for x in b)
     if not swap_sign_holds(omega2, n, 2, -1):
         raise ValueError("omega2 must be antisymmetric")

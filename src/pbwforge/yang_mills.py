@@ -244,12 +244,38 @@ def freeze(x):
     return x
 
 
-class Current(NamedTuple):
-    """Inhomogeneous tails J^rho = j3 part + j2 part + j1 part."""
+def check_shape(t, n: int, rank: int, name: str, of: str) -> None:
+    """Raise ValueError unless the nested sequences ``t`` have ``n``
+    entries along each of their ``rank`` axes.  Only lengths are read, one
+    per row, never an entry."""
+    rows = [t]
+    for axis in range(rank):
+        if axis:
+            rows = [x for row in rows for x in row]
+        if not all(isinstance(row, (tuple, list)) and len(row) == n for row in rows):
+            raise ValueError(f"{name} must have shape {(n,) * rank} for {of}")
 
+
+class _CurrentFields(NamedTuple):
     j3: tuple  # j3[mu][nu][rho]
     j2: tuple  # j2[lam][rho]
     j1: tuple  # j1[rho]
+
+
+class Current(_CurrentFields):
+    """Inhomogeneous tails J^rho = j3 part + j2 part + j1 part.
+
+    The shapes are checked at construction: j3 is n x n x n and j2 n x n,
+    with n = len(j1).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, j3: tuple, j2: tuple, j1: tuple) -> "Current":
+        of = f"a j1 of length {len(j1)}"
+        check_shape(j3, len(j1), 3, "j3", of)
+        check_shape(j2, len(j1), 2, "j2", of)
+        return super().__new__(cls, j3, j2, j1)
 
     @property
     def dim(self) -> int:
@@ -295,15 +321,19 @@ def _entry(t, idx: tuple):
 class CurrentParameters(FrozenValue):
     """Parameters (b, omega3, s3, s2, s1) of the closed-form current family.
 
-    The symmetries of omega3, s3 and s2 are enforced at construction.  The
-    orthogonality of s3, s2 and s1 against b is not: a family member that
-    breaks it is still a current, and the PBW checks decide it.
+    The shapes (n = len(b) per axis) and the symmetries of omega3, s3 and
+    s2 are enforced at construction.  The orthogonality of s3, s2 and s1
+    against b is not: a family member that breaks it is still a current,
+    and the PBW checks decide it.
     """
 
     _fields = ("b", "omega3", "s3", "s2", "s1")
 
     def __init__(self, b: tuple, omega3: tuple, s3: tuple, s2: tuple, s1: tuple) -> None:
         n = len(b)
+        of = f"a b of length {n}"
+        for name, t, rank in (("omega3", omega3, 3), ("s3", s3, 3), ("s2", s2, 2), ("s1", s1, 1)):
+            check_shape(t, n, rank, name, of)
         if not swap_sign_holds(omega3, n, 3, -1):
             raise ValueError("omega3 must be totally antisymmetric")
         if not swap_sign_holds(s3, n, 3, 1):

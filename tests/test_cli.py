@@ -174,6 +174,106 @@ def test_wrong_size_metric_problem_file(capsys):
     assert captured.out == ""
 
 
+def family_problem(family, s, current):
+    doc = ym_problem(current=current)
+    doc["algebra"] = {"family": family, "s": s, "metric": "euclidean"}
+    return doc
+
+
+def ym_parameters(s, **arrays):
+    return family_problem("yang-mills", s, {"parameters": {"b": [1] + [0] * s, **arrays}})
+
+
+def sym_parameters(s, **arrays):
+    return family_problem("super-yang-mills", s, {"super_parameters": {"b": [1] + [0] * s, **arrays}})
+
+
+def zeros(n, rank):
+    return [zeros(n, rank - 1) for _ in range(n)] if rank else 0
+
+
+def one_at(t, idx):
+    t = json.loads(json.dumps(t))
+    row = t
+    for i in idx[:-1]:
+        row = row[i]
+    row[idx[-1]] = 1
+    return t
+
+
+# every mis-sized parameter array found in problem files: each exited 1
+# with an IndexError traceback, ran silently truncated with exit 0, or
+# exited 2 only through a later check; s + 1 entries per axis are right
+WRONG_SHAPES = {
+    "ym-b-long-s1": ym_parameters(1, b=[1, 0, 0]),
+    "ym-b-long-s2": ym_parameters(2, b=[1, 0, 0, 0]),
+    "ym-b-long-s2-no-omega3": family_problem("yang-mills", 2, {"parameters": {"b": [1, 0, 0, 0]}}),
+    "ym-s2-one-row": ym_parameters(1, s2=[[0, 0]]),
+    "ym-s3-1x1x1": ym_parameters(1, s3=[[[1]]]),
+    "ym-s1-long": ym_parameters(1, s1=[0, 0, 0]),
+    "sym-b-short": sym_parameters(2, b=[1]),
+    "sym-omega2-1x1": sym_parameters(1, omega2=[[0]]),
+    "ym-s2-3x3-at-s1": ym_parameters(1, s2=one_at(zeros(3, 2), (2, 2))),
+    "sym-b-long": sym_parameters(1, b=[1, 0, 1]),
+    "sym-omega2-3x3-at-s1": sym_parameters(1, omega2=zeros(3, 2)),
+    "ym-omega3-3x3x3-at-s1": ym_parameters(1, omega3=zeros(3, 3)),
+    "ym-b-short": ym_parameters(2, b=[1, 0]),
+    "ym-s1-short": ym_parameters(2, s1=[0, 0]),
+    "ym-omega3-1x1x1": ym_parameters(1, omega3=[[[1]]]),
+    "ym-s2-ragged": ym_parameters(2, s2=[[0, 0, 0], [0, 0], [0, 0, 0]]),
+}
+
+
+def assert_invalid_input(tmp_path, capsys, doc):
+    out = tmp_path / "report.json"
+    assert main(["run", "--input", write(tmp_path, "p.json", doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_a_parameter_array_of_the_wrong_shape_is_invalid_input(tmp_path, capsys, name):
+    assert_invalid_input(tmp_path, capsys, WRONG_SHAPES[name])
+
+
+def resized(t, axis, delta):
+    """``t`` with one entry fewer (delta -1) or one more (delta 1) along ``axis``."""
+    if axis:
+        return [resized(row, axis - 1, delta) for row in t]
+    return t[:-1] if delta < 0 else t + [json.loads(json.dumps(t[0]))]
+
+
+def resized_problems():
+    """Every parameter array of both families at s = 1 and 2, one entry
+    short and one entry long along each axis, the other arrays right."""
+    for s in (1, 2):
+        n = s + 1
+        ym = {"b": ([1] + [0] * s, 1), "omega3": (zeros(n, 3), 3), "s3": (zeros(n, 3), 3), "s2": (zeros(n, 2), 2), "s1": (zeros(n, 1), 1)}
+        sym = {"b": ([1] + [0] * s, 1), "omega2": (zeros(n, 2), 2)}
+        for family, key, arrays in (("yang-mills", "parameters", ym), ("super-yang-mills", "super_parameters", sym)):
+            right = {name: t for name, (t, _) in arrays.items()}
+            yield f"{family}-s{s}-right", family_problem(family, s, {key: right}), 0
+            for name, (t, rank) in arrays.items():
+                for axis in range(rank):
+                    for delta in (-1, 1):
+                        wrong = {**right, name: resized(t, axis, delta)}
+                        label = f"{family}-s{s}-{name}-axis{axis}-{'short' if delta < 0 else 'long'}"
+                        yield label, family_problem(family, s, {key: wrong}), 2
+
+
+def test_parameter_arrays_resized_along_each_axis_are_invalid_input(tmp_path, capsys):
+    cases = list(resized_problems())
+    assert len(cases) == 2 * (2 + 2 * (1 + 3 + 3 + 2 + 1) + 2 * (1 + 2))
+    for label, doc, code in cases:
+        if code == 0:
+            assert main(["run", "--input", write(tmp_path, "p.json", doc)]) == 0, label
+            capsys.readouterr()
+        else:
+            assert_invalid_input(tmp_path, capsys, doc)
+
+
 def test_oracle_on_the_free_algebra(tmp_path, capsys):
     # three letters antisymmetrized over two generators: no relation at
     # all, so the ideal is zero and every quotient is the whole of F^n

@@ -7,8 +7,11 @@ goes.  ``__init__.py`` re-exports by design and is skipped, as are
 
 Importing the command line pulls in neither ``dataclasses`` nor
 ``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind it), nor
-``importlib.resources`` (with ``pathlib``, ``tempfile`` and ``shutil``):
-every ``pbwforge run`` starts a fresh interpreter and would pay for them.
+``importlib.resources`` (with ``pathlib``, ``tempfile`` and ``shutil``),
+nor ``random`` and ``pbwforge.sampling``, the seeded sampler that only
+the tests and the benchmark use: every ``pbwforge run`` starts a fresh
+interpreter and would pay for them (and, with no bytecode cache, compile
+them).
 """
 
 import ast
@@ -55,7 +58,7 @@ def test_the_command_line_imports_no_dataclasses_or_inspect():
     # anything first; src/ goes on the path by hand
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); import pbwforge.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & sys.modules.keys()))"
+        "print(sorted({'dataclasses', 'inspect', 'importlib.resources', 'random', 'pbwforge.sampling'} & sys.modules.keys()))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"

@@ -9,15 +9,20 @@ entries, so a change of the kernel's rows, of the particular solution or
 of a feasibility decision shows up.  A second pin covers the sampler's
 draws when b has zero entries, whose contraction kernels have other pivot
 patterns, and a reference test fixes which particular solution
-``solve_affine`` returns.
+``solve_affine`` returns.  Seeded Hypothesis tests check the integer
+kernel core, ``kernel_rows``, against the Gauss-Jordan ``kernel`` and
+``solve_affine`` of ``tests/reference.py`` and against the definition of
+a canonical kernel row.
 """
 
 import hashlib
 import random
 
 import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pbwforge.linalg import Matrix, solve_affine, solve_rows
+from pbwforge.linalg import Matrix, kernel_rows, solve_affine, solve_rows
 from pbwforge.rationals import Q
 from pbwforge.sampling import _orthogonal_symmetric_sample
 
@@ -148,3 +153,62 @@ def test_solve_affine_sets_the_forward_free_variables_to_zero():
             assert all(sol.particular[k] == 0 for k in range(n) if k not in pivots)
             checked += 1
     assert checked > 100
+
+
+# sparse systems with int or rational entries and some zero rows and columns
+entries = st.one_of(st.integers(-4, 4), st.fractions(min_value=-6, max_value=6, max_denominator=5).map(Q))
+
+
+@st.composite
+def sparse_systems(draw, rhs=False):
+    n = draw(st.integers(1, 6))
+    keys = n + 1 if rhs else n
+    rows = draw(st.lists(st.dictionaries(st.integers(0, keys - 1), entries, max_size=keys), max_size=6))
+    return rows, n
+
+
+def dense(rows, n):
+    return [[Q(row.get(k, 0)) for k in range(n)] for row in rows]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sparse_systems(rhs=True))
+def test_kernel_rows_match_the_reference_kernel(system):
+    rows, n = system
+    kernel = kernel_rows(rows, n)
+    want = reference.kernel(dense(rows, n), n)
+    assert [[Q(row.get(k, 0), den) for k in range(n)] for _, row, den in kernel] == want
+    # the rows are pure ints, and the key n (a right-hand side) is ignored
+    assert all(type(x) is int for _, row, den in kernel for x in (den, *row.values()))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sparse_systems(rhs=True))
+def test_solve_rows_matches_the_reference_solve_affine(system):
+    rows, n = system
+    sol = solve_rows(rows, n)
+    want = reference.solve_affine(dense(rows, n), [row.get(n, 0) for row in rows], n)
+    if want is None:
+        assert sol is None
+    else:
+        particular, homogeneous = sol
+        assert [particular.get(k, 0) for k in range(n)] == want[0]
+        assert [list(v) for v in homogeneous.basis] == want[1]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sparse_systems())
+def test_kernel_rows_are_canonical_kernel_vectors(system):
+    rows, n = system
+    kernel = kernel_rows(rows, n)
+    pivots = [p for p, _, _ in kernel]
+    assert pivots == sorted(set(pivots))
+    for p, row, den in kernel:
+        # den at the pivot, nothing before it and nothing at another pivot
+        assert den > 0 and row[p] == den
+        assert all(k >= p for k in row)
+        assert not any(k in row for k in pivots if k != p)
+        assert all(x for x in row.values())
+        # in the kernel
+        assert all(sum(c * row.get(k, 0) for k, c in eq.items()) == 0 for eq in rows)
+    assert len(kernel) == n - reference.rank(dense(rows, n))
