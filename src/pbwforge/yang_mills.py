@@ -18,7 +18,7 @@ constraints it contains a generalization of Ohm's law.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 from math import lcm
 from typing import NamedTuple, Sequence
 
@@ -248,11 +248,15 @@ def check_shape(t, n: int, rank: int, name: str, of: str) -> None:
     """Raise ValueError unless the nested sequences ``t`` have ``n``
     entries along each of their ``rank`` axes.  Only lengths are read, one
     per row, never an entry."""
-    rows = [t]
+    rows = (t,)
     for axis in range(rank):
         if axis:
-            rows = [x for row in rows for x in row]
-        if not all(isinstance(row, (tuple, list)) and len(row) == n for row in rows):
+            rows = tuple(chain.from_iterable(rows))
+        try:
+            lengths = set(map(len, rows))
+        except TypeError:  # a number where a row belongs
+            lengths = None
+        if lengths != {n}:
             raise ValueError(f"{name} must have shape {(n,) * rank} for {of}")
 
 

@@ -152,6 +152,26 @@ BAD_SYMMETRY = [
 ]
 
 
+def test_array_shapes_are_checked_in_the_library():
+    n, z = 3, Q(0)
+    b, s1 = (Q(1), z, z), (z,) * n
+    flat = tuple(z for _ in range(n * n))  # a number where a row belongs
+    with pytest.raises(ValueError, match=r"s2 must have shape \(3, 3\) for a b of length 3"):
+        CurrentParameters(b, zero3(n), zero3(n), flat, s1)
+    with pytest.raises(ValueError, match=r"omega3 must have shape \(3, 3, 3\)"):
+        CurrentParameters(b, zero3(n)[:2], zero3(n), zero2(n), s1)
+    with pytest.raises(ValueError, match=r"s1 must have shape \(3,\)"):
+        CurrentParameters(b, zero3(n), zero3(n), zero2(n), s1 + (z,))
+    with pytest.raises(ValueError, match=r"j3 must have shape \(3, 3, 3\) for a j1 of length 3"):
+        Current(zero3(n)[:2], zero2(n), s1)
+    with pytest.raises(ValueError, match=r"j2 must have shape \(3, 3\)"):
+        Current(zero3(n), zero2(n) + (s1,), s1)
+    with pytest.raises(ValueError, match=r"b must have shape \(3,\) for a metric of dimension 3"):
+        super_current_from_parameters(b[:2], zero2(n), Metric.euclidean(n))
+    with pytest.raises(ValueError, match=r"omega2 must have shape \(3, 3\)"):
+        super_current_from_parameters(b, tuple(row[:2] for row in zero2(n)), Metric.euclidean(n))
+
+
 @pytest.mark.parametrize("name, entries, message", BAD_SYMMETRY)
 def test_parameter_symmetry_enforced(name, entries, message):
     n = 3
