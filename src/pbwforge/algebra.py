@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import combinations, permutations
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .linalg import BasisCoordinates, Frozen, SparseEchelon, Subspace
@@ -33,7 +33,6 @@ from .tensors import (
     guard_tensor_dim,
     side_decompose,
     side_tensor,
-    word_index,
     word_table,
 )
 
@@ -105,16 +104,6 @@ class AlgebraPresentation(Frozen):
     def overlap(self) -> "OverlapData":
         """The overlap core of this presentation, built on first use."""
         return OverlapData(self)
-
-
-def primitive_terms(p: TensorElement) -> list:
-    """(degree, word index, coefficient) of each term of ``p``, with the
-    denominators cleared (int coefficients have none) and the content
-    removed: a primitive integer row."""
-    den = lcm(*(int(c.denominator) for c in p.terms.values()))
-    ints = {w: times(c, den) for w, c in p.terms.items()}
-    content = gcd(*ints.values())
-    return [(len(w), word_index(w, p.dim_v), c // content) for w, c in ints.items()]
 
 
 class LeftShift(Mapping):
@@ -198,10 +187,10 @@ def _ideal_component_rows(a: AlgebraPresentation, n: int) -> dict:
             right = a.dim_v**k
             leading = [(a.degree, w) for w in levels[a.degree]] if k else []
             skip = reducible_words(leading, a.dim_v, k)[k]
-            for terms in map(primitive_terms, a.relation_basis):
+            for row in a.relation_frame.rows:
                 for b in range(right):
                     if not skip[b]:
-                        echelon.insert({wi * right + b: c for _, wi, c in terms})
+                        echelon.insert({wi * right + b: c for wi, c in row.items()})
         levels.append(echelon.rows)
     return levels[n]
 
@@ -269,7 +258,7 @@ class OverlapData:
             l = side_decompose(x, a.relation_frame, "left", a.degree)
             entries = [(k, "right", lam, c) for k, row in enumerate(r.data) for lam, c in enumerate(row) if c]
             entries += [(k, "left", lam, -c) for k, row in enumerate(l.data) for lam, c in enumerate(row) if c]
-            den = lcm(*(int(e[3].denominator) for e in entries))
+            den = lcm(*(e[3].denominator for e in entries))
             self.entries.append((den, [(k, side, lam, times(c, den)) for k, side, lam, c in entries]))
 
 

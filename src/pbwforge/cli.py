@@ -157,13 +157,13 @@ def load_problem(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+        violation = schema_violation(doc, load_schema())
     except OSError as e:
         raise ProblemError(f"cannot read problem file: {e}") from e
     except ValueError as e:  # JSONDecodeError, or an integer literal past CPython's digit limit
         raise ProblemError(f"malformed JSON: {e}") from e
-    except RecursionError as e:
+    except RecursionError as e:  # in the decoder, or in the repr of a violation's node
         raise ProblemError("malformed JSON: nested too deeply") from e
-    violation = schema_violation(doc, load_schema())
     if violation is not None:
         where = "/".join(str(p) for p in violation[0]) or "(root)"
         raise ProblemError(f"schema violation at {where}: {violation[1]}")
@@ -215,8 +215,8 @@ def build_algebra(spec: dict):
         raise ProblemError("family 'custom' requires 's', 'N' and 'custom_relations'")
     dim_v = s + 1
     guard_tensor_dim(dim_v, spec["N"])
-    basis = tuple(_parse_tensor(t, dim_v) for t in spec["custom_relations"])
     try:
+        basis = tuple(_parse_tensor(t, dim_v) for t in spec["custom_relations"])
         return AlgebraPresentation(dim_v, spec["N"], basis), None
     except ValueError as e:
         raise ProblemError(f"invalid custom relations: {e}") from e
@@ -281,11 +281,14 @@ def build_deformation(
 
 
 def serialize_tensor(t: TensorElement) -> list:
-    return [
-        {"word": list(word), "coeff": format_rational(c)}
-        for word, c in sorted(t.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        if c != 0
-    ]
+    try:
+        return [
+            {"word": list(word), "coeff": format_rational(c)}
+            for word, c in sorted(t.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            if c != 0
+        ]
+    except ValueError as e:  # an int past CPython's limit on decimal digits
+        raise ResourceGuardError("a report coefficient has too many decimal digits to print") from e
 
 
 def _recurrence_dims(s: int, n_max: int) -> list:

@@ -338,10 +338,10 @@ class BasisCoordinates:
         pivots = sorted(_head_reduced(vectors))
         if len(pivots) != len(vectors):
             raise ValueError("basis vectors are linearly dependent")
-        self.lcm = lcm(*(int(c.denominator) for v in vectors for c in v.values()))
+        self.lcm = lcm(*(c.denominator for v in vectors for c in v.values()))
         self.rows = tuple({k: times(c, self.lcm) for k, c in v.items() if c} for v in vectors)
         inv = inverse(Matrix.from_rows([[v.get(p, ZERO) for v in vectors] for p in pivots])).data
-        self.den = lcm(*(int(c.denominator) for row in inv for c in row))
+        self.den = lcm(*(c.denominator for row in inv for c in row))
         self._inverse_ints = tuple([(p, times(c, self.den)) for p, c in zip(pivots, row) if c] for row in inv)
 
     def integer_coordinates(self, v: dict) -> tuple:
@@ -363,7 +363,7 @@ class BasisCoordinates:
 
     def coordinates(self, v: dict) -> Optional[Vector]:
         """The unique c with sum c_i b_i = v, or ``None`` when v is outside the span."""
-        den = lcm(*(int(x.denominator) for x in v.values() if x))
+        den = lcm(*(x.denominator for x in v.values() if x))
         c, rest = self.integer_coordinates({k: times(x, den) for k, x in v.items() if x})
         return None if rest else tuple(Q(x, den * self.den) for x in c)
 
@@ -439,11 +439,11 @@ def _eliminate_pivots(rows: dict, v: dict, full: bool):
 
     Elimination is fraction-free (cross-multiplying, after Bareiss,
     *Math. Comp.* 22 (1968)): only integer products and ``math.gcd`` run
-    here, on either rational backend.  With ``full`` every pivot key is
-    eliminated (a key with no row is set aside, scaled with ``v``) and
-    None is returned.  Without it the loop stops at the least key of ``v``
-    with no row and returns it (None when ``v`` reduces to zero); the keys
-    after it are left as they are.  A view row becomes its ``as_dict()``.
+    here.  With ``full`` every pivot key is eliminated (a key with no row
+    is set aside, scaled with ``v``) and None is returned.  Without it the
+    loop stops at the least key of ``v`` with no row and returns it (None
+    when ``v`` reduces to zero); the keys after it are left as they are.
+    A view row becomes its ``as_dict()``.
     """
     free = {}
     get = v.get
@@ -545,5 +545,5 @@ def _integer_row(vec: dict) -> dict:
     v = {k: c for k, c in vec.items() if c}
     if set(map(type, v.values())) <= {int}:
         return v
-    den = lcm(*(int(c.denominator) for c in v.values()))
-    return {k: int(c.numerator) * (den // int(c.denominator)) for k, c in v.items()}
+    den = lcm(*(c.denominator for c in v.values()))
+    return {k: times(c, den) for k, c in v.items()}

@@ -22,14 +22,13 @@ trivially by construction; that condition needs no computation.
 The top brackets, their relation coordinates and residuals modulo R
 (``AlgebraPresentation.relation_frame``, an integer product and one
 sparse difference each; the residuals are also the classifier's stage-1
-equations), the level residuals and the conservation check
-use only ring operations on the numerators, and a rational is built only
-for an output: a j1 witness, a conservation residual that is read, or
-the tails for the oracle.  The conservation law decides from the
-degree-N part of the divergence, whose coefficients the relations force;
-the canonical residual (``linalg.residual``) is computed only when read.
-It reads neither W nor the brackets, so it stays an independent
-certificate.
+equations), the level residuals and the conservation check use only
+ring operations on the numerators, and a rational is built only for an
+output: a j1 witness or a conservation residual that is read.  The
+conservation law decides from the degree-N part of the divergence, whose
+coefficients the relations force; the canonical residual
+(``linalg.residual``) is computed only when read.  It reads neither W
+nor the brackets, so it stays an independent certificate.
 
 The brute-force oracle is fully independent: it spans the filtered ideal
 by explicit products up to a degree cutoff and compares quotient
@@ -52,7 +51,7 @@ from functools import cached_property
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import AlgebraPresentation, graded_dim, left_shifts, primitive_terms, reducible_words
+from .algebra import AlgebraPresentation, graded_dim, left_shifts, reducible_words
 from .linalg import Frozen, SparseEchelon, residual
 from .rationals import times
 from .tensors import (
@@ -168,7 +167,7 @@ def deformation_from_tails(
             raise ValueError("tail over the wrong generator space")
         if t.max_degree >= algebra.degree:
             raise ValueError("tails must lie in F^(N-1)")
-    den = lcm(*(int(c.denominator) for t in tails for c in t.terms.values()))
+    den = lcm(*(c.denominator for t in tails for c in t.terms.values()))
     parts = tuple([[] for _ in tails] for _ in range(algebra.degree))
     for k, t in enumerate(tails):
         for w, c in t.terms.items():
@@ -252,8 +251,8 @@ class IdealSpan:
     (:func:`~pbwforge.algebra.left_shifts`, each key's place read from a
     table built once per span).  A carried row whose pivot no shift has
     is stored as it stands, and the others are inserted; so each level
-    eliminates only those and the rows p b with |b| = t, each relation a
-    primitive integer row placed by index arithmetic.
+    eliminates only those and the rows p b with |b| = t, each relation an
+    int row {(degree, word index): c} placed by index arithmetic.
 
     Leading words.  The pivot words of J_0, the span of the relations,
     are the leading words lt(q) of its echelon rows q.  Row p b is never
@@ -274,11 +273,10 @@ class IdealSpan:
     cutoff 6.  The rule reads only the relations.
     """
 
-    def __init__(self, relations: Sequence[TensorElement], dim_v: int, cutoff: int):
-        if any(p.dim_v != dim_v for p in relations):
-            raise ValueError("relation over the wrong generator space")
+    def __init__(self, relations: Sequence[dict], dim_v: int, cutoff: int):
+        degrees = [max((m for m, _ in p), default=0) for p in relations]
         # no relations span the zero ideal: every level is empty
-        degree = max((r.max_degree for r in relations), default=0)
+        degree = max(degrees, default=0)
         if cutoff < degree:
             raise ValueError("cutoff below the relation degree")
         guard_tensor_dim(dim_v, cutoff)
@@ -294,10 +292,9 @@ class IdealSpan:
             for x, table in enumerate(place):
                 table += range(start[d + 1] + x * dim_v**d, start[d + 1] + (x + 1) * dim_v**d)
 
-        rows = [primitive_terms(p) for p in relations]
         self.echelon = echelon = SparseEchelon()
         carried = {}  # the echelon rows of J_(t-1) that are not left shifts
-        skip = [[[False]]] * len(rows)  # level 0 has only the empty right word
+        skip = [[[False]]] * len(relations)  # level 0 has only the empty right word
         for t in range(cutoff - degree + 1):
             shifts = left_shifts(echelon.rows, place)
             echelon.rows = shifts | {p: row for p, row in carried.items() if p not in shifts}
@@ -306,7 +303,7 @@ class IdealSpan:
                     echelon.insert(row)
             right_size = dim_v**t
             # key of w b = start[|w| + t] + index(w) dim^t + index(b)
-            placed = [[(start[m + t] + wi * right_size, c) for m, wi, c in terms] for terms in rows]
+            placed = [[(start[m + t] + wi * right_size, c) for (m, wi), c in p.items()] for p in relations]
             for right in range(right_size):
                 for j, terms in enumerate(placed):
                     if not skip[j][t][right]:
@@ -319,9 +316,9 @@ class IdealSpan:
                 leading = [next((d, k - start[d]) for d in range(cutoff + 1) if start[d] <= k) for k in echelon.rows]
                 masks = {
                     n: reducible_words([w for w in leading if w[0] >= max(n, 1)], dim_v, cutoff - degree)
-                    for n in {p.max_degree for p in relations}
+                    for n in set(degrees)
                 }
-                skip = [masks[p.max_degree] for p in relations]
+                skip = [masks[n] for n in degrees]
 
     def intersection_dim(self, n: int) -> int:
         """dim of span intersect F^n."""
@@ -353,17 +350,15 @@ def brute_force_oracle(d: DeformationMap, n_max: int, cutoff: Optional[int] = No
     if cutoff < n_max:
         raise ValueError("cutoff must be at least n_max")
     a = d.algebra
-    # the deformed relations r_k - tails[k] times frame.lcm den, with int
-    # coefficients: R's integer rows and the deformation's parts, no rational;
-    # each index read back as its word
+    # the deformed relations r_k - tails[k] times frame.lcm den as int rows keyed
+    # (degree, word index): R's integer rows and the deformation's parts
     frame = a.relation_frame
-    tables = [word_table(a.dim_v, j) for j in range(a.degree + 1)]
     relations = []
     for k, row in enumerate(frame.rows):
-        terms = {tables[a.degree][i]: d.den * c for i, c in row.items()}
+        terms = {(a.degree, i): d.den * c for i, c in row.items()}
         for j, images in enumerate(d.parts):
-            terms.update((tables[j][i], -frame.lcm * c) for i, c in images[k])
-        relations.append(TensorElement(a.dim_v, terms))
+            terms.update(((j, i), -frame.lcm * c) for i, c in images[k])
+        relations.append(terms)
     span = IdealSpan(relations, a.dim_v, cutoff)
     quotients = []
     expected = []

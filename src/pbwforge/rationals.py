@@ -1,12 +1,10 @@
 """Exact rational scalars.
 
 Every number in the engine is an arbitrary-precision rational; nothing is
-ever rounded.  ``gmpy2.mpq`` is used when it is installed (a drop-in,
-faster implementation of the same arithmetic), with
-``fractions.Fraction`` as the pure-Python fallback.  ``gmpy2`` is a
-declared dependency, but every result is the same without it.  The
-elimination loop in ``linalg`` works on Python ints, so it is
-integer-only on either backend.
+ever rounded.  The one rational type is ``fractions.Fraction`` (``Q``),
+so the package needs only the standard library.  The elimination loop
+in ``linalg`` and every decision path work on Python ints; a rational is
+built only for an output or a family entry.
 """
 
 from __future__ import annotations
@@ -15,12 +13,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Union
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    Q = Fraction
+Q = Fraction
 
-RationalLike = Union[int, str, Fraction, "Q"]
+RationalLike = Union[int, str, Fraction]
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -33,7 +28,7 @@ def rational(value: RationalLike) -> Q:
     Accepts ints, rationals, and strings of the form ``"p"`` or ``"p/q"``.
     Parsing is exact; anything else (floats in particular) is rejected.
     """
-    if isinstance(value, (int, Fraction)) or type(value) is type(ZERO):
+    if isinstance(value, (int, Fraction)):
         return Q(value)
     if isinstance(value, str):
         text = value.strip()
@@ -49,14 +44,14 @@ def rational(value: RationalLike) -> Q:
 
 def times(c, den: int) -> int:
     """c * den as a Python int, for a rational c whose denominator divides den."""
-    return int(c.numerator) * (den // int(c.denominator))
+    return c.numerator * (den // c.denominator)
 
 
 def cleared(values: Iterable) -> tuple:
     """(numerators, den) of the rationals ``values`` over the lcm ``den``
     of their denominators, all Python ints: values[i] = numerators[i] / den."""
     values = list(values)
-    den = lcm(*(int(c.denominator) for c in values))
+    den = lcm(*(c.denominator for c in values))
     return [times(c, den) for c in values], den
 
 

@@ -427,7 +427,7 @@ def _read_current(c: Current, a: AlgebraPresentation) -> DeformationMap:
         for rho, x in enumerate(column):
             num = x.numerator
             if num:
-                ratios.append((j, rho, i, int(num), int(x.denominator)))
+                ratios.append((j, rho, i, num, x.denominator))
     den = lcm(*{ratio[4] for ratio in ratios})
     parts = [[[] for _ in range(n)] for _ in range(max(a.degree, 3))]
     for j, rho, i, num, d in ratios:

@@ -25,7 +25,7 @@ term.  The integer constructors must match them in value and in type.
 import heapq
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import gcd
+from math import gcd, lcm
 
 from pbwforge.linalg import SparseEchelon, solve_rows
 from pbwforge.rationals import HALF, ZERO, rational
@@ -233,6 +233,17 @@ def ideal_span_dims(relations, dim_v, cutoff):
                         )
     dims = [sum(1 for k in echelon.rows if k >= start[n]) for n in range(cutoff + 1)]
     return dims, echelon.rank
+
+
+def keyed_rows(relations):
+    """The elements ``relations`` as ``pbwforge.pbw.IdealSpan`` takes them:
+    integer rows {(degree, word index): c}, each element's denominators
+    cleared over their lcm."""
+    rows = []
+    for p in relations:
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        rows.append({(len(w), word_index(w, p.dim_v)): int(c * den) for w, c in p.terms.items()})
+    return rows
 
 
 def graded_dims(a, n_max):

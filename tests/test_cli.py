@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbwforge.cli import main
 
@@ -121,6 +127,43 @@ def test_integer_literal_past_the_digit_limit_is_invalid_input(tmp_path, capsys)
     assert captured.err.startswith("error: malformed JSON: ")
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
+
+
+def test_rational_past_the_digit_limit_in_a_custom_relation_is_invalid_input(tmp_path, capsys):
+    # CPython refuses to convert a decimal string of more than 4,300 digits
+    # with a plain ValueError: exit 2 with one error line, not a traceback
+    doc = json.loads((DATA / "custom_xyx_check.problem.json").read_text())
+    doc["algebra"]["custom_relations"][0][0]["coeff"] = "1" * 5000
+    assert_invalid_input(tmp_path, capsys, doc)
+
+
+def test_every_nesting_depth_is_invalid_input(tmp_path, capsys):
+    # near the recursion limit the decoder reads a value that the schema
+    # check, a few calls deeper, can no longer repr for its message: still
+    # exit 2 with one error line
+    limit = sys.getrecursionlimit()
+    doc = json.dumps(ym_problem(current={"parameters": {"b": ["@", 0, 0]}}))
+    for depth in range(limit - 150, limit + 10):
+        p = tmp_path / "deep.json"
+        p.write_text(doc.replace('"@"', "[" * depth + "]" * depth))
+        assert main(["run", "--input", str(p)]) == 2, depth
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, depth
+        assert captured.out == "", depth
+
+
+def test_report_coefficient_past_the_digit_limit_trips_the_guard(tmp_path, capsys):
+    # a metric entry of 4,200 digits gives a j1 witness whose coefficients
+    # CPython will not write in decimal: exit 3 with one guard line and no
+    # report, not a ValueError traceback
+    doc = json.loads((DATA / "ym_random_metric_tails.problem.json").read_text())
+    doc["algebra"]["metric"][0][1] = doc["algebra"]["metric"][1][0] = "9" * 4200
+    out = tmp_path / "report.json"
+    assert main(["run", "--input", write(tmp_path, "p.json", doc), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "resource guard: a report coefficient has too many decimal digits to print\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_rational_with_trailing_newline_rejected(tmp_path, capsys):
@@ -524,3 +567,106 @@ def test_golden_reports(tmp_path, argv, code, name):
     out = tmp_path / "report.json"
     assert main([*argv, "--out", str(out)]) == code
     assert out.read_bytes() == (DATA / f"{name}.report.json").read_bytes()
+
+
+# the front-end fuzz: golden problem files with their arrays resized,
+# emptied or made ragged, rationals with a zero denominator or thousands
+# of digits, values nested deeply, a small s, under a low tensor limit
+RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
+DEEP = "@deep:{}@"  # a value nested this deep, written out after json.dumps
+DEPTHS = (3, 200, 950, 5000)
+
+
+def json_nodes(node, path=()):
+    """(path, node) for every node of a JSON document, the root first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from json_nodes(child, path + (key,))
+
+
+def replaced(node, path, value):
+    """A copy of ``node`` with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def is_rational(node):
+    return type(node) is int or isinstance(node, str) and RATIONAL.match(node) is not None
+
+
+def is_matrix(node):
+    return isinstance(node, list) and any(isinstance(row, list) and row for row in node)
+
+
+def ragged(node, draw):
+    """One nonempty row of the list of lists ``node`` one entry short."""
+    i = draw(st.sampled_from([i for i, row in enumerate(node) if isinstance(row, list) and row]))
+    return node[:i] + [node[i][:-1]] + node[i + 1 :]
+
+
+# name: (whether it applies to a (path, node), the new node from the node and a draw)
+MUTATIONS = {
+    "mis-sized": (
+        lambda path, node: isinstance(node, list),
+        lambda node, draw: node + node[-1:] if node and draw(st.booleans()) else node[:-1],
+    ),
+    "empty": (lambda path, node: isinstance(node, list), lambda node, draw: []),
+    "ragged": (lambda path, node: is_matrix(node), ragged),
+    "zero denominator": (
+        lambda path, node: is_rational(node),
+        lambda node, draw: str(node).partition("/")[0] + "/0",
+    ),
+    "huge literal": (
+        lambda path, node: is_rational(node),
+        lambda node, draw: draw(st.sampled_from([10**30, -(10**4000), "9" * 4200, "1" * 4400 + "/3", f"-1/{10**60}"])),
+    ),
+    "deep nesting": (lambda path, node: True, lambda node, draw: DEEP.format(draw(st.sampled_from(DEPTHS)))),
+    "small s": (lambda path, node: path == ("algebra", "s"), lambda node, draw: draw(st.sampled_from([0, 1]))),
+}
+
+
+def run_quietly(argv, out):
+    """(exit code, stdout, stderr, report bytes or None) of ``main(argv)``
+    writing its report to ``out``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--out", str(out)])
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_problem_files_exit_cleanly(data):
+    source = data.draw(st.sampled_from(sorted(DATA.glob("*.problem.json"))), label="file")
+    doc = json.loads(source.read_text())
+    for _ in range(data.draw(st.integers(0, 2), label="mutations")):
+        kind = data.draw(st.sampled_from(sorted(MUTATIONS)), label="mutation")
+        applies, mutate = MUTATIONS[kind]
+        targets = [(path, node) for path, node in json_nodes(doc) if applies(path, node)]
+        if targets:
+            path, node = data.draw(st.sampled_from(targets), label="at")
+            doc = replaced(doc, path, mutate(node, data.draw))
+    text = json.dumps(doc)
+    for depth in DEPTHS:
+        text = text.replace(json.dumps(DEEP.format(depth)), "[" * depth + "0" + "]" * depth)
+    # one run in three under a low limit
+    limit = data.draw(st.integers(1, 2000), label="limit") if data.draw(st.integers(0, 2)) == 0 else None
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if limit is None:
+            mp.delenv("PBWFORGE_MAX_TENSOR_DIM", raising=False)
+        else:
+            mp.setenv("PBWFORGE_MAX_TENSOR_DIM", str(limit))
+        problem = Path(tmp) / "p.json"
+        problem.write_text(text)
+        first, second = (run_quietly(["run", "--input", str(problem)], Path(tmp) / f"r{i}.json") for i in (1, 2))
+    code, stdout, stderr, report = first
+    assert code in (0, 1, 2, 3)
+    assert stdout == ""
+    if code in (2, 3):
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+    assert (report is not None) == (code in (0, 1))
+    assert second == first

@@ -1,8 +1,8 @@
 """Pins on the outputs of the family constructors and the seeded sampler.
 
 Each pin is a sha256 over every entry written as its "p/q" string with
-its type ("Q" for the backend's rational, the type name otherwise), so a
-change of value or a leaked int or mpz shows up.  Covered: the YM and SYM
+its type ("Q" for ``fractions.Fraction``, the type name otherwise), so a
+change of value or a leaked int shows up.  Covered: the YM and SYM
 coefficient arrays, the seeded parameter draws with the currents built
 from them, the stage-1 family generators, and the payloads of the
 chain-batch and oracle-triangle benchmark workloads.

@@ -12,6 +12,9 @@ nor ``random`` and ``pbwforge.sampling``, the seeded sampler that only
 the tests and the benchmark use: every ``pbwforge run`` starts a fresh
 interpreter and would pay for them (and, with no bytecode cache, compile
 them).
+
+``fractions.Fraction`` is the one rational type: no module imports
+``gmpy2``, even when one is on the path.
 """
 
 import ast
@@ -62,3 +65,16 @@ def test_the_command_line_imports_no_dataclasses_or_inspect():
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_no_module_imports_gmpy2_even_when_it_is_on_the_path(tmp_path):
+    # a stub gmpy2 first on the path: importing every package module
+    # neither picks its mpq as the rational type nor imports it at all
+    (tmp_path / "gmpy2.py").write_text("from fractions import Fraction\n\n\nclass mpq(Fraction):\n    pass\n")
+    imports = "; ".join(f"import pbwforge.{p.stem}" for p in MODULES)
+    code = (
+        f"import sys; sys.path[:0] = [{str(tmp_path)!r}, {str(SRC)!r}]; import fractions; {imports}; "
+        "print(pbwforge.rationals.Q is fractions.Fraction, 'gmpy2' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "True False\n"

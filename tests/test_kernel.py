@@ -2,8 +2,8 @@
 
 The pin is a sha256 over every output of ``linalg.solve_rows``: the
 particular solution and each canonical row of the homogeneous subspace,
-entries in key order, each as its "p/q" string with its type ("Q" for the
-backend's rational).  The systems are homogeneous, affine and infeasible,
+entries in key order, each as its "p/q" string with its type ("Q" for
+``fractions.Fraction``).  The systems are homogeneous, affine and infeasible,
 rank-deficient, with duplicate and zero rows, over int and over rational
 entries, so a change of the kernel's rows, of the particular solution or
 of a feasibility decision shows up.  A second pin covers the sampler's

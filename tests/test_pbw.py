@@ -316,7 +316,7 @@ def test_ideal_span_matches_dense_reference(case, cutoff):
         d = _custom_quadratic_deformation(11)
     relations = d.deformed_relations()
     assert any(c.denominator != 1 for p in relations for c in p.terms.values()) or case.startswith("so3")
-    span = IdealSpan(relations, d.algebra.dim_v, cutoff)
+    span = IdealSpan(reference.keyed_rows(relations), d.algebra.dim_v, cutoff)
     got = [span.intersection_dim(n) for n in range(cutoff + 1)]
     assert got == _dense_intersection_dims(relations, d.algebra.dim_v, cutoff)
 
