@@ -556,6 +556,9 @@ GOLDEN = (
     # the SYM family on a rational, non-diagonal inverse metric
     (["run", "--input", "sym_random_metric_identities.problem.json"], 0, "sym_random_metric_identities"),
     (["demo-lie", "--case", "broken"], 1, "demo_lie_broken"),
+    (["demo-lie", "--case", "so3"], 0, "demo_lie_so3"),
+    # the super family on the Minkowski metric of dimension 4, to degree 6
+    (["run", "--input", "sym_s3_minkowski_hilbert.problem.json"], 0, "sym_s3_minkowski_hilbert"),
     # a wrong positive: the chain accepts a tail that the oracle refutes
     (["run", "--input", "custom_xyx_check.problem.json"], 0, "custom_xyx_check"),
 )
