@@ -6,6 +6,7 @@ from .algebra import (
     AlgebraPresentation,
     build_antisymmetrizer_relations,
     graded_dim,
+    graded_dims,
     ideal_component,
     overlap_space,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "deformation_from_tails",
     "family_equals_solutions",
     "graded_dim",
+    "graded_dims",
     "ideal_component",
     "kernel",
     "overlap_space",

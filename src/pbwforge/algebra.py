@@ -1,25 +1,17 @@
-"""Homogeneous N-algebras T(V)/(R): graded ideal components, graded
-dimensions, the overlap space W = (R tensor V) intersect (V tensor R), and
-the overlap core shared by the PBW checker and the classifier.
+"""Homogeneous N-algebras T(V)/(R): the ideal span, graded dimensions,
+the overlap space W = (R tensor V) intersect (V tensor R), and the
+overlap core shared by the PBW checker and the classifier.
 
-Graded dimensions are exact quotient dimensions dim V^n - dim I_n, with
-the ideal component built degree by degree from the recurrence
-I_n = V tensor I_(n-1) + R tensor V^(n-N): the left shifts of the echelon
-rows of I_(n-1) are kept as views, and only the rows r b are
-eliminated.  A row r b whose right word b = u lt u'' contains a leading
-word lt, a pivot word of I_N, is never built.  With q the echelon row of
-pivot lt, q = c lt + q' and c r b = r u q u'' - r u q' u'': the first
-term lies in V tensor I_(n-1), and the second is a combination of rows
-r b' with b' lexicographically later, so induction on b puts r b in the
-span of the rows kept (Bergman's normal words, *Adv. Math.* 29 (1978)).
-:func:`reducible_words` marks those right words.  The filtered ideal
-span (``pbw.IdealSpan``) skips the same rows, and carries its other rows
-of the level below as they stand wherever no left shift has their
-pivot.  No Hilbert-series assumption ever enters the computation.
+:class:`IdealSpan` is the one ideal builder.  The oracle runs it on the
+deformed relations, and graded dimensions and ideal components read it
+on R's rows: each a r b is homogeneous, so J intersect F^m = I_0 + ... +
+I_m with I_m the degree-m block, and dim A_m = dim V^m - dim I_m.  No
+Hilbert-series assumption ever enters the computation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import combinations, permutations
@@ -95,12 +87,6 @@ class AlgebraPresentation(Frozen):
         return len(self.relation_basis) == self.dim_v and not any(total.values())
 
     @cached_property
-    def ideal_rows(self) -> list:
-        """Echelon rows of I_0, I_1, ... as far as :func:`graded_dim` has
-        needed them; filled on demand, kept for the presentation's life."""
-        return [{}]
-
-    @cached_property
     def overlap(self) -> "OverlapData":
         """The overlap core of this presentation, built on first use."""
         return OverlapData(self)
@@ -171,48 +157,153 @@ def reducible_words(leading, dim_v: int, k_max: int) -> list:
     return red
 
 
-def _ideal_component_rows(a: AlgebraPresentation, n: int) -> dict:
-    """Echelon rows of I_n, keyed by word index, from
-    I_m = V tensor I_(m-1) + R tensor V^(m-N), one degree m at a time
-    (left shifts as views), skipping every r b whose right word b
-    contains a pivot word of I_N."""
-    levels = a.ideal_rows
-    while len(levels) <= n:
-        m = len(levels)
-        size = a.dim_v ** (m - 1)
-        echelon = SparseEchelon()
-        echelon.rows = left_shifts(levels[-1], [range(x * size, (x + 1) * size) for x in range(a.dim_v)])
-        if m >= a.degree:
-            k = m - a.degree
-            right = a.dim_v**k
-            leading = [(a.degree, w) for w in levels[a.degree]] if k else []
-            skip = reducible_words(leading, a.dim_v, k)[k]
-            for row in a.relation_frame.rows:
-                for b in range(right):
-                    if not skip[b]:
-                        echelon.insert({wi * right + b: c for wi, c in row.items()})
-        levels.append(echelon.rows)
-    return levels[n]
+class IdealSpan:
+    """Echelon basis of span{a p b : |a| + N + |b| <= cutoff} in F^cutoff,
+    the engine's one ideal builder.
+
+    A word w of degree d has the integer key start[d] + word_index(w),
+    with start[cutoff] = 0 and each lower degree's block placed after the
+    block of the degree above, so keys order words by decreasing degree,
+    then lexicographically.  Basis rows whose pivot key is at least
+    start[n], the rows with pivot in degree <= n, then span exactly the
+    intersection with F^n.  A key of a relation's int row that is no pair
+    of ints 0 <= m <= cutoff, 0 <= i < dim_v^m raises ValueError.
+
+    The span is built level by level.  With J_t the span of the a p b
+    with |a| + |b| <= t,
+
+        J_t = V tensor J_(t-1) + span(carried) + span{p b : |b| = t},
+
+    where ``carried`` holds the echelon rows of J_(t-1) that are not left
+    shifts.  The echelon rows of J_(t-1) are the left shifts of those of
+    J_(t-2), which lie in V tensor J_(t-2), inside V tensor J_(t-1), and
+    the carried rows; so J_(t-1), which holds every p b with |b| < t, lies
+    in the right-hand side, and J_t = V tensor J_(t-1) + J_(t-1) +
+    span{p b : |b| = t} is all of it.  Prefixing a letter keeps the key
+    order, so the left shifts of the echelon rows of J_(t-1) are echelon
+    rows of V tensor J_(t-1), stored as views until first reduced by
+    (:func:`left_shifts`, each key's place read from a
+    table built once per span).  A carried row whose pivot no shift has
+    is stored as it stands, and the others are inserted; so each level
+    eliminates only those and the rows p b with |b| = t, each relation an
+    int row {(degree, word index): c} placed by index arithmetic.
+
+    Leading words.  The pivot words of J_0, the span of the relations,
+    are the leading words lt(q) of its echelon rows q.  Row p b is never
+    built when b = u lt(q) u'' with |lt(q)| >= max(deg p, 1); every pivot
+    is unchanged.  Write q = c lt(q) + q', every word of q' after lt(q)
+    in the key order (shorter, or as long and lexicographically later).
+    Then c p b = p u q u'' - p u q' u''.  The first term is a combination
+    of rows w u p_i u'' over the words w of p and relations p_i; as
+    |w| <= |lt(q)|, |w u| + |u''| <= |b| = t, so each lies in
+    V tensor J_(t-1), or is p_i u'' with a shorter right word when w u
+    is empty, in J_(t-1) inside J_t.  The second term is a combination of
+    rows p b' with b' shorter than b, again in J_(t-1), or as long and
+    lexicographically later.  Induction on b in that well-founded order
+    puts p b in J_t: Bergman's normal words (*Adv. Math.* 29 (1978)),
+    used as a product criterion.  The length bound matters: without it
+    the first term can leave J_t, and the span of x y x + 2 y and
+    (1/3) y y + x + 5 over two letters would lose 5 dimensions at
+    cutoff 6.  The rule reads only the relations.
+    """
+
+    def __init__(self, relations: Sequence[dict], dim_v: int, cutoff: int):
+        guard_tensor_dim(dim_v, cutoff)
+        for key in (key for p in relations for key in p):
+            m, i = key if type(key) is tuple and len(key) == 2 else (None, None)
+            # a degree above the cutoff is reported below, as the relation's degree
+            if type(m) is not int or type(i) is not int or m < 0 or i < 0 or m <= cutoff and i >= dim_v**m:
+                raise ValueError(f"key {key!r} is no (degree, word index) of a word over {dim_v} letters")
+        degrees = [max((m for m, _ in p), default=0) for p in relations]
+        # no relations span the zero ideal: every level is empty
+        degree = max(degrees, default=0)
+        if cutoff < degree:
+            raise ValueError("cutoff below the relation degree")
+        self.dim_v = dim_v
+        self.cutoff = cutoff
+        self.start = start = [0] * (cutoff + 1)
+        for d in range(cutoff - 1, -1, -1):
+            start[d] = start[d + 1] + dim_v ** (d + 1)
+        # place[x][k] = start[d + 1] + x dim^d + index(w), the key of x w for the
+        # word w of degree d < cutoff with key k
+        place = [[None] * dim_v**cutoff for _ in range(dim_v)]
+        for d in range(cutoff - 1, -1, -1):
+            for x, table in enumerate(place):
+                table += range(start[d + 1] + x * dim_v**d, start[d + 1] + (x + 1) * dim_v**d)
+
+        self.echelon = echelon = SparseEchelon()
+        carried = {}  # the echelon rows of J_(t-1) that are not left shifts
+        skip = [[[False]]] * len(relations)  # level 0 has only the empty right word
+        for t in range(cutoff - degree + 1):
+            shifts = left_shifts(echelon.rows, place)
+            echelon.rows = shifts | {p: row for p, row in carried.items() if p not in shifts}
+            for p, row in carried.items():
+                if p in shifts:
+                    echelon.insert(row)
+            right_size = dim_v**t
+            # key of w b = start[|w| + t] + index(w) dim^t + index(b)
+            placed = [[(start[m + t] + wi * right_size, c) for (m, wi), c in p.items()] for p in relations]
+            for right in range(right_size):
+                for j, terms in enumerate(placed):
+                    if not skip[j][t][right]:
+                        echelon.insert({base + right: c for base, c in terms})
+            carried = {p: row for p, row in echelon.rows.items() if p not in shifts}
+            if t == 0:
+                # the leading words are the pivots of J_0, as (degree, word index);
+                # relation j skips only those at least as long as itself (and never
+                # the empty word)
+                leading = [next((d, k - start[d]) for d in range(cutoff + 1) if start[d] <= k) for k in echelon.rows]
+                masks = {
+                    n: reducible_words([w for w in leading if w[0] >= max(n, 1)], dim_v, cutoff - degree)
+                    for n in set(degrees)
+                }
+                skip = [masks[n] for n in degrees]
+
+    def intersection_dim(self, n: int) -> int:
+        """dim of span intersect F^n."""
+        if n > self.cutoff:
+            raise ValueError("n exceeds the cutoff")
+        return sum(1 for p in self.echelon.rows if p >= self.start[n])
+
+
+def _graded_span(a: AlgebraPresentation, n: int) -> IdealSpan:
+    """The span of R's rows to a cutoff of at least n >= N, kept on the
+    presentation; rebuilt at n only for n above its cutoff (which moves every key)."""
+    span = a.__dict__.get("_graded_span")
+    if span is None or span.cutoff < n:
+        span = IdealSpan([{(a.degree, i): c for i, c in row.items()} for row in a.relation_frame.rows], a.dim_v, n)
+        a._set("_graded_span", span)
+    return span
+
+
+def graded_dims(a: AlgebraPresentation, n: int) -> list:
+    """Exact dimensions dim A_0, ..., dim A_n of A = T(V)/(R): dim V^m minus
+    the pivots of the span of R in degree m, the keys from start[m] up to
+    start[m - 1] (to the end for m = 0).  Below N no span is built; the
+    resource guard runs on every call, cached or not."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    guard_tensor_dim(a.dim_v, n)
+    if n < a.degree:
+        return [a.dim_v**m for m in range(n + 1)]
+    span = _graded_span(a, n)
+    pivots = sorted(span.echelon.rows)
+    ends = [len(pivots)] + [bisect_left(pivots, span.start[m]) for m in range(n + 1)]
+    return [a.dim_v**m - ends[m] + ends[m + 1] for m in range(n + 1)]
+
+
+def graded_dim(a: AlgebraPresentation, n: int) -> int:
+    """Exact dimension of the degree-n part of T(V)/(R) (:func:`graded_dims`)."""
+    return graded_dims(a, n)[n]
 
 
 def ideal_component(a: AlgebraPresentation, n: int) -> Subspace:
     """Degree-n component of the two-sided ideal (R), in canonical form."""
     guard_tensor_dim(a.dim_v, n)
-    return Subspace.from_sparse(_ideal_component_rows(a, n).values(), a.dim_v**n)
-
-
-def graded_dim(a: AlgebraPresentation, n: int) -> int:
-    """Exact dimension of the degree-n part of T(V)/(R).
-
-    The ideal components are built once per presentation
-    (``AlgebraPresentation.ideal_rows``), so a later call in a degree
-    already reached costs no elimination; the resource guard still runs
-    on every call.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    guard_tensor_dim(a.dim_v, n)
-    return a.dim_v**n - len(_ideal_component_rows(a, n))
+    size = a.dim_v**n
+    span = _graded_span(a, max(n, a.degree))
+    base, rows = span.start[n], span.echelon.rows
+    return Subspace.from_sparse(({k - base: c for k, c in rows[p].items()} for p in rows if base <= p < base + size), size)
 
 
 def overlap_space(a: AlgebraPresentation) -> Subspace:

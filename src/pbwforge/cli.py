@@ -23,7 +23,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .algebra import AlgebraPresentation, build_antisymmetrizer_relations, graded_dim
+from .algebra import AlgebraPresentation, build_antisymmetrizer_relations, graded_dims
 from .classify import family_equals_solutions, solve_stage1
 from .pbw import (
     DeformationMap,
@@ -92,8 +92,17 @@ def _ecma_regex(pattern: str) -> re.Pattern:
     )
 
 
+def _describe(node) -> str:
+    """A JSON value in at most 40 characters: an object or array by its
+    type and size, a scalar by its repr, cut."""
+    if isinstance(node, (dict, list)):
+        return f"{'an object' if isinstance(node, dict) else 'an array'} of length {len(node)}"
+    text = repr(node[:41] if isinstance(node, str) else node)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _violations(node, schema: dict, root: dict, path: tuple):
-    """Yield (path, message) for each way ``node`` breaks ``schema``.
+    """Yield (path, offending node, predicate) for each way ``node`` breaks ``schema``.
 
     Implements only the keywords ``problem.schema.json`` uses (see
     ``tests/test_schema.py``), with JSON Schema 2020-12 meaning, except
@@ -109,37 +118,37 @@ def _violations(node, schema: dict, root: dict, path: tuple):
             yield from _violations(node, sub, root, path)
         elif key == "type":
             if not _is_type(node, want):
-                yield path, f"{node!r} is not of type {want!r}"
+                yield path, node, f"is not of type {want!r}"
         elif key == "const":
             if not _same(node, want):
-                yield path, f"{want!r} was expected"
+                yield path, node, f"is not {want!r}"
         elif key == "enum":
             if not any(_same(node, v) for v in want):
-                yield path, f"{node!r} is not one of {want!r}"
+                yield path, node, f"is not one of {want!r}"
         elif key == "oneOf":
             matches = sum(not any(_violations(node, s, root, path)) for s in want)
             if matches != 1:
-                yield path, f"{node!r} matches {matches} of the {len(want)} alternatives, not one"
+                yield path, node, f"matches {matches} of the {len(want)} alternatives, not one"
         elif key == "minimum" and isinstance(node, (int, float)) and not isinstance(node, bool):
             if node < want:
-                yield path, f"{node!r} is less than the minimum of {want!r}"
+                yield path, node, f"is less than the minimum of {want!r}"
         elif key == "pattern" and isinstance(node, str):
             if not _ecma_regex(want).search(node):
-                yield path, f"{node!r} does not match {want!r}"
+                yield path, node, f"does not match {want!r}"
         elif key == "minItems" and isinstance(node, list):
             if len(node) < want:
-                yield path, f"{node!r} has fewer than {want} items"
+                yield path, node, f"has fewer than {want} items"
         elif key == "items" and isinstance(node, list):
             for i, item in enumerate(node):
                 yield from _violations(item, want, root, path + (i,))
         elif key == "required" and isinstance(node, dict):
             for name in want:
                 if name not in node:
-                    yield path, f"{name!r} is a required property"
+                    yield path, node, f"lacks the required property {name!r}"
         elif key == "additionalProperties" and want is False and isinstance(node, dict):
             extra = sorted(k for k in node if k not in schema.get("properties", {}))
             if extra:
-                yield path, f"additional properties are not allowed ({extra} unexpected)"
+                yield path, extra[0], f"is no property of the schema ({len(extra)} unexpected)"
         elif key == "properties" and isinstance(node, dict):
             for name, sub in want.items():
                 if name in node:
@@ -149,8 +158,10 @@ def _violations(node, schema: dict, root: dict, path: tuple):
 def schema_violation(doc, schema: dict) -> Optional[tuple]:
     """The first (path, message) by which ``doc`` breaks ``schema``, in path
     order, or None when ``doc`` is valid.  A path is a tuple of object keys
-    and array indices, () for the root."""
-    return min(_violations(doc, schema, schema, ()), key=lambda v: v[0], default=None)
+    and array indices, () for the root.  Only this violation is formatted,
+    and the message describes the offending value in bounded length."""
+    found = min(_violations(doc, schema, schema, ()), key=lambda v: v[0], default=None)
+    return None if found is None else (found[0], f"{_describe(found[1])} {found[2]}")
 
 
 def load_problem(path: str) -> dict:
@@ -162,7 +173,7 @@ def load_problem(path: str) -> dict:
         raise ProblemError(f"cannot read problem file: {e}") from e
     except ValueError as e:  # JSONDecodeError, or an integer literal past CPython's digit limit
         raise ProblemError(f"malformed JSON: {e}") from e
-    except RecursionError as e:  # in the decoder, or in the repr of a violation's node
+    except RecursionError as e:  # in the decoder
         raise ProblemError("malformed JSON: nested too deeply") from e
     if violation is not None:
         where = "/".join(str(p) for p in violation[0]) or "(root)"
@@ -376,7 +387,7 @@ def run_task(task: dict, problem: dict, a, metric, deformation):
         return result, passed, tsv
     if kind == "hilbert":
         n_max = task.get("n_max", 5)
-        dims = [graded_dim(a, n) for n in range(n_max + 1)]
+        dims = graded_dims(a, n_max)
         result = {"task": kind, "n_max": n_max, "dims": dims}
         passed = True
         if family in ("yang-mills", "super-yang-mills"):

@@ -30,19 +30,14 @@ coefficients the relations force; the canonical residual
 (``linalg.residual``) is computed only when read.  It reads neither W
 nor the brackets, so it stays an independent certificate.
 
-The brute-force oracle is fully independent: it spans the filtered ideal
-by explicit products up to a degree cutoff and compares quotient
-dimensions against the graded algebra.  It can refute the PBW property
-definitively at a finite cutoff, but can only ever report bounded
-consistency in the positive direction.  Its span (:class:`IdealSpan`)
-is built level by level: each level takes the left shifts of the level
-below, as views, and that level's other rows, the latter as they stand
-wherever no shift has their pivot, and eliminates only those rows that
-meet a shift's pivot and the products p b of its own right-word length.  It
-never builds a row p b whose right word b = u lt u'' contains a leading
-word lt of the relations at least as long as p (induction on b,
-Bergman's normal-word argument, *Adv. Math.* 29 (1978)).  Both rules
-read only the relations, never W or the brackets.
+The brute-force oracle is independent of the other two: it spans the
+filtered ideal by explicit products up to a degree cutoff and compares
+quotient dimensions against the graded algebra.  It can refute the PBW
+property definitively at a finite cutoff, but can only ever report
+bounded consistency in the positive direction.  Its quotients and its
+expected dimensions both come from the one ideal builder
+(:class:`~pbwforge.algebra.IdealSpan`), on the deformed relations and on
+R; it reads only the relations, never W or the brackets.
 """
 
 from __future__ import annotations
@@ -51,8 +46,8 @@ from functools import cached_property
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .algebra import AlgebraPresentation, graded_dim, left_shifts, reducible_words
-from .linalg import Frozen, SparseEchelon, residual
+from .algebra import AlgebraPresentation, IdealSpan, graded_dims
+from .linalg import Frozen, residual
 from .rationals import times
 from .tensors import (
     ResourceGuardError,  # noqa: F401  (re-exported for callers of the oracle)
@@ -60,7 +55,6 @@ from .tensors import (
     add_combination,
     add_images,
     filtered_dim,
-    guard_tensor_dim,
     word_index,
     word_table,
 )
@@ -225,108 +219,6 @@ def pbw_verdict(d: DeformationMap) -> PbwVerdict:
     return PbwVerdict(True, j2, j3, None, all(j2) and j3)
 
 
-class IdealSpan:
-    """Echelon basis of span{a p b : |a| + N + |b| <= cutoff} in F^cutoff.
-
-    A word w of degree d has the integer key start[d] + word_index(w),
-    with start[cutoff] = 0 and each lower degree's block placed after the
-    block of the degree above, so keys order words by decreasing degree,
-    then lexicographically.  Basis rows whose pivot key is at least
-    start[n], the rows with pivot in degree <= n, then span exactly the
-    intersection with F^n.
-
-    The span is built level by level.  With J_t the span of the a p b
-    with |a| + |b| <= t,
-
-        J_t = V tensor J_(t-1) + span(carried) + span{p b : |b| = t},
-
-    where ``carried`` holds the echelon rows of J_(t-1) that are not left
-    shifts.  The echelon rows of J_(t-1) are the left shifts of those of
-    J_(t-2), which lie in V tensor J_(t-2), inside V tensor J_(t-1), and
-    the carried rows; so J_(t-1), which holds every p b with |b| < t, lies
-    in the right-hand side, and J_t = V tensor J_(t-1) + J_(t-1) +
-    span{p b : |b| = t} is all of it.  Prefixing a letter keeps the key
-    order, so the left shifts of the echelon rows of J_(t-1) are echelon
-    rows of V tensor J_(t-1), stored as views until first reduced by
-    (:func:`~pbwforge.algebra.left_shifts`, each key's place read from a
-    table built once per span).  A carried row whose pivot no shift has
-    is stored as it stands, and the others are inserted; so each level
-    eliminates only those and the rows p b with |b| = t, each relation an
-    int row {(degree, word index): c} placed by index arithmetic.
-
-    Leading words.  The pivot words of J_0, the span of the relations,
-    are the leading words lt(q) of its echelon rows q.  Row p b is never
-    built when b = u lt(q) u'' with |lt(q)| >= max(deg p, 1); every pivot
-    is unchanged.  Write q = c lt(q) + q', every word of q' after lt(q)
-    in the key order (shorter, or as long and lexicographically later).
-    Then c p b = p u q u'' - p u q' u''.  The first term is a combination
-    of rows w u p_i u'' over the words w of p and relations p_i; as
-    |w| <= |lt(q)|, |w u| + |u''| <= |b| = t, so each lies in
-    V tensor J_(t-1), or is p_i u'' with a shorter right word when w u
-    is empty, in J_(t-1) inside J_t.  The second term is a combination of
-    rows p b' with b' shorter than b, again in J_(t-1), or as long and
-    lexicographically later.  Induction on b in that well-founded order
-    puts p b in J_t: Bergman's normal words (*Adv. Math.* 29 (1978)),
-    used as a product criterion.  The length bound matters: without it
-    the first term can leave J_t, and the span of x y x + 2 y and
-    (1/3) y y + x + 5 over two letters would lose 5 dimensions at
-    cutoff 6.  The rule reads only the relations.
-    """
-
-    def __init__(self, relations: Sequence[dict], dim_v: int, cutoff: int):
-        degrees = [max((m for m, _ in p), default=0) for p in relations]
-        # no relations span the zero ideal: every level is empty
-        degree = max(degrees, default=0)
-        if cutoff < degree:
-            raise ValueError("cutoff below the relation degree")
-        guard_tensor_dim(dim_v, cutoff)
-        self.dim_v = dim_v
-        self.cutoff = cutoff
-        self.start = start = [0] * (cutoff + 1)
-        for d in range(cutoff - 1, -1, -1):
-            start[d] = start[d + 1] + dim_v ** (d + 1)
-        # place[x][k] = start[d + 1] + x dim^d + index(w), the key of x w for the
-        # word w of degree d < cutoff with key k
-        place = [[None] * dim_v**cutoff for _ in range(dim_v)]
-        for d in range(cutoff - 1, -1, -1):
-            for x, table in enumerate(place):
-                table += range(start[d + 1] + x * dim_v**d, start[d + 1] + (x + 1) * dim_v**d)
-
-        self.echelon = echelon = SparseEchelon()
-        carried = {}  # the echelon rows of J_(t-1) that are not left shifts
-        skip = [[[False]]] * len(relations)  # level 0 has only the empty right word
-        for t in range(cutoff - degree + 1):
-            shifts = left_shifts(echelon.rows, place)
-            echelon.rows = shifts | {p: row for p, row in carried.items() if p not in shifts}
-            for p, row in carried.items():
-                if p in shifts:
-                    echelon.insert(row)
-            right_size = dim_v**t
-            # key of w b = start[|w| + t] + index(w) dim^t + index(b)
-            placed = [[(start[m + t] + wi * right_size, c) for (m, wi), c in p.items()] for p in relations]
-            for right in range(right_size):
-                for j, terms in enumerate(placed):
-                    if not skip[j][t][right]:
-                        echelon.insert({base + right: c for base, c in terms})
-            carried = {p: row for p, row in echelon.rows.items() if p not in shifts}
-            if t == 0:
-                # the leading words are the pivots of J_0, as (degree, word index);
-                # relation j skips only those at least as long as itself (and never
-                # the empty word)
-                leading = [next((d, k - start[d]) for d in range(cutoff + 1) if start[d] <= k) for k in echelon.rows]
-                masks = {
-                    n: reducible_words([w for w in leading if w[0] >= max(n, 1)], dim_v, cutoff - degree)
-                    for n in set(degrees)
-                }
-                skip = [masks[n] for n in degrees]
-
-    def intersection_dim(self, n: int) -> int:
-        """dim of span intersect F^n."""
-        if n > self.cutoff:
-            raise ValueError("n exceeds the cutoff")
-        return sum(1 for p in self.echelon.rows if p >= self.start[n])
-
-
 class OracleResult(NamedTuple):
     n_max: int
     cutoff: int
@@ -364,9 +256,9 @@ def brute_force_oracle(d: DeformationMap, n_max: int, cutoff: Optional[int] = No
     expected = []
     running = 0
     failure = None
-    for n in range(n_max + 1):
+    for n, dim in enumerate(graded_dims(a, n_max)):
         q = filtered_dim(a.dim_v, n) - span.intersection_dim(n)
-        running += graded_dim(a, n)
+        running += dim
         quotients.append(q)
         expected.append(running)
         if q < running and failure is None:

@@ -9,6 +9,7 @@ built only for an output or a family entry.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Union
@@ -21,24 +22,25 @@ ZERO = Q(0)
 ONE = Q(1)
 HALF = Q(1, 2)
 
+# the strings ``rational`` reads, the problem schema's rational pattern
+RATIONAL_PATTERN = "^-?[0-9]+(/[1-9][0-9]*)?$"
+
 
 def rational(value: RationalLike) -> Q:
     """Coerce ``value`` to an exact rational.
 
-    Accepts ints, rationals, and strings of the form ``"p"`` or ``"p/q"``.
-    Parsing is exact; anything else (floats in particular) is rejected.
+    Accepts ints, rationals, and strings that match ``RATIONAL_PATTERN``
+    whole: ``"p"`` or ``"p/q"`` in ASCII digits, q > 0, with at most a
+    leading minus.  Parsing is exact; anything else (floats, spaces, plus
+    signs, underscores) is rejected.
     """
     if isinstance(value, (int, Fraction)):
         return Q(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            d = int(den)
-            if d == 0:
-                raise ValueError(f"zero denominator in rational literal {value!r}")
-            return Q(int(num), d)
-        return Q(int(text))
+        if re.fullmatch(RATIONAL_PATTERN, value) is None:
+            raise ValueError(f"not a rational literal 'p' or 'p/q': {value[:40]!r}")
+        num, _, den = value.partition("/")
+        return Q(int(num), int(den or 1))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbwforge.algebra import IdealSpan
 from pbwforge.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -114,6 +115,23 @@ def test_deeply_nested_file_is_invalid_input(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: malformed JSON")
     assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["[" * 900 + "0" + "]" * 900, json.dumps("1" * 5000 + "x"), json.dumps({f"k{i}": i for i in range(2000)})],
+    ids=["nested", "long-string", "wide-object"],
+)
+def test_schema_violation_line_is_bounded(tmp_path, capsys, value):
+    # the error line describes the offending value in bounded length
+    # (by its type and size, or a cut repr), whatever its depth or size
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(ym_problem(current={"parameters": {"b": ["@", 0, 0]}})).replace('"@"', value))
+    assert main(["run", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: schema violation at current/parameters/b/0: ")
+    assert len(captured.err.splitlines()) == 1 and len(captured.err) < 200
     assert captured.out == ""
 
 
@@ -350,6 +368,22 @@ def test_oracle_cutoff_too_low_is_invalid_input(tmp_path, capsys, task):
     assert captured.err.startswith("error: ")
     assert "cutoff" in captured.err
     assert captured.out == ""
+
+
+def test_hilbert_task_builds_one_span(tmp_path, capsys, monkeypatch):
+    # the task reads every degree off one span of R, built at its top degree
+    cutoffs = []
+    original_init = IdealSpan.__init__
+
+    def init(self, relations, dim_v, cutoff):
+        cutoffs.append(cutoff)
+        original_init(self, relations, dim_v, cutoff)
+
+    monkeypatch.setattr(IdealSpan, "__init__", init)
+    path = write(tmp_path, "p.json", ym_problem(tasks=[{"task": "hilbert", "n_max": 7}]))
+    assert main(["run", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["dims"] == [1, 3, 9, 24, 64, 168, 441, 1155]
+    assert cutoffs == [7]
 
 
 def test_super_family_problem(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The level-by-level ideal builders against the all-products reference
-loops, and the per-presentation cache of the graded ideal components."""
+"""The level-by-level ideal builder against the all-products reference
+loops, on deformed relations and on R alone (graded dimensions and ideal
+components), and the per-presentation cache of the span of R."""
 
 import hashlib
 import random
@@ -11,12 +12,14 @@ import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pbwforge.algebra
 import pbwforge.pbw
 from pbwforge.algebra import (
     AlgebraPresentation,
     LeftShift,
     build_antisymmetrizer_relations,
     graded_dim,
+    graded_dims,
     ideal_component,
 )
 from pbwforge.linalg import SparseEchelon
@@ -135,7 +138,7 @@ def test_carried_rows_are_stored_or_inserted(monkeypatch):
     # carried row met a shift's pivot matches the all-products loop
     levels = []  # the echelon rows of J_(t-1) handed to left_shifts, per level
     inserted = []
-    original_shifts = pbwforge.pbw.left_shifts
+    original_shifts = pbwforge.algebra.left_shifts
     original_insert = SparseEchelon.insert
 
     def left_shifts(rows, place):
@@ -146,7 +149,7 @@ def test_carried_rows_are_stored_or_inserted(monkeypatch):
         inserted.append(vec)
         return original_insert(self, vec)
 
-    monkeypatch.setattr(pbwforge.pbw, "left_shifts", left_shifts)
+    monkeypatch.setattr(pbwforge.algebra, "left_shifts", left_shifts)
     monkeypatch.setattr(SparseEchelon, "insert", insert)
     stored, collided = {}, {}
     for case in sorted(SPAN_CASES):
@@ -202,15 +205,6 @@ def test_left_shifts_are_views_of_the_eager_shifts(case):
     assert check_views(span.echelon.rows, span.echelon.rank, shift_key) > 0
 
 
-def test_graded_left_shifts_are_views_of_the_eager_shifts():
-    a = build_ym(2, Metric.euclidean(3))
-    graded_dim(a, 6)
-    for n, rows in enumerate(a.ideal_rows[4:], 4):
-        size = a.dim_v ** (n - 1)
-        views = check_views(rows, a.dim_v**n - graded_dim(a, n), lambda p, k: p // size * size + k)
-        assert views > 0
-
-
 @st.composite
 def small_presentations(draw):
     """(dim_v, degree, homogeneous tops, relations): 2-3 letters, tops of
@@ -261,6 +255,26 @@ def test_zero_relation_contributes_nothing():
         assert span.echelon.rows == plain.echelon.rows
 
 
+@pytest.mark.parametrize(
+    "key", [(2, 999), (2, -1), (-1, 0), (2.0, 1), (2, True), (2,), "ab"], ids=repr
+)
+def test_ideal_span_rejects_a_key_that_names_no_word(key):
+    # at cutoff 4 over 2 letters a key is (m, i) with ints 0 <= m <= 4 and
+    # 0 <= i < 2^m; any other key is a ValueError, not an IndexError, a
+    # TypeError or a span of the wrong rank
+    with pytest.raises(ValueError, match="key"):
+        IdealSpan([{key: 1}], 2, 4)
+    with pytest.raises(ValueError, match="key"):
+        IdealSpan([{(2, 0): 1}, {(3, 1): 2, key: 1}], 2, 4)
+
+
+def test_ideal_span_accepts_every_word_key_up_to_the_cutoff():
+    keys = [(m, i) for m in range(5) for i in range(2**m)]
+    assert IdealSpan([{k: 1} for k in keys], 2, 4).intersection_dim(4) == len(keys)
+    with pytest.raises(ValueError, match="cutoff below the relation degree"):
+        IdealSpan([{(5, 0): 1}], 2, 4)
+
+
 def spy_inserts(monkeypatch):
     """Count ``SparseEchelon.insert`` calls and the dependent ones."""
     counts = {"inserts": 0, "dependent": 0}
@@ -296,7 +310,7 @@ def test_ideal_span_skips_rows_reduced_to_zero(monkeypatch, case, cutoff, insert
 def test_graded_builder_skips_rows_with_a_leading_word(monkeypatch):
     a = build_ym(2, Metric.euclidean(3))
     counts = spy_inserts(monkeypatch)
-    dims = [graded_dim(a, n) for n in range(7)]
+    dims = graded_dims(a, 6)
     # all 3 (1 + 3 + 9 + 27) = 120 rows r b, 22 of them dependent, without the skip
     assert counts == {"inserts": 111, "dependent": 13}
     assert dims == reference.graded_dims(a, 6)
@@ -352,21 +366,21 @@ def test_second_oracle_on_the_presentation_eliminates_no_homogeneous_row(monkeyp
     inserts = {"graded": 0, "filtered": 0}
     inside = []
     original_insert = SparseEchelon.insert
-    original_graded_dim = pbwforge.pbw.graded_dim
+    original_graded_dims = pbwforge.pbw.graded_dims
 
     def insert(self, vec):
         inserts["graded" if inside else "filtered"] += 1
         return original_insert(self, vec)
 
-    def spy_graded_dim(a, n):
+    def spy_graded_dims(a, n):
         inside.append(n)
         try:
-            return original_graded_dim(a, n)
+            return original_graded_dims(a, n)
         finally:
             inside.pop()
 
     monkeypatch.setattr(SparseEchelon, "insert", insert)
-    monkeypatch.setattr(pbwforge.pbw, "graded_dim", spy_graded_dim)
+    monkeypatch.setattr(pbwforge.pbw, "graded_dims", spy_graded_dims)
     first = ym_deformation("minkowski", "ok", seed=1)
     assert brute_force_oracle(first, 4, 5).verdict == "CONSISTENT"
     assert inserts["graded"] > 0 and inserts["filtered"] > 0

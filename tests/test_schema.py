@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from pbwforge.cli import load_schema, schema_violation
+from pbwforge.rationals import RATIONAL_PATTERN, Q, rational
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -219,6 +220,33 @@ def test_trailing_newline_is_the_pattern_difference():
     assert schema_violation(doc, schema)[0] == ("current", "parameters", "b", 0)
     doc["current"]["parameters"]["b"][0] = "1"
     assert schema_violation(doc, schema) is None
+
+
+def rational_schema():
+    """The schema's rational definition as a schema of its own."""
+    return {"$defs": load_schema()["$defs"], "$ref": "#/$defs/rational"}
+
+
+def test_rational_reads_the_schema_pattern():
+    # the library and the schema accept one grammar for a rational string
+    alternatives = load_schema()["$defs"]["rational"]["oneOf"]
+    assert [a.get("pattern") for a in alternatives] == [None, RATIONAL_PATTERN]
+    assert RATIONAL_PATTERN == "^-?[0-9]+(/[1-9][0-9]*)?$"
+
+
+@pytest.mark.parametrize("text", ["1_000", "\u0661\u0662", "3/ 4", " 5 ", "1/-2", "+3", "1/0", "5\n", "", "/2", "1/2/3"])
+def test_rational_rejects_strings_outside_the_pattern(text):
+    # underscores, non-ASCII digits, spaces, a signed denominator, a plus
+    # sign and a zero denominator are no rational of the schema
+    assert schema_violation(text, rational_schema()) is not None
+    with pytest.raises(ValueError):
+        rational(text)
+
+
+@pytest.mark.parametrize("text, value", [("0", Q(0)), ("-7", Q(-7)), ("12/8", Q(3, 2)), ("-3/4", Q(-3, 4)), ("007/10", Q(7, 10))])
+def test_rational_reads_strings_in_the_pattern(text, value):
+    assert schema_violation(text, rational_schema()) is None
+    assert rational(text) == value
 
 
 @pytest.mark.parametrize("doc, where", [
